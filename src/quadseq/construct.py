@@ -20,6 +20,7 @@ from .seqcore import (
     VerificationReport,
     npaf_values,
     parse_seq,
+    profile_index,
     verify_quadruple,
 )
 
@@ -71,21 +72,13 @@ def golay_search(g: int, allow_large: bool = False) -> list[GolayPair]:
         raise ConstructionError(f"length {g} over search budget (pass allow_large to force)")
     if g == 0:
         return [GolayPair((), ())]
-    by_profile: dict[tuple, list[tuple]] = {}
-    for bits in range(1 << g):
-        seq = _int_to_seq(bits, g)
-        by_profile.setdefault(npaf_values(seq)[1:], []).append(seq)
+    index = profile_index(g)
     pairs = []
-    for bits in range(1 << g):
-        first = _int_to_seq(bits, g)
-        want = tuple(-v for v in npaf_values(first)[1:])
-        for second in by_profile.get(want, ()):
+    for first, profile in zip(index.seqs, index.profiles):
+        want = tuple(-v for v in profile)
+        for second in index.groups.get(want, ()):
             pairs.append(GolayPair(first, second))
     return pairs
-
-
-def _int_to_seq(bits: int, length: int) -> tuple[int, ...]:
-    return tuple(-1 if (bits >> i) & 1 else 1 for i in range(length))
 
 
 def is_golay_number(n: int) -> bool:

@@ -3,9 +3,20 @@
 Layout: the long pair (A, B) costs one free sequence, because B is forced on
 positions 1..n by the (near-)normality pattern and at position n+1 by the
 top-lag cancellation a_1*a_{n+1} + b_1*b_{n+1} = 0.  The short pair (C, D) is
-enumerated by a hash join: every candidate short sequence is indexed by its
-positive-lag profile, and for each A the complementary profile requirement is
-looked up directly.  That turns the 2^(2n) pair space into about 2^n probes.
+found by a hash join on positive-lag profiles (seqcore.ProfileIndex): each A
+that survives the prunes fixes a target profile that C and D must add up to,
+and for each C-profile the D-profile it needs is looked up directly.
+
+The target also fixes c^2 + d^2 = 2(m+n) - a^2 - b^2, and a profile fixes
+the squared sum of its sequences, so the join probes only the C-profiles
+whose c^2 leaves an admissible d^2.  Surviving A's share few targets, so a
+pass joins each distinct target once and reuses its (C, D) pairs for every
+A that shares it; a memo never outlives one pass (or one pool task).
+
+A node is one A candidate or one C-profile probed for a surviving A.  Each
+surviving A is charged the probes of its target's join whether the join was
+computed or reused, so node counts, node_limit, checkpoints and resume do not
+depend on block size, worker count or how often the memo hits.
 
 Case splitting partitions the admissible sums vectors (a, b, c, d) with
 a^2+b^2+c^2+d^2 = 2(m+n) into orbits under coordinate sign changes and the
@@ -16,17 +27,24 @@ and distributed case by case.
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import product
+from math import isqrt
+from operator import sub
 
 from .seqcore import (
     KIND_NEAR_NORMAL,
     KIND_NORMAL,
+    ProfileIndex,
     QuadseqError,
     SeqQuadruple,
     alternate,
+    int_to_seq,
     negate,
     npaf_values,
     parse_quad,
+    profile_index,
     reverse,
+    seq_str,
     sum_of_squares_check,
     verify_quadruple,
 )
@@ -175,10 +193,6 @@ def enumerate_cases(kind: str, order: int) -> list[CaseDescriptor]:
     return cases
 
 
-def _int_to_seq(bits: int, length: int) -> tuple[int, ...]:
-    return tuple(-1 if (bits >> i) & 1 else 1 for i in range(length))
-
-
 def _derive_b(a_seq: tuple[int, ...], kind: str, n: int) -> tuple[int, ...]:
     if kind == KIND_NORMAL:
         body = a_seq[:n]
@@ -187,44 +201,66 @@ def _derive_b(a_seq: tuple[int, ...], kind: str, n: int) -> tuple[int, ...]:
     return body + (-a_seq[n],)
 
 
-_TABLE_CACHE: dict[int, dict[tuple, list[tuple[int, ...]]]] = {}
+class _PassPlan:
+    """What one case pass needs beyond the A range: built once per pass and
+    sent with every block of it."""
+
+    def __init__(self, spec: SearchSpec, pass_case: int):
+        self.spec = spec
+        # admissible c^2 (and d^2), and admissible c^2 + d^2
+        self.squared_sums = frozenset(v * v for v in _admissible_values(spec.order))
+        self.sum_targets = frozenset(c2 + d2 for c2 in self.squared_sums for d2 in self.squared_sums)
+        # sums reps of the case and their (|a|, |b|) parts; None when unfiltered
+        self.reps_filter = self.ab_filter = None
+        if pass_case != 0:
+            descriptor = enumerate_cases(spec.kind, spec.order)[pass_case - 1]
+            self.reps_filter = frozenset(descriptor.sums_reps)
+            self.ab_filter = frozenset((r[0], r[1]) for r in self.reps_filter)
 
 
-def _profile_table(n: int) -> dict[tuple, list[tuple[int, ...]]]:
-    """All length-n sign sequences grouped by positive-lag profile."""
-    table = _TABLE_CACHE.get(n)
-    if table is None:
-        table = {}
-        for bits in range(1 << n):
-            seq = _int_to_seq(bits, n)
-            table.setdefault(npaf_values(seq)[1:], []).append(seq)
-        _TABLE_CACHE[n] = table
-    return table
+def _join(target: tuple[int, ...], index: ProfileIndex, squared_sums: frozenset[int]):
+    """Every (C, D) whose positive-lag profiles add up to `target`.
+
+    The target fixes c^2 + d^2 = 2n + 2*sum(target), so only C-profiles
+    whose c^2 leaves an admissible d^2 are probed.  Returns the pairs grouped
+    by (max(|c|,|d|), min(|c|,|d|)), the part of the sums rep they share,
+    and the number of C-profiles probed.
+    """
+    residual = 2 * index.length + 2 * sum(target)
+    groups = index.groups
+    joined = []
+    probes = 0
+    for c2, c_groups in index.by_square_sum.items():
+        d2 = residual - c2
+        if d2 not in squared_sums:
+            continue
+        probes += len(c_groups)
+        pairs = []
+        for c_profile, c_seqs in c_groups:
+            d_seqs = groups.get(tuple(map(sub, target, c_profile)))
+            if d_seqs:
+                pairs.extend(product(c_seqs, d_seqs))
+        if pairs:
+            c_abs, d_abs = isqrt(c2), isqrt(d2)
+            joined.append(((max(c_abs, d_abs), min(c_abs, d_abs)), pairs))
+    return joined, probes
 
 
-def _case_filter(spec: SearchSpec, pass_case: int):
-    """(set of sums reps, set of admissible (|a|,|b|)) for one case pass,
-    or (None, None) for an unfiltered pass."""
-    if pass_case == 0:
-        return None, None
-    descriptor = enumerate_cases(spec.kind, spec.order)[pass_case - 1]
-    reps = set(descriptor.sums_reps)
-    ab_pairs = {(r[0], r[1]) for r in reps}
-    return reps, ab_pairs
-
-
-def _scan_block(spec_dict: dict, pass_case: int, a_start: int, a_end: int):
+def _scan_block(plan: _PassPlan, a_start: int, a_end: int, memo: dict):
     """Scan a contiguous range of A assignments; returns raw solutions,
-    node and prune counters.  Pure function of its arguments, safe as a
-    process-pool task."""
-    spec = SearchSpec(**spec_dict)
+    node and prune counters.
+
+    `memo` maps a join target to its _join result and may carry over from
+    earlier blocks of the same pass.  Every surviving A is charged the
+    C-profiles its join probes whether or not the memo already held it, so
+    the counters do not depend on how a pass is split into blocks.  Safe as
+    a process-pool task.
+    """
+    spec = plan.spec
+    reps_filter, ab_filter = plan.reps_filter, plan.ab_filter
     n = spec.order
     m = n + 1
-    table = _profile_table(n)
-    reps_filter, ab_filter = _case_filter(spec, pass_case)
-    sum_targets = {
-        c * c + d * d for c in _admissible_values(n) for d in _admissible_values(n)
-    }
+    index = profile_index(n)
     total = 2 * (m + n)
     top_bit = m - 1
     nodes = 0
@@ -233,14 +269,15 @@ def _scan_block(spec_dict: dict, pass_case: int, a_start: int, a_end: int):
     for ai in range(a_start, a_end):
         if spec.representatives and (ai & 1 or (ai >> top_bit) & 1):
             continue
-        a_seq = _int_to_seq(ai, m)
+        a_seq = int_to_seq(ai, m)
         b_seq = _derive_b(a_seq, spec.kind, n)
         nodes += 1
         a_sum, b_sum = sum(a_seq), sum(b_seq)
-        if spec.use_sum_prune and (total - a_sum * a_sum - b_sum * b_sum) not in sum_targets:
+        if spec.use_sum_prune and (total - a_sum * a_sum - b_sum * b_sum) not in plan.sum_targets:
             prunes[PRUNE_SUM] += 1
             continue
-        if ab_filter is not None and (abs(a_sum), abs(b_sum)) not in ab_filter:
+        ab_rep = (abs(a_sum), abs(b_sum))
+        if ab_filter is not None and ab_rep not in ab_filter:
             prunes[PRUNE_CASE] += 1
             continue
         pa, pb = npaf_values(a_seq), npaf_values(b_seq)
@@ -253,20 +290,16 @@ def _scan_block(spec_dict: dict, pass_case: int, a_start: int, a_end: int):
             prunes[PRUNE_LAG] += 1
             continue
         target = tuple(-v for v in pab[: n - 1])
-        for c_profile, c_seqs in table.items():
-            nodes += 1
-            want = tuple(target[i] - c_profile[i] for i in range(n - 1))
-            d_seqs = table.get(want)
-            if not d_seqs:
+        joined = memo.get(target)
+        if joined is None:
+            joined = memo[target] = _join(target, index, plan.squared_sums)
+        by_cd_rep, probes = joined
+        nodes += probes
+        for cd_rep, pairs in by_cd_rep:
+            if reps_filter is not None and ab_rep + cd_rep not in reps_filter:
+                prunes[PRUNE_CASE] += len(pairs)
                 continue
-            for c_seq in c_seqs:
-                for d_seq in d_seqs:
-                    if reps_filter is not None and _sums_rep(
-                        a_sum, b_sum, sum(c_seq), sum(d_seq)
-                    ) not in reps_filter:
-                        prunes[PRUNE_CASE] += 1
-                        continue
-                    solutions.append((a_seq, b_seq, c_seq, d_seq))
+            solutions.extend((a_seq, b_seq, c_seq, d_seq) for c_seq, d_seq in pairs)
     return solutions, nodes, prunes
 
 
@@ -279,6 +312,29 @@ def _order_zero_solutions(spec: SearchSpec):
                 continue
             quads.append(((a,), (b,), (), ()))
     return quads
+
+
+def _in_plaintext_order(quads) -> list:
+    """Raw (A, B, C, D) tuples sorted as their plaintexts sort.
+
+    All quadruples of one search share one shape, so plaintext order is
+    entry-by-entry order with '+' before '-': descending integer order.
+    """
+    return sorted(quads, reverse=True)
+
+
+def _plaintext(quad) -> str:
+    return ";".join(map(seq_str, quad))
+
+
+def _parse_solutions(texts, kind: str) -> list:
+    """Raw tuples of checkpoint plaintexts; equal sequences share one tuple,
+    as they do in a search's own results."""
+    shared = {}
+    return [
+        tuple(shared.setdefault(seq, seq) for seq in parse_quad(text, kind).seqs())
+        for text in texts
+    ]
 
 
 def _merge_prunes(total: dict, part: dict) -> None:
@@ -309,7 +365,7 @@ def search(
     nodes = 0
     prunes = {PRUNE_SUM: 0, PRUNE_LAG: 0, PRUNE_CASE: 0}
     found = 0
-    raw_solutions: list[str] = []
+    texts: list[str] = []
     case_start, a_start = 0, 0
     if resume is not None:
         _check_resume(spec, resume)
@@ -317,52 +373,50 @@ def search(
         nodes = resume.nodes
         _merge_prunes(prunes, resume.prunes)
         found = resume.found
-        raw_solutions = list(resume.solutions)
+        texts = list(resume.solutions)
 
     if spec.order == 0:
         quads = _order_zero_solutions(spec)
-        plaintexts = sorted(
-            SeqQuadruple(*q, spec.kind).plaintext() for q in quads
-        )
-        return _finish(spec, plaintexts, len(plaintexts), nodes + len(quads), prunes, started)
+        return _finish(spec, quads, len(quads), nodes + len(quads), prunes, started)
 
     a_limit = 1 << (spec.order + 1)
     keep = spec.mode in ("all", "first")
-    spec_dict = {f: getattr(spec, f) for f in SearchSpec.__dataclass_fields__}
     tracker = _ProgressTracker(
-        spec, passes, nodes, prunes, found, raw_solutions,
-        checkpoint_path, checkpoint_every, started,
+        spec, passes, nodes, prunes, found, texts,
+        checkpoint_path, checkpoint_every,
     )
 
     sequential = workers <= 1 or spec.mode == "first"
     for case_pos in range(case_start, len(passes)):
-        pass_case = passes[case_pos]
+        plan = _PassPlan(spec, passes[case_pos])
         start = a_start if case_pos == case_start else 0
         if sequential:
-            done = _run_pass_sequential(spec_dict, spec, pass_case, case_pos, start, a_limit, keep, tracker)
+            done = _run_pass_sequential(plan, case_pos, start, a_limit, keep, tracker)
         else:
-            done = _run_pass_parallel(
-                spec_dict, spec, pass_case, case_pos, start, a_limit, keep, tracker, workers
-            )
+            done = _run_pass_parallel(plan, case_pos, start, a_limit, keep, tracker, workers)
         if not done:  # first-hit satisfied
             break
     return _finish(spec, tracker.solutions, tracker.found, tracker.nodes, tracker.prunes, started)
 
 
 class _ProgressTracker:
-    """Accumulates results and enforces budget/checkpoint bookkeeping."""
+    """Accumulates results and enforces budget/checkpoint bookkeeping.
 
-    def __init__(self, spec, passes, nodes, prunes, found, solutions,
-                 checkpoint_path, checkpoint_every, started):
+    Solutions are kept as raw tuples; a checkpoint stores them as plaintext,
+    converted once each, when the first checkpoint that holds them is made.
+    """
+
+    def __init__(self, spec, passes, nodes, prunes, found, texts,
+                 checkpoint_path, checkpoint_every):
         self.spec = spec
         self.passes = passes
         self.nodes = nodes
         self.prunes = prunes
         self.found = found
-        self.solutions = solutions
+        self.solutions = _parse_solutions(texts, spec.kind)
+        self._texts = texts  # plaintexts of a prefix of self.solutions
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
-        self.started = started
         self._base_nodes = nodes  # node_limit budgets the current run only
         self._last_checkpoint_nodes = nodes
 
@@ -371,10 +425,7 @@ class _ProgressTracker:
         _merge_prunes(self.prunes, block_prunes)
         self.found += len(sols)
         if keep:
-            kind = self.spec.kind
-            self.solutions.extend(
-                SeqQuadruple(*quad, kind).plaintext() for quad in sols
-            )
+            self.solutions.extend(sols)
         exhausted = (
             self.spec.node_limit is not None
             and self.nodes - self._base_nodes >= self.spec.node_limit
@@ -396,6 +447,7 @@ class _ProgressTracker:
         return 1 << (self.spec.order + 1)
 
     def _checkpoint(self, case_pos, a_next):
+        self._texts.extend(map(_plaintext, self.solutions[len(self._texts):]))
         return Checkpoint(
             kind=self.spec.kind,
             order=self.spec.order,
@@ -407,44 +459,47 @@ class _ProgressTracker:
             nodes=self.nodes,
             prunes=dict(self.prunes),
             found=self.found,
-            solutions=list(self.solutions),
+            solutions=list(self._texts),
         )
 
 
-def _run_pass_sequential(spec_dict, spec, pass_case, case_pos, a_start, a_limit, keep, tracker):
+def _run_pass_sequential(plan, case_pos, a_start, a_limit, keep, tracker):
+    spec = plan.spec
     step = 1 if spec.node_limit is not None else max(1, min(4096, a_limit))
+    memo: dict = {}
     ai = a_start
     while ai < a_limit:
         upper = min(ai + step, a_limit)
-        sols, block_nodes, block_prunes = _scan_block(spec_dict, pass_case, ai, upper)
+        sols, block_nodes, block_prunes = _scan_block(plan, ai, upper, memo)
         if spec.mode == "first" and sols:
-            best = min(sols, key=lambda quad: SeqQuadruple(*quad, spec.kind).plaintext())
-            tracker.commit(case_pos, upper, [best], block_nodes, block_prunes, keep)
+            best = _in_plaintext_order(sols)[:1]
+            tracker.commit(case_pos, upper, best, block_nodes, block_prunes, keep)
             return False
         tracker.commit(case_pos, upper, sols, block_nodes, block_prunes, keep)
         ai = upper
     return True
 
 
-def _run_pass_parallel(spec_dict, spec, pass_case, case_pos, a_start, a_limit, keep, tracker, workers):
+def _run_pass_parallel(plan, case_pos, a_start, a_limit, keep, tracker, workers):
     span = a_limit - a_start
     block = max(1024, span // (workers * 8) or 1)
     ranges = [(lo, min(lo + block, a_limit)) for lo in range(a_start, a_limit, block)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_scan_block, spec_dict, pass_case, lo, hi) for lo, hi in ranges
-        ]
+        # one memo per task: a memo never crosses a process boundary
+        futures = [pool.submit(_scan_block, plan, lo, hi, {}) for lo, hi in ranges]
         for (lo, hi), fut in zip(ranges, futures):
             sols, block_nodes, block_prunes = fut.result()
             tracker.commit(case_pos, hi, sols, block_nodes, block_prunes, keep)
     return True
 
 
-def _finish(spec, plaintexts, found, nodes, prunes, started):
-    ordered = sorted(plaintexts)
-    if spec.mode == "first":
-        ordered = ordered[:1]
-    solutions = [parse_quad(text, spec.kind) for text in ordered] if spec.mode != "count" else []
+def _finish(spec, quads, found, nodes, prunes, started):
+    solutions = []
+    if spec.mode != "count":
+        ordered = _in_plaintext_order(quads)
+        if spec.mode == "first":
+            ordered = ordered[:1]
+        solutions = [SeqQuadruple(*quad, spec.kind) for quad in ordered]
     stats = SearchStats(nodes=nodes, prunes=dict(prunes), elapsed=time.perf_counter() - started)
     return SearchResult(solutions=solutions, count=found, stats=stats)
 

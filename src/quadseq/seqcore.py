@@ -95,6 +95,48 @@ def npaf_values(seq: Seq) -> tuple[int, ...]:
     )
 
 
+def int_to_seq(bits: int, length: int) -> Seq:
+    """The binary sequence whose entry i is -1 exactly when bit i is set."""
+    return tuple(-1 if (bits >> i) & 1 else 1 for i in range(length))
+
+
+class ProfileIndex:
+    """Every binary sequence of one length, grouped by positive-lag profile.
+
+    `seqs` and `profiles` list the sequences and their profiles in bits order
+    (see int_to_seq); `groups` maps each profile to its sequences in the same
+    order.  A profile p fixes the squared sum of its sequences,
+    sum^2 = length + 2 * sum(p), so `by_square_sum` maps each squared sum to
+    the (profile, sequences) groups that have it.
+    """
+
+    def __init__(self, length: int):
+        self.length = length
+        self.seqs = [int_to_seq(bits, length) for bits in range(1 << length)]
+        profiles = [npaf_values(seq)[1:] for seq in self.seqs]
+        self.groups: dict[tuple[int, ...], list[Seq]] = {}
+        for seq, profile in zip(self.seqs, profiles):
+            self.groups.setdefault(profile, []).append(seq)
+        shared = {profile: profile for profile in self.groups}
+        self.profiles = [shared[profile] for profile in profiles]  # equal profiles share one tuple
+        self.by_square_sum: dict[int, list[tuple[tuple[int, ...], list[Seq]]]] = {}
+        for profile, seqs in self.groups.items():
+            square = length + 2 * sum(profile)
+            self.by_square_sum.setdefault(square, []).append((profile, seqs))
+
+
+_PROFILE_INDEXES: dict[int, ProfileIndex] = {}
+
+
+def profile_index(length: int) -> ProfileIndex:
+    """The ProfileIndex of `length`, built on first use and then shared
+    (read-only) for the life of the process."""
+    index = _PROFILE_INDEXES.get(length)
+    if index is None:
+        index = _PROFILE_INDEXES[length] = ProfileIndex(length)
+    return index
+
+
 def npaf(seq) -> LagProfile:
     """Non-periodic autocorrelation profile of an integer sequence."""
     seq = tuple(int(v) for v in seq)

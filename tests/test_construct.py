@@ -174,6 +174,17 @@ def test_golay_search_matches_brute_force(g):
     assert got == set(brute_force_golay(g))
 
 
+@pytest.mark.parametrize("g", [1, 2, 4, 8])
+def test_golay_search_order(g):
+    # first sequences in bits order (entry i is -1 iff bit i is set), and
+    # the partners of each in the same order
+    def bits(seq):
+        return sum(1 << i for i, v in enumerate(seq) if v < 0)
+
+    got = [(p.a, p.b) for p in golay_search(g)]
+    assert got == sorted(brute_force_golay(g), key=lambda pair: (bits(pair[0]), bits(pair[1])))
+
+
 def test_is_golay_number():
     assert is_golay_number(26)
     assert is_golay_number(20)

@@ -18,7 +18,7 @@ from quadseq.search import (
     save_checkpoint,
     search,
 )
-from quadseq.seqcore import SeqQuadruple, parse_quad, verify_quadruple
+from quadseq.seqcore import SeqQuadruple, npaf_values, parse_quad, verify_quadruple
 
 from naive_oracle import brute_force_solutions
 
@@ -163,6 +163,73 @@ def test_budget_exhaustion_and_resume_reproduce_full_run(tmp_path):
         pytest.fail("resume loop did not terminate")
     assert plaintexts(result) == full
     assert _round > 0  # the budget actually bit at least once
+
+
+def _resumed(spec, workers, path=None):
+    """Run spec to completion, resuming after every exhausted budget (through
+    the checkpoint file when `path` is given); returns (result, legs)."""
+    checkpoint = None
+    for legs in range(1, 1000):
+        try:
+            return search(spec, workers=workers, resume=checkpoint, checkpoint_path=path), legs
+        except BudgetExhausted as exc:
+            checkpoint = load_checkpoint(path) if path else exc.checkpoint
+    pytest.fail("resume loop did not terminate")
+
+
+@pytest.mark.parametrize("kind", ["nn", "ns"])
+def test_counters_do_not_depend_on_workers_budget_or_resume(kind, tmp_path):
+    # Every surviving A is charged its sum-compatible C-profiles whether its
+    # join was computed or reused, so block size, worker count and resume
+    # points change neither the solutions nor a single counter.
+    reference = search(SearchSpec(kind, 10))
+    budgeted = SearchSpec(kind, 10, node_limit=reference.stats.nodes // 5)
+    runs = {
+        "workers=2": (search(SearchSpec(kind, 10), workers=2), 1),
+        "budget, workers=1": _resumed(budgeted, 1),
+        "budget, workers=2, file": _resumed(budgeted, 2, str(tmp_path / "run.ckpt")),
+    }
+    for name, (result, legs) in runs.items():
+        assert plaintexts(result) == plaintexts(reference), name
+        assert result.count == reference.count, name
+        assert result.stats.nodes == reference.stats.nodes, name
+        assert result.stats.prunes == reference.stats.prunes, name
+    assert runs["budget, workers=1"][1] > 1
+    assert runs["budget, workers=2, file"][1] > 1
+
+
+@pytest.mark.parametrize("kind,order", [("nn", 4), ("ns", 4)])
+def test_join_without_sum_prune_matches_brute_force_oracle(kind, order):
+    # with the sum prune off, A's of inadmissible sums reach the join, and
+    # the join's own sum index must find nothing for them
+    for lag_prune in (True, False):
+        spec = SearchSpec(kind, order, use_sum_prune=False, use_lag_prune=lag_prune)
+        assert set(plaintexts(search(spec))) == brute_force_solutions(kind, order)
+
+
+def test_join_probes_only_sum_compatible_profiles():
+    from quadseq.search import _join
+    from quadseq.seqcore import profile_index
+
+    n = 8
+    index = profile_index(n)
+    squares = frozenset(v * v for v in range(0, n + 1, 2))
+    c, d = (1, 1, -1, 1, 1, 1, -1, -1), (1, -1, -1, -1, 1, 1, 1, 1)
+    target = tuple(u + v for u, v in zip(npaf_values(c)[1:], npaf_values(d)[1:]))
+    residual = 2 * n + 2 * sum(target)
+    groups, probes = _join(target, index, squares)
+    compatible = [p for p in index.groups if residual - (n + 2 * sum(p)) in squares]
+    assert probes == len(compatible) < len(index.groups)
+    expected = {
+        (c_seq, d_seq) for p in index.groups for c_seq in index.groups[p]
+        for d_seq in index.groups.get(tuple(t - v for t, v in zip(target, p)), ())
+    }
+    got = [pair for _rep, pairs in groups for pair in pairs]
+    assert (c, d) in expected and len(got) == len(expected) and set(got) == expected
+    for (high, low), pairs in groups:
+        for c_seq, d_seq in pairs:
+            c_abs, d_abs = abs(sum(c_seq)), abs(sum(d_seq))
+            assert (high, low) == (max(c_abs, d_abs), min(c_abs, d_abs))
 
 
 def test_checkpoint_file_round_trip(tmp_path):

@@ -15,6 +15,7 @@ from quadseq.seqcore import (
     npaf_values,
     parse_quad,
     parse_seq,
+    profile_index,
     reverse,
     seq_str,
     sequence_sum,
@@ -80,6 +81,34 @@ def test_npaf_laws_ternary(length):
         assert npaf_values(negate(seq)) == values
         total = sum(seq)
         assert total * total == values[0] + 2 * sum(values[1:])
+
+
+@pytest.mark.parametrize("length", [0, 1, 5, 8])
+def test_profile_index_groups_in_bits_order(length):
+    index = profile_index(length)
+    assert index.seqs == [
+        tuple(-1 if (bits >> i) & 1 else 1 for i in range(length))
+        for bits in range(1 << length)
+    ]
+    position = {seq: bits for bits, seq in enumerate(index.seqs)}
+    grouped = []
+    for profile, seqs in index.groups.items():
+        assert all(npaf_values(seq)[1:] == profile for seq in seqs)
+        assert [position[s] for s in seqs] == sorted(position[s] for s in seqs)
+        grouped.extend(seqs)
+    assert sorted(grouped) == sorted(index.seqs)
+    # first appearance in bits order fixes the order of the groups
+    firsts = [position[seqs[0]] for seqs in index.groups.values()]
+    assert firsts == sorted(firsts)
+    by_square = [
+        (square, profile, seqs)
+        for square, groups in index.by_square_sum.items() for profile, seqs in groups
+    ]
+    assert len(by_square) == len(index.groups)
+    for square, profile, seqs in by_square:
+        assert index.groups[profile] is seqs
+        assert all(sum(seq) ** 2 == square for seq in seqs)
+    assert profile_index(length) is index
 
 
 def test_sequence_sum():
