@@ -7,7 +7,6 @@ unnoticed.  Statuses carry provenance strings so that any future regression
 of the tables is traceable to the claim it contradicts.
 """
 
-import os
 from dataclasses import dataclass
 
 from . import codec
@@ -20,6 +19,7 @@ from .seqcore import (
     SeqQuadruple,
     SumsVector,
     verify_quadruple,
+    write_text_atomic,
 )
 
 NON_EMPTY = "NonEmpty"
@@ -170,10 +170,7 @@ def archive_save(records: list[WitnessRecord], path: str) -> None:
             lines.append(f"{rec.quad.kind} {rec.quad.n} {rec.ab_code} {rec.cd_code}")
         else:
             lines.append(f"{rec.quad.kind} {rec.quad.plaintext()}")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-    os.replace(tmp, path)
+    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def archive_load(path: str) -> list[WitnessRecord]:

@@ -22,11 +22,11 @@ from .seqcore import (
     KIND_BASE,
     KIND_NEAR_NORMAL,
     KIND_NORMAL,
-    KIND_T,
     ALL_KINDS,
     QuadseqError,
     SeqQuadruple,
     parse_quad,
+    seq_str,
     verify_quadruple,
 )
 
@@ -110,7 +110,6 @@ def _cmd_search(args) -> int:
         representatives=args.representatives,
         allow_large=args.allow_large,
         use_sum_prune=not args.no_sum_prune,
-        use_lag_prune=not args.no_lag_prune,
     )
     resume = load_checkpoint(args.resume) if args.resume else None
     try:
@@ -149,8 +148,7 @@ def _cmd_construct(args) -> int:
     if args.what == "golay":
         pairs = construct.golay_search(args.length, allow_large=args.allow_large)
         for pair in pairs:
-            print(f"{''.join('+' if v > 0 else '-' for v in pair.a)};"
-                  f"{''.join('+' if v > 0 else '-' for v in pair.b)}")
+            print(f"{seq_str(pair.a)};{seq_str(pair.b)}")
         return EXIT_OK if pairs else EXIT_FALSE
     if args.what == "ns":
         seeds = construct.load_golay_seeds(args.seeds) if args.seeds else None
@@ -264,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fix the boundary to '0'-form (class representatives only)")
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--no-sum-prune", action="store_true")
-    p.add_argument("--no-lag-prune", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_search)
 

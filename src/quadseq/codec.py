@@ -8,18 +8,12 @@ pairs whose two columns are each internally constant or internally opposite,
 plus the one boundary quad '0'; other column pairs are not encodable.
 """
 
-from dataclasses import dataclass
-
 from .seqcore import (
-    KIND_BASE,
     KIND_NEAR_NORMAL,
-    KIND_NORMAL,
-    KIND_T,
     ALL_KINDS,
     QuadseqError,
     SeqQuadruple,
     parse_quad,
-    seq_str,
 )
 
 PAIR_AB = "ab"
@@ -56,13 +50,6 @@ class CodecError(QuadseqError):
 
 class UnencodableError(CodecError):
     """Pair contains a column quad outside the nine-digit alphabet."""
-
-
-@dataclass(frozen=True)
-class QuadCode:
-    digits: str
-    pair_kind: str
-    n: int
 
 
 def _pair_length(pair_kind: str, n: int) -> int:

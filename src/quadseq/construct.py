@@ -199,12 +199,6 @@ def bs_to_ts(q: SeqQuadruple) -> SeqQuadruple:
 
 
 @dataclass(frozen=True)
-class SymbolicEntry:
-    var: int  # 0 for a zero entry, else 1..u
-    sign: int  # ignored when var == 0
-
-
-@dataclass(frozen=True)
 class SymbolicMatrix:
     """Square matrix over {0, +-x_1, ..., +-x_u}, stored as signed indices."""
 
@@ -222,10 +216,6 @@ class SymbolicMatrix:
             for v in row:
                 if abs(v) > self.nvars:
                     raise ConstructionError(f"entry {v} references variable beyond {self.nvars}")
-
-    def entry_at(self, r: int, c: int) -> SymbolicEntry:
-        v = self.grid[r][c]
-        return SymbolicEntry(var=abs(v), sign=1 if v >= 0 else -1)
 
     def coefficient_matrix(self, var: int) -> np.ndarray:
         """Integer matrix of the coefficients of variable `var` (1-based)."""

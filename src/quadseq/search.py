@@ -2,16 +2,22 @@
 
 Layout: the long pair (A, B) costs one free sequence, because B is forced on
 positions 1..n by the (near-)normality pattern and at position n+1 by the
-top-lag cancellation a_1*a_{n+1} + b_1*b_{n+1} = 0.  The short pair (C, D) is
-found by a hash join on positive-lag profiles (seqcore.ProfileIndex): each A
-that survives the prunes fixes a target profile that C and D must add up to,
-and for each C-profile the D-profile it needs is looked up directly.
+top-lag cancellation a_1*a_{n+1} + b_1*b_{n+1} = 0, which therefore holds
+for every A and is never tested.  The short pair (C, D) is found by a hash
+join on positive-lag profiles (seqcore.ProfileIndex): each A that survives
+the sum-of-squares prune fixes a target profile at lags 1..n-1 that C and D
+must add up to, and for each C-profile the D-profile it needs is looked up
+directly.
 
 The target also fixes c^2 + d^2 = 2(m+n) - a^2 - b^2, and a profile fixes
 the squared sum of its sequences, so the join probes only the C-profiles
 whose c^2 leaves an admissible d^2.  Surviving A's share few targets, so a
 pass joins each distinct target once and reuses its (C, D) pairs for every
 A that shares it; a memo never outlives one pass (or one pool task).
+
+The sum-of-squares prune is the only test before the join.  With
+use_sum_prune off, an A of inadmissible sums reaches the join, whose sum
+index finds nothing for it, so the toggle changes counters, never solutions.
 
 A node is one A candidate or one C-profile probed for a surviving A.  Each
 surviving A is charged the probes of its target's join whether the join was
@@ -47,13 +53,14 @@ from .seqcore import (
     seq_str,
     sum_of_squares_check,
     verify_quadruple,
+    write_text_atomic,
 )
 
 MAX_ORDER_WITHOUT_OVERRIDE = 20
 NUM_CASES = 12
+CHECKPOINT_EVERY = 250_000  # nodes between periodic checkpoint writes
 
 PRUNE_SUM = "sum_of_squares"
-PRUNE_LAG = "partial_lag"
 PRUNE_CASE = "case"
 
 
@@ -79,7 +86,6 @@ class SearchSpec:
     representatives: bool = False
     allow_large: bool = False
     use_sum_prune: bool = True
-    use_lag_prune: bool = True
 
 
 @dataclass(frozen=True)
@@ -264,7 +270,7 @@ def _scan_block(plan: _PassPlan, a_start: int, a_end: int, memo: dict):
     total = 2 * (m + n)
     top_bit = m - 1
     nodes = 0
-    prunes = {PRUNE_SUM: 0, PRUNE_LAG: 0, PRUNE_CASE: 0}
+    prunes = {PRUNE_SUM: 0, PRUNE_CASE: 0}
     solutions = []
     for ai in range(a_start, a_end):
         if spec.representatives and (ai & 1 or (ai >> top_bit) & 1):
@@ -281,15 +287,7 @@ def _scan_block(plan: _PassPlan, a_start: int, a_end: int, memo: dict):
             prunes[PRUNE_CASE] += 1
             continue
         pa, pb = npaf_values(a_seq), npaf_values(b_seq)
-        pab = [pa[j] + pb[j] for j in range(1, m)]
-        if pab[n - 1] != 0:  # top lag cannot be cancelled by the short pair
-            continue
-        if spec.use_lag_prune and any(
-            abs(pab[j - 1]) > 2 * (n - j) for j in range(1, n)
-        ):
-            prunes[PRUNE_LAG] += 1
-            continue
-        target = tuple(-v for v in pab[: n - 1])
+        target = tuple(-pa[j] - pb[j] for j in range(1, n))
         joined = memo.get(target)
         if joined is None:
             joined = memo[target] = _join(target, index, plan.squared_sums)
@@ -348,22 +346,29 @@ def search(
     workers: int = 1,
     resume: Checkpoint | None = None,
     checkpoint_path: str | None = None,
-    checkpoint_every: int = 250_000,
 ) -> SearchResult:
     """Run the search described by spec.
 
     Output is deterministic: solutions are sorted by plaintext, independent
     of worker count and case interleaving.  A node budget overrun raises
     BudgetExhausted carrying (and, when checkpoint_path is given, writing) a
-    checkpoint from which the run can be resumed to the identical result.
-    first mode always scans sequentially so "first" is well defined.
+    checkpoint from which the run can be resumed to the identical result;
+    while checkpoint_path is given, a checkpoint is also written every
+    CHECKPOINT_EVERY nodes.
+
+    first mode scans sequentially, in blocks of one A under a node budget
+    and of 4096 A's otherwise, and returns the least solution of the first
+    block that has any.  That is the lex-least solution overall only when
+    the first such block holds it, so a budgeted and an unbudgeted run can
+    return different solutions, and above 4096 A's (order 12 and up) an
+    unbudgeted run can miss the lex-least one too.
     """
     _validate_spec(spec)
     started = time.perf_counter()
     passes: list[int] = list(spec.cases) if spec.cases is not None else [0]
 
     nodes = 0
-    prunes = {PRUNE_SUM: 0, PRUNE_LAG: 0, PRUNE_CASE: 0}
+    prunes = {PRUNE_SUM: 0, PRUNE_CASE: 0}
     found = 0
     texts: list[str] = []
     case_start, a_start = 0, 0
@@ -382,8 +387,7 @@ def search(
     a_limit = 1 << (spec.order + 1)
     keep = spec.mode in ("all", "first")
     tracker = _ProgressTracker(
-        spec, passes, nodes, prunes, found, texts,
-        checkpoint_path, checkpoint_every,
+        spec, passes, nodes, prunes, found, texts, checkpoint_path,
     )
 
     sequential = workers <= 1 or spec.mode == "first"
@@ -406,8 +410,7 @@ class _ProgressTracker:
     converted once each, when the first checkpoint that holds them is made.
     """
 
-    def __init__(self, spec, passes, nodes, prunes, found, texts,
-                 checkpoint_path, checkpoint_every):
+    def __init__(self, spec, passes, nodes, prunes, found, texts, checkpoint_path):
         self.spec = spec
         self.passes = passes
         self.nodes = nodes
@@ -416,7 +419,6 @@ class _ProgressTracker:
         self.solutions = _parse_solutions(texts, spec.kind)
         self._texts = texts  # plaintexts of a prefix of self.solutions
         self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = checkpoint_every
         self._base_nodes = nodes  # node_limit budgets the current run only
         self._last_checkpoint_nodes = nodes
 
@@ -438,7 +440,7 @@ class _ProgressTracker:
             raise BudgetExhausted(checkpoint)
         if (
             self.checkpoint_path
-            and self.nodes - self._last_checkpoint_nodes >= self.checkpoint_every
+            and self.nodes - self._last_checkpoint_nodes >= CHECKPOINT_EVERY
         ):
             save_checkpoint(self._checkpoint(case_pos, a_next), self.checkpoint_path)
             self._last_checkpoint_nodes = self.nodes
@@ -532,8 +534,7 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     lines.append(f"frame a-next {checkpoint.a_next}")
     for text in checkpoint.solutions:
         lines.append(f"sol {text}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -569,9 +570,15 @@ def load_checkpoint(path: str) -> Checkpoint:
             else:
                 raise SearchError(f"unknown checkpoint field {key!r}")
     try:
-        return Checkpoint(**fields)
+        checkpoint = Checkpoint(**fields)
     except TypeError as exc:
         raise SearchError(f"incomplete checkpoint: {exc}") from exc
+    if checkpoint.mode != "count" and checkpoint.found != len(checkpoint.solutions):
+        raise SearchError(
+            f"damaged checkpoint: found {checkpoint.found} but "
+            f"{len(checkpoint.solutions)} solution lines"
+        )
+    return checkpoint
 
 
 # --- equivalence machinery ---------------------------------------------------

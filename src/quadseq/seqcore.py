@@ -1,10 +1,11 @@
 """Exact sequence algebra: autocorrelation profiles, sums, and quadruple verifiers.
 
 All sequences are tuples of machine integers over {+1,-1} (binary) or
-{-1,0,+1} (ternary).  Every function here is pure and every value immutable,
-so they are safe to share between worker processes.
+{-1,0,+1} (ternary).  Every function here except write_text_atomic is pure
+and every value immutable, so they are safe to share between worker processes.
 """
 
+import os
 from dataclasses import dataclass
 
 KIND_BASE = "bs"
@@ -65,6 +66,15 @@ def parse_seq(text: str, ternary: bool = False) -> Seq:
 
 def seq_str(seq: Seq) -> str:
     return "".join(_VALUE_TO_CHAR[v] for v in seq)
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Replace the file at `path` by `text` in one step: a reader or a crash
+    sees the old file or the new one, never a torn mix."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
