@@ -56,6 +56,10 @@ class CatalogError(QuadseqError):
     """Corrupt embedded data or archive content."""
 
 
+class RecordFailsVerification(CatalogError):
+    """An archive record that parses but is not a member of its kind."""
+
+
 @dataclass(frozen=True)
 class KnownStatus:
     kind: str
@@ -192,7 +196,7 @@ def archive_load(path: str) -> list[WitnessRecord]:
                 raise CatalogError(f"line {lineno}: {exc}") from exc
             report = verify_quadruple(quad)
             if not report:
-                raise CatalogError(
+                raise RecordFailsVerification(
                     f"line {lineno}: record {line.split()[0]} of shape {quad.shape} "
                     f"fails verification: {report.failure}"
                 )

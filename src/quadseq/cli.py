@@ -28,6 +28,7 @@ from .seqcore import (
     parse_quad,
     seq_str,
     verify_quadruple,
+    write_text_atomic,
 )
 
 EXIT_OK = 0
@@ -49,7 +50,7 @@ def _cmd_verify(args) -> int:
     if args.input:
         try:
             records = catalog.archive_load(args.input)
-        except QuadseqError as exc:
+        except catalog.RecordFailsVerification as exc:  # a line that does not parse exits 2
             if args.format == "json":
                 print(json.dumps({"pass": False, "failure": str(exc)}))
             else:
@@ -176,8 +177,7 @@ def _cmd_construct(args) -> int:
 
 def _write_out(path, text) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text_atomic(path, text)
     else:
         sys.stdout.write(text)
 

@@ -13,7 +13,9 @@ The target also fixes c^2 + d^2 = 2(m+n) - a^2 - b^2, and a profile fixes
 the squared sum of its sequences, so the join probes only the C-profiles
 whose c^2 leaves an admissible d^2.  Surviving A's share few targets, so a
 pass joins each distinct target once and reuses its (C, D) pairs for every
-A that shares it; a memo never outlives one pass (or one pool task).
+A that shares it.  A pass scans A in lex order, in blocks of isqrt(2^(n+1))
+A's whatever the worker count, mode or budget, so its first block with a
+solution holds its lex-least one; a memo lives one pass in each process.
 
 The sum-of-squares prune is the only test before the join.  With
 use_sum_prune off, an A of inadmissible sums reaches the join, whose sum
@@ -32,7 +34,9 @@ and distributed case by case.
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product
 from math import isqrt
 from operator import sub
@@ -117,7 +121,7 @@ class Checkpoint:
     representatives: bool
     cases: tuple[int, ...] | None
     case_pos: int
-    a_next: int
+    lex_next: int  # lex index of the first long sequence not yet scanned
     nodes: int
     prunes: dict[str, int]
     found: int
@@ -209,7 +213,7 @@ def _derive_b(a_seq: tuple[int, ...], kind: str, n: int) -> tuple[int, ...]:
 
 class _PassPlan:
     """What one case pass needs beyond the A range: built once per pass and
-    sent with every block of it."""
+    given once to each process that scans it."""
 
     def __init__(self, spec: SearchSpec, pass_case: int):
         self.spec = spec
@@ -252,15 +256,14 @@ def _join(target: tuple[int, ...], index: ProfileIndex, squared_sums: frozenset[
     return joined, probes
 
 
-def _scan_block(plan: _PassPlan, a_start: int, a_end: int, memo: dict):
-    """Scan a contiguous range of A assignments; returns raw solutions,
-    node and prune counters.
+def _scan_block(plan: _PassPlan, memo: dict, bounds: tuple[int, int]):
+    """Scan the long sequences of lex indices lo <= k < hi; returns raw
+    solutions, node and prune counters.
 
-    `memo` maps a join target to its _join result and may carry over from
-    earlier blocks of the same pass.  Every surviving A is charged the
-    C-profiles its join probes whether or not the memo already held it, so
-    the counters do not depend on how a pass is split into blocks.  Safe as
-    a process-pool task.
+    `memo` maps a join target to its _join result and carries over between
+    the blocks of a pass that one process scans.  Every surviving A is
+    charged the C-profiles its join probes whether or not the memo already
+    held it, so the counters do not depend on which process scans a block.
     """
     spec = plan.spec
     reps_filter, ab_filter = plan.reps_filter, plan.ab_filter
@@ -272,10 +275,11 @@ def _scan_block(plan: _PassPlan, a_start: int, a_end: int, memo: dict):
     nodes = 0
     prunes = {PRUNE_SUM: 0, PRUNE_CASE: 0}
     solutions = []
-    for ai in range(a_start, a_end):
-        if spec.representatives and (ai & 1 or (ai >> top_bit) & 1):
+    for k in range(*bounds):
+        # entries 0 and m-1 are bits top_bit and 0: the test is order-free
+        if spec.representatives and (k & 1 or (k >> top_bit) & 1):
             continue
-        a_seq = int_to_seq(ai, m)
+        a_seq = int_to_seq(k, m)[::-1]  # bit top_bit is entry 0: k counts in lex order
         b_seq = _derive_b(a_seq, spec.kind, n)
         nodes += 1
         a_sum, b_sum = sum(a_seq), sum(b_seq)
@@ -336,8 +340,9 @@ def _parse_solutions(texts, kind: str) -> list:
 
 
 def _merge_prunes(total: dict, part: dict) -> None:
-    for key, value in part.items():
-        total[key] = total.get(key, 0) + value
+    # only the counters `total` keeps: an older checkpoint's retired ones drop
+    for key in total:
+        total[key] += part.get(key, 0)
 
 
 def search(
@@ -356,12 +361,9 @@ def search(
     while checkpoint_path is given, a checkpoint is also written every
     CHECKPOINT_EVERY nodes.
 
-    first mode scans sequentially, in blocks of one A under a node budget
-    and of 4096 A's otherwise, and returns the least solution of the first
-    block that has any.  That is the lex-least solution overall only when
-    the first such block holds it, so a budgeted and an unbudgeted run can
-    return different solutions, and above 4096 A's (order 12 and up) an
-    unbudgeted run can miss the lex-least one too.
+    first mode returns the lex-least solution of the first case pass (or of
+    the search, without cases) that has any; neither it nor `nodes` depends
+    on worker count or budget.  A budget may be overshot by one block.
     """
     _validate_spec(spec)
     started = time.perf_counter()
@@ -371,10 +373,10 @@ def search(
     prunes = {PRUNE_SUM: 0, PRUNE_CASE: 0}
     found = 0
     texts: list[str] = []
-    case_start, a_start = 0, 0
+    case_start, lex_start = 0, 0
     if resume is not None:
         _check_resume(spec, resume)
-        case_start, a_start = resume.case_pos, resume.a_next
+        case_start, lex_start = resume.case_pos, resume.lex_next
         nodes = resume.nodes
         _merge_prunes(prunes, resume.prunes)
         found = resume.found
@@ -384,22 +386,12 @@ def search(
         quads = _order_zero_solutions(spec)
         return _finish(spec, quads, len(quads), nodes + len(quads), prunes, started)
 
-    a_limit = 1 << (spec.order + 1)
-    keep = spec.mode in ("all", "first")
-    tracker = _ProgressTracker(
-        spec, passes, nodes, prunes, found, texts, checkpoint_path,
-    )
-
-    sequential = workers <= 1 or spec.mode == "first"
+    tracker = _ProgressTracker(spec, nodes, prunes, found, texts, checkpoint_path)
     for case_pos in range(case_start, len(passes)):
         plan = _PassPlan(spec, passes[case_pos])
-        start = a_start if case_pos == case_start else 0
-        if sequential:
-            done = _run_pass_sequential(plan, case_pos, start, a_limit, keep, tracker)
-        else:
-            done = _run_pass_parallel(plan, case_pos, start, a_limit, keep, tracker, workers)
-        if not done:  # first-hit satisfied
-            break
+        start = lex_start if case_pos == case_start else 0
+        if _run_pass(plan, case_pos, start, case_pos == len(passes) - 1, tracker, workers):
+            break  # first mode found its solution
     return _finish(spec, tracker.solutions, tracker.found, tracker.nodes, tracker.prunes, started)
 
 
@@ -410,9 +402,8 @@ class _ProgressTracker:
     converted once each, when the first checkpoint that holds them is made.
     """
 
-    def __init__(self, spec, passes, nodes, prunes, found, texts, checkpoint_path):
+    def __init__(self, spec, nodes, prunes, found, texts, checkpoint_path):
         self.spec = spec
-        self.passes = passes
         self.nodes = nodes
         self.prunes = prunes
         self.found = found
@@ -422,19 +413,23 @@ class _ProgressTracker:
         self._base_nodes = nodes  # node_limit budgets the current run only
         self._last_checkpoint_nodes = nodes
 
-    def commit(self, case_pos, a_next, sols, block_nodes, block_prunes, keep):
+    def commit(self, case_pos, lex_next, sols, block_nodes, block_prunes, last_block):
+        # True on a first-mode hit, which, like the search's last block, no budget interrupts
+        hit = self.spec.mode == "first" and bool(sols)
+        if hit:
+            sols = _in_plaintext_order(sols)[:1]
         self.nodes += block_nodes
         _merge_prunes(self.prunes, block_prunes)
         self.found += len(sols)
-        if keep:
+        if self.spec.mode != "count":
             self.solutions.extend(sols)
         exhausted = (
             self.spec.node_limit is not None
             and self.nodes - self._base_nodes >= self.spec.node_limit
-            and not (case_pos == len(self.passes) - 1 and a_next >= self._a_limit())
+            and not (hit or last_block)
         )
         if exhausted:
-            checkpoint = self._checkpoint(case_pos, a_next)
+            checkpoint = self._checkpoint(case_pos, lex_next)
             if self.checkpoint_path:
                 save_checkpoint(checkpoint, self.checkpoint_path)
             raise BudgetExhausted(checkpoint)
@@ -442,13 +437,11 @@ class _ProgressTracker:
             self.checkpoint_path
             and self.nodes - self._last_checkpoint_nodes >= CHECKPOINT_EVERY
         ):
-            save_checkpoint(self._checkpoint(case_pos, a_next), self.checkpoint_path)
+            save_checkpoint(self._checkpoint(case_pos, lex_next), self.checkpoint_path)
             self._last_checkpoint_nodes = self.nodes
+        return hit
 
-    def _a_limit(self):
-        return 1 << (self.spec.order + 1)
-
-    def _checkpoint(self, case_pos, a_next):
+    def _checkpoint(self, case_pos, lex_next):
         self._texts.extend(map(_plaintext, self.solutions[len(self._texts):]))
         return Checkpoint(
             kind=self.spec.kind,
@@ -457,7 +450,7 @@ class _ProgressTracker:
             representatives=self.spec.representatives,
             cases=self.spec.cases,
             case_pos=case_pos,
-            a_next=a_next,
+            lex_next=lex_next,
             nodes=self.nodes,
             prunes=dict(self.prunes),
             found=self.found,
@@ -465,34 +458,38 @@ class _ProgressTracker:
         )
 
 
-def _run_pass_sequential(plan, case_pos, a_start, a_limit, keep, tracker):
-    spec = plan.spec
-    step = 1 if spec.node_limit is not None else max(1, min(4096, a_limit))
-    memo: dict = {}
-    ai = a_start
-    while ai < a_limit:
-        upper = min(ai + step, a_limit)
-        sols, block_nodes, block_prunes = _scan_block(plan, ai, upper, memo)
-        if spec.mode == "first" and sols:
-            best = _in_plaintext_order(sols)[:1]
-            tracker.commit(case_pos, upper, best, block_nodes, block_prunes, keep)
-            return False
-        tracker.commit(case_pos, upper, sols, block_nodes, block_prunes, keep)
-        ai = upper
-    return True
+def _run_pass(plan, case_pos, lex_start, last_pass, tracker, workers) -> bool:
+    """Scan one case pass from `lex_start` on and commit its blocks in lex
+    order; True on a first-mode hit.  Leaving early (a hit, an exhausted
+    budget, an interrupt) cancels every queued block.
+    """
+    lex_limit = 1 << (plan.spec.order + 1)
+    block = isqrt(lex_limit)
+    ranges = [(lo, min(lo + block, lex_limit)) for lo in range(lex_start, lex_limit, block)]
+    with ExitStack() as cleanup:
+        if workers > 1:
+            pool = ProcessPoolExecutor(workers, initializer=_serve_pass, initargs=(plan,))
+            cleanup.callback(pool.shutdown, cancel_futures=True)
+            results = pool.map(_scan_served_block, ranges)
+        else:
+            results = map(partial(_scan_block, plan, {}), ranges)
+        for (_lo, hi), (sols, block_nodes, block_prunes) in zip(ranges, results):
+            if tracker.commit(case_pos, hi, sols, block_nodes, block_prunes,
+                              last_pass and hi == lex_limit):
+                return True
+    return False
 
 
-def _run_pass_parallel(plan, case_pos, a_start, a_limit, keep, tracker, workers):
-    span = a_limit - a_start
-    block = max(1024, span // (workers * 8) or 1)
-    ranges = [(lo, min(lo + block, a_limit)) for lo in range(a_start, a_limit, block)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # one memo per task: a memo never crosses a process boundary
-        futures = [pool.submit(_scan_block, plan, lo, hi, {}) for lo, hi in ranges]
-        for (lo, hi), fut in zip(ranges, futures):
-            sols, block_nodes, block_prunes = fut.result()
-            tracker.commit(case_pos, hi, sols, block_nodes, block_prunes, keep)
-    return True
+_served_pass = None  # (plan, memo) of the pass a pool worker process scans
+
+
+def _serve_pass(plan: _PassPlan) -> None:
+    global _served_pass
+    _served_pass = (plan, {})
+
+
+def _scan_served_block(bounds: tuple[int, int]):
+    return _scan_block(*_served_pass, bounds)
 
 
 def _finish(spec, quads, found, nodes, prunes, started):
@@ -531,7 +528,7 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     ]
     for key, value in sorted(checkpoint.prunes.items()):
         lines.append(f"prune {key} {value}")
-    lines.append(f"frame a-next {checkpoint.a_next}")
+    lines.append(f"frame lex-next {checkpoint.lex_next}")
     for text in checkpoint.solutions:
         lines.append(f"sol {text}")
     write_text_atomic(path, "\n".join(lines) + "\n")
@@ -552,9 +549,11 @@ def load_checkpoint(path: str) -> Checkpoint:
                 fields["solutions"].append(rest)
             elif key == "frame":
                 name, _, value = rest.partition(" ")
-                if name != "a-next":
+                if name == "a-next":
+                    raise SearchError("checkpoint is in the older a-next format: cannot resume")
+                if name != "lex-next":
                     raise SearchError(f"unknown checkpoint frame {name!r}")
-                fields["a_next"] = int(value)
+                fields["lex_next"] = int(value)
             elif key == "cases":
                 fields["cases"] = (
                     None if rest == "all" else tuple(int(v) for v in rest.split(","))

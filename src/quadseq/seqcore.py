@@ -32,8 +32,16 @@ class ShapeError(QuadseqError):
     distinct from a clean 'fails the defining equation' verdict)."""
 
 
+def _exact_ints(entries) -> Seq:
+    """`entries` itself when it is already a tuple of plain ints, else a new
+    tuple of their int() values (lists, numpy integers, bools)."""
+    if type(entries) is tuple and all(type(v) is int for v in entries):
+        return entries
+    return tuple(int(v) for v in entries)
+
+
 def as_binary(entries) -> Seq:
-    seq = tuple(int(v) for v in entries)
+    seq = _exact_ints(entries)
     for v in seq:
         if v not in (1, -1):
             raise AlphabetError(f"binary entry must be +1 or -1, got {v}")
@@ -41,7 +49,7 @@ def as_binary(entries) -> Seq:
 
 
 def as_ternary(entries) -> Seq:
-    seq = tuple(int(v) for v in entries)
+    seq = _exact_ints(entries)
     for v in seq:
         if v not in (1, 0, -1):
             raise AlphabetError(f"ternary entry must be -1, 0 or +1, got {v}")

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -109,6 +110,14 @@ def test_search_budget_and_resume(tmp_path, capsys):
     assert code == 0
     _, full, _ = run(capsys, "search", "--kind", "nn", "--order", "4")
     assert out == full
+    # a checkpoint of the older a-next format is refused, not misread
+    with open(ckpt, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(ckpt, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("frame lex-next", "frame a-next"))
+    code, out, err = run(capsys, "search", "--kind", "nn", "--order", "4",
+                         "--resume", ckpt)
+    assert code == 2 and out == "" and "older a-next format" in err
 
 
 def test_construct_ts(capsys):
@@ -171,6 +180,38 @@ def test_catalog_records_and_verify_input(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--input", path)
     assert code == 0
     assert "6 records" in out
+
+
+@pytest.mark.parametrize("line,code,stream", [
+    # a record that does not parse is an input error
+    ("nn 34 07641764651232146X 16738541372344337", 2, "err"),
+    ("nn 34 xyz", 2, "err"),
+    # a record that parses but is not a member is a verdict
+    ("nn 34 076417646512321462 16738541372344338", 1, "out"),
+])
+def test_verify_input_exit_codes(tmp_path, capsys, line, code, stream):
+    path = tmp_path / "archive.txt"
+    path.write_text(line + "\n")
+    got, out, err = run(capsys, "verify", "--input", str(path))
+    assert got == code
+    if stream == "err":
+        assert out == "" and err.startswith("error: line 1:")
+    else:
+        assert out.startswith("fail: line 1:") and "fails verification" in out
+
+
+def test_construct_out_replaces_the_file_in_one_step(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "h.txt"
+    path.write_text("old contents\n")
+
+    def crash(src, dst):
+        raise OSError("crash before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    code, _, err = run(capsys, "construct", "hadamard", "--from-record", "bs ++;+-;++;+-",
+                       "--out", str(path))
+    assert code == 2 and err.startswith("error:")
+    assert path.read_text() == "old contents\n"
 
 
 def test_catalog_status_exit_codes(capsys):

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import os
 
@@ -96,6 +97,16 @@ def test_first_mode_returns_lex_least():
     assert first == full[:1]
     empty = search(SearchSpec("nn", 3, mode="first"))
     assert empty.count == 0 and empty.solutions == []
+
+
+def test_first_mode_takes_the_first_populated_case_pass():
+    # at nn 6 case 3 is empty, and the least solution of case 4 is not the
+    # least overall (that one is in case 5)
+    cases = (3, 4, 5)
+    per_case = [plaintexts(search(SearchSpec("nn", 6, cases=(c,)))) for c in cases]
+    assert per_case[0] == [] and per_case[1][0] > per_case[2][0]
+    first = search(SearchSpec("nn", 6, mode="first", cases=cases))
+    assert plaintexts(first) == per_case[1][:1] and first.count == 1
 
 
 def test_count_mode_matches_all_mode(solutions):
@@ -243,6 +254,14 @@ def test_checkpoint_file_round_trip(tmp_path):
     assert load_checkpoint(path) == loaded
     with pytest.raises(SearchError):
         search(SearchSpec("nn", 6), resume=loaded)
+    # the cursor of the older format counts long sequences in another order
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert f"frame lex-next {loaded.lex_next}\n" in text
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("frame lex-next", "frame a-next"))
+    with pytest.raises(SearchError, match="older a-next format"):
+        load_checkpoint(path)
 
 
 def _budgeted_checkpoint_file(tmp_path, spec):
@@ -294,14 +313,49 @@ def test_checkpoint_with_a_retired_prune_counter_still_resumes(tmp_path):
         assert "prune partial_lag 0\n" in fh.read()
     result, _legs = _resumed(spec, 1, path)
     assert plaintexts(result) == plaintexts(search(SearchSpec("nn", 8)))
+    assert set(result.stats.prunes) == {"sum_of_squares", "case"}
 
 
-@pytest.mark.xfail(strict=True, reason="first mode returns the least solution of the "
-                   "first scanned block, and a node budget shrinks the block to one A")
-def test_budgeted_first_mode_returns_lex_least():
-    full = plaintexts(search(SearchSpec("nn", 12)))
-    first = plaintexts(search(SearchSpec("nn", 12, mode="first", node_limit=10**9)))
-    assert first == full[:1]
+@pytest.mark.parametrize("workers", [1, 2])
+def test_budgeted_first_mode_returns_lex_least(workers, solutions):
+    # neither the solution nor the node count of first mode depends on the
+    # worker count or on a budget, large or small
+    full = [q.plaintext() for q in solutions("nn", 12)]
+    unbudgeted = search(SearchSpec("nn", 12, mode="first"), workers=workers)
+    runs = [
+        unbudgeted,
+        search(SearchSpec("nn", 12, mode="first", node_limit=10**9), workers=workers),
+        _resumed(SearchSpec("nn", 12, mode="first", node_limit=20_000), workers)[0],
+    ]
+    for result in runs:
+        assert plaintexts(result) == full[:1]
+        assert result.count == 1
+        assert result.stats.nodes == unbudgeted.stats.nodes
+
+
+def test_budget_stops_every_worker_count_at_the_same_block(tmp_path, monkeypatch):
+    # a budgeted pool used to scan its whole queue of blocks before raising
+    search_module = importlib.import_module("quadseq.search")  # the package exports search()
+    log = tmp_path / "blocks.log"
+    scan = search_module._scan_block
+
+    def logged_scan(plan, memo, bounds):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{bounds[0]}\n")
+        return scan(plan, memo, bounds)
+
+    monkeypatch.setattr(search_module, "_scan_block", logged_scan)
+    spec = SearchSpec("nn", 12, node_limit=1000)
+    checkpoints = {}
+    for workers in (1, 2):
+        log.write_text("")
+        with pytest.raises(BudgetExhausted) as info:
+            search(spec, workers=workers)
+        checkpoints[workers] = info.value.checkpoint
+        scanned = len(log.read_text().splitlines())
+        assert scanned < 92 // 4, workers  # nn 12 has 92 blocks of 90 long sequences
+    assert checkpoints[1] == checkpoints[2]
+    assert checkpoints[1].nodes < 20_000 and checkpoints[1].lex_next == 90
 
 
 def test_orbit_contains_input_and_preserves_membership(solutions):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from quadseq.codec import parse_record
@@ -138,6 +139,41 @@ def test_quadruple_construction_checks():
     assert quad.shape == (2, 2)
     with pytest.raises(ShapeError):
         parse_quad("++;--", "bs")
+
+
+@pytest.mark.parametrize("kind,entries,expected", [
+    ("bs", [1, -1, 1], (1, -1, 1)),
+    ("bs", np.array([1, -1, 1]), (1, -1, 1)),
+    ("bs", (np.int64(1), -1, np.int8(1)), (1, -1, 1)),
+    ("bs", (True, -1, True), (1, -1, 1)),
+    ("ts", [0, False, -1], (0, 0, -1)),
+    ("ts", (1.0, 0, -1), (1, 0, -1)),
+])
+def test_quadruple_entries_become_plain_int_tuples(kind, entries, expected):
+    quad = SeqQuadruple(entries, entries, entries, entries, kind)
+    for seq in quad.seqs():
+        assert seq == expected and type(seq) is tuple
+        assert all(type(v) is int for v in seq)
+
+
+def test_quadruple_keeps_a_checked_int_tuple_as_is():
+    seq = (1, -1, 1)
+    quad = SeqQuadruple(seq, seq, seq, seq, "nn")
+    assert all(s is seq for s in quad.seqs())
+
+
+@pytest.mark.parametrize("kind,entries", [
+    ("bs", (1, 0, -1)),
+    ("bs", (1, 2)),
+    ("bs", [1, -3]),
+    ("bs", np.array([1, 0])),
+    ("bs", (1, False)),
+    ("ts", (0, 2, -1)),
+    ("ts", [np.int64(-2)]),
+])
+def test_quadruple_rejects_entries_outside_the_alphabet(kind, entries):
+    with pytest.raises(AlphabetError):
+        SeqQuadruple(entries, entries, entries, entries, kind)
 
 
 def test_verify_trivial_base_quadruple():
