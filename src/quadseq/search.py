@@ -468,6 +468,7 @@ def _run_pass(plan, case_pos, lex_start, last_pass, tracker, workers) -> bool:
     ranges = [(lo, min(lo + block, lex_limit)) for lo in range(lex_start, lex_limit, block)]
     with ExitStack() as cleanup:
         if workers > 1:
+            profile_index(plan.spec.order)  # built before the fork: the workers inherit it
             pool = ProcessPoolExecutor(workers, initializer=_serve_pass, initargs=(plan,))
             cleanup.callback(pool.shutdown, cancel_futures=True)
             results = pool.map(_scan_served_block, ranges)

@@ -3,10 +3,18 @@
 All sequences are tuples of machine integers over {+1,-1} (binary) or
 {-1,0,+1} (ternary).  Every function here except write_text_atomic is pure
 and every value immutable, so they are safe to share between worker processes.
+
+The autocorrelations of a sequence come from one numpy kernel, _npaf_array,
+exact for any integer sequence: int64 under an explicit bound, Python ints
+beyond it.  ProfileIndex forms the same lag sums for every binary sequence
+of one length in one batched pass.
 """
 
 import os
 from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
 
 KIND_BASE = "bs"
 KIND_NORMAL = "ns"
@@ -32,28 +40,30 @@ class ShapeError(QuadseqError):
     distinct from a clean 'fails the defining equation' verdict)."""
 
 
-def _exact_ints(entries) -> Seq:
-    """`entries` itself when it is already a tuple of plain ints, else a new
-    tuple of their int() values (lists, numpy integers, bools)."""
-    if type(entries) is tuple and all(type(v) is int for v in entries):
-        return entries
-    return tuple(int(v) for v in entries)
+_PLAIN_INT = frozenset({int})
+_BINARY = frozenset({1, -1})
+_TERNARY = frozenset({1, 0, -1})
+
+
+def _checked(entries, alphabet: frozenset, what: str) -> Seq:
+    """`entries` as a tuple of plain ints once every entry equals a member of
+    `alphabet`: 1.0, numpy integers and bools pass, 1.5 and '1' do not.  A
+    tuple of plain ints is returned as it is."""
+    plain = type(entries) is tuple and _PLAIN_INT.issuperset(map(type, entries))
+    if not plain:
+        entries = tuple(entries)
+    if not alphabet.issuperset(entries):
+        bad = next(v for v in entries if v not in alphabet)
+        raise AlphabetError(f"{what}, got {bad!r}")
+    return entries if plain else tuple(map(int, entries))
 
 
 def as_binary(entries) -> Seq:
-    seq = _exact_ints(entries)
-    for v in seq:
-        if v not in (1, -1):
-            raise AlphabetError(f"binary entry must be +1 or -1, got {v}")
-    return seq
+    return _checked(entries, _BINARY, "binary entry must be +1 or -1")
 
 
 def as_ternary(entries) -> Seq:
-    seq = _exact_ints(entries)
-    for v in seq:
-        if v not in (1, 0, -1):
-            raise AlphabetError(f"ternary entry must be -1, 0 or +1, got {v}")
-    return seq
+    return _checked(entries, _TERNARY, "ternary entry must be -1, 0 or +1")
 
 
 _CHAR_TO_VALUE = {"+": 1, "-": -1, "0": 0}
@@ -62,13 +72,10 @@ _VALUE_TO_CHAR = {1: "+", -1: "-", 0: "0"}
 
 def parse_seq(text: str, ternary: bool = False) -> Seq:
     """Parse a '+'/'-'/'0' string; whitespace anywhere inside is ignored."""
-    values = []
-    for ch in text:
-        if ch.isspace():
-            continue
-        if ch not in _CHAR_TO_VALUE:
-            raise AlphabetError(f"bad sequence character {ch!r}")
-        values.append(_CHAR_TO_VALUE[ch])
+    try:
+        values = tuple(map(_CHAR_TO_VALUE.__getitem__, "".join(text.split())))
+    except KeyError as exc:
+        raise AlphabetError(f"bad sequence character {exc.args[0]!r}") from None
     return as_ternary(values) if ternary else as_binary(values)
 
 
@@ -103,14 +110,27 @@ class LagProfile:
         return len(self.values)
 
 
+_INT64_LIMIT = 1 << 63
+
+
+def _npaf_array(seq: Seq) -> np.ndarray:
+    """Autocorrelations of a nonempty integer sequence at lags 0..len-1.
+
+    Each value is a sum of at most len products of two entries, so int64 is
+    exact while len * max|entry|**2 < 2**63; beyond that the entries become
+    Python ints in an object array, whose sums never wrap.
+    """
+    peak = max(max(seq), -min(seq))
+    if len(seq) * peak * peak < _INT64_LIMIT:
+        x = np.array(seq, dtype=np.int64)
+    else:
+        x = np.array([int(v) for v in seq], dtype=object)
+    return np.correlate(x, x, "full")[len(seq) - 1 :]
+
+
 def npaf_values(seq: Seq) -> tuple[int, ...]:
-    """Raw autocorrelation tuple; [0] for the empty sequence."""
-    n = len(seq)
-    if n == 0:
-        return (0,)
-    return tuple(
-        sum(seq[i] * seq[i + j] for i in range(n - j)) for j in range(n)
-    )
+    """Raw autocorrelation tuple of plain ints; (0,) for the empty sequence."""
+    return tuple(_npaf_array(seq).tolist()) if seq else (0,)
 
 
 def int_to_seq(bits: int, length: int) -> Seq:
@@ -130,13 +150,21 @@ class ProfileIndex:
 
     def __init__(self, length: int):
         self.length = length
-        self.seqs = [int_to_seq(bits, length) for bits in range(1 << length)]
-        profiles = [npaf_values(seq)[1:] for seq in self.seqs]
+        # entry i of seqs[bits] is -1 exactly when bit i is set (int_to_seq)
+        self.seqs = [seq[::-1] for seq in product((1, -1), repeat=length)]
+        signs = np.array(self.seqs, dtype=np.int8)
+        # lag j of every row at once, the sums _npaf_array forms for one
+        # sequence; |value| <= length, and np.sum accumulates int8 in int64
+        table = np.empty((len(self.seqs), max(length - 1, 0)), dtype=np.int64)
+        for j in range(1, length):
+            table[:, j - 1] = (signs[:, : length - j] * signs[:, j:]).sum(axis=1)
+        # row tuples one at a time, so that only distinct profiles stay allocated
+        rows = zip(*table.T.tolist()) if length > 1 else [()] * len(self.seqs)
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.profiles = [shared.setdefault(row, row) for row in rows]  # equal profiles share one tuple
         self.groups: dict[tuple[int, ...], list[Seq]] = {}
-        for seq, profile in zip(self.seqs, profiles):
+        for seq, profile in zip(self.seqs, self.profiles):
             self.groups.setdefault(profile, []).append(seq)
-        shared = {profile: profile for profile in self.groups}
-        self.profiles = [shared[profile] for profile in profiles]  # equal profiles share one tuple
         self.by_square_sum: dict[int, list[tuple[tuple[int, ...], list[Seq]]]] = {}
         for profile, seqs in self.groups.items():
             square = length + 2 * sum(profile)
@@ -255,12 +283,15 @@ _PASS = VerificationReport(passed=True)
 
 def _lag_sum_failure(seqs) -> VerificationReport | None:
     """First positive lag where the four autocorrelations do not cancel."""
-    profiles = [npaf_values(s) for s in seqs]
-    max_lag = max(len(s) for s in seqs) - 1
-    for j in range(1, max_lag + 1):
-        total = sum(p[j] for p in profiles if j < len(p))
-        if total != 0:
-            return _fail(f"lag {j}: autocorrelation sum = {total}, expected 0")
+    # entries are in {-1, 0, 1}: each sum is at most 4 * max length
+    total = np.zeros(max(map(len, seqs)), dtype=np.int64)
+    for seq in seqs:
+        if seq:
+            total[: len(seq)] += _npaf_array(seq)
+    bad = np.flatnonzero(total[1:])
+    if bad.size:
+        j = int(bad[0]) + 1
+        return _fail(f"lag {j}: autocorrelation sum = {int(total[j])}, expected 0")
     return None
 
 

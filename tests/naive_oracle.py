@@ -3,16 +3,26 @@
 These enumerate raw sign assignments and decide membership through the
 public verifier (or, for the norm identity, through literal polynomial
 multiplication), so they share no code path with the search engine's
-profile tables and hash join.
+profile tables and hash join.  Autocorrelations here come from the defining
+double sum, never from the library's numpy kernel.
 """
 
 import itertools
 
-from quadseq.seqcore import SeqQuadruple, npaf_values, verify_quadruple
+from quadseq.seqcore import SeqQuadruple, verify_quadruple
 
 
 def all_signs(length):
     return itertools.product((1, -1), repeat=length)
+
+
+def npaf_double_sum(seq):
+    """Autocorrelations at lags 0..len-1 by the defining double sum, in
+    Python ints; (0,) for the empty sequence."""
+    n = len(seq)
+    if n == 0:
+        return (0,)
+    return tuple(sum(seq[i] * seq[i + j] for i in range(n - j)) for j in range(n))
 
 
 def laurent_norm(seq):
@@ -59,9 +69,9 @@ def brute_force_golay(g):
     """All ordered complementary pairs of length g by definition check."""
     pairs = []
     for e in all_signs(g):
-        pe = npaf_values(e)
+        pe = npaf_double_sum(e)
         for f in all_signs(g):
-            pf = npaf_values(f)
+            pf = npaf_double_sum(f)
             if all(pe[j] + pf[j] == 0 for j in range(1, g)):
                 pairs.append((e, f))
     return pairs

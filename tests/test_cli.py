@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -132,7 +133,8 @@ def test_construct_od(tmp_path, capsys):
                        "--out", path)
     assert code == 0
     assert "pass" in out
-    header = open(path).readline().split()
+    with open(path) as fh:
+        header = fh.readline().split()
     assert header == ["8", "4"]
 
 
@@ -142,7 +144,7 @@ def test_construct_hadamard_small(tmp_path, capsys):
                        "--from-record", "bs ++;+-;++;+-", "--out", path)
     assert code == 0
     assert out.strip() == "HHᵀ = 16·I: pass"
-    rows = open(path).read().splitlines()
+    rows = Path(path).read_text().splitlines()
     assert len(rows) == 16 and set("".join(rows)) <= {"+", "-"}
 
 
@@ -152,7 +154,7 @@ def test_construct_hadamard_292(tmp_path, capsys):
                        "--from-record", ROW36_RECORD, "--out", path)
     assert code == 0
     assert out.strip() == "HHᵀ = 292·I: pass"
-    rows = open(path).read().splitlines()
+    rows = Path(path).read_text().splitlines()
     assert len(rows) == 292 and all(len(r) == 292 for r in rows)
 
 

@@ -435,3 +435,11 @@ def test_search_stats_populated():
     assert result.stats.nodes > 0
     assert set(result.stats.prunes) == {"sum_of_squares", "case"}
     assert result.stats.elapsed >= 0.0
+
+
+def test_pool_workers_inherit_the_parents_profile_index(monkeypatch):
+    # the parent builds the index before the pool forks, so no worker builds its own
+    from quadseq import seqcore
+    monkeypatch.setattr(seqcore, "_PROFILE_INDEXES", {})
+    search(SearchSpec("nn", 6), workers=2)
+    assert 6 in seqcore._PROFILE_INDEXES

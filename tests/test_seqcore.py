@@ -1,7 +1,9 @@
 import itertools
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadseq.codec import parse_record
 from quadseq.seqcore import (
@@ -24,7 +26,7 @@ from quadseq.seqcore import (
     verify_quadruple,
 )
 
-from naive_oracle import quadruple_norm_total
+from naive_oracle import npaf_double_sum, quadruple_norm_total
 from published import ROW36_RECORD
 
 
@@ -47,6 +49,37 @@ def test_npaf_empty_sequence():
 def test_npaf_lag_zero_counts_nonzeros():
     assert npaf((1, 0, -1, 0, 1))[0] == 3
     assert npaf((1, -1, 1, 1))[0] == 4
+
+
+_SEQUENCES = st.one_of(
+    st.lists(st.sampled_from((1, -1)), max_size=80),
+    st.lists(st.sampled_from((1, 0, -1)), max_size=80),
+    st.lists(st.integers(-(2**40), 2**40), max_size=80),
+)
+
+
+@settings(deadline=None)
+@given(_SEQUENCES)
+def test_npaf_kernel_equals_the_double_sum(seq):
+    values = npaf_values(tuple(seq))
+    assert values == npaf_double_sum(seq)
+    assert all(type(v) is int for v in values)
+
+
+def test_npaf_beyond_int64_is_exact():
+    assert npaf((2**40, 2**40)).values == (2**81, 2**80)
+    # an unguarded int64 correlate wraps 2**81 and 2**80 to 0
+    assert npaf((2**40, -3, 2**40)).values == (2**81 + 9, -6 * 2**40, 2**80)
+
+
+@pytest.mark.parametrize("length", [1, 2, 73])
+def test_npaf_at_the_int64_bound(length):
+    # the largest peak whose lag sums all fit in int64, and one more
+    peak = isqrt((2**63 - 1) // length)
+    for p in (peak, peak + 1):
+        for seq in ((p,) * length, (-p,) * length):
+            assert npaf_values(seq) == npaf_double_sum(seq)
+            assert npaf_values(seq)[0] == length * p * p
 
 
 def test_lag_profile_indexing():
@@ -170,6 +203,9 @@ def test_quadruple_keeps_a_checked_int_tuple_as_is():
     ("bs", (1, False)),
     ("ts", (0, 2, -1)),
     ("ts", [np.int64(-2)]),
+    ("bs", [1.5, -1.9]),
+    ("ts", [0.4, -1.2]),
+    ("bs", ["1", "-1"]),
 ])
 def test_quadruple_rejects_entries_outside_the_alphabet(kind, entries):
     with pytest.raises(AlphabetError):
