@@ -8,16 +8,13 @@ from .seqcore import (
     KIND_NEAR_NORMAL,
     KIND_NORMAL,
     KIND_T,
-    LagProfile,
     QuadseqError,
     SeqQuadruple,
     SumsVector,
     VerificationReport,
-    npaf,
     parse_quad,
     parse_seq,
     seq_str,
-    sequence_sum,
     sum_of_squares_check,
     verify_quadruple,
 )
@@ -41,7 +38,6 @@ from .search import (
     canonicalize,
     enumerate_cases,
     nn_orbit,
-    search,
 )
 from .catalog import (
     KnownStatus,

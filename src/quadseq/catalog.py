@@ -35,7 +35,8 @@ NS_EMPTY_SEARCHED = frozenset({34, 35})
 
 # Near-normal class counts for even orders 2..34, kept as calibration data
 # only: they were produced under an equivalence whose exact canonical form is
-# not reconstructible here (see search.DEFAULT_GENERATORS).
+# not reconstructible here (the group of search.nn_orbit matches them only up
+# to order 10).
 NN_CLASS_COUNTS = {
     2: 1, 4: 2, 6: 2, 8: 3, 10: 8, 12: 14, 14: 11, 16: 24, 18: 20,
     20: 18, 22: 32, 24: 12, 26: 3, 28: 20, 30: 9, 32: 8, 34: 5,

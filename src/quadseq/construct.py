@@ -18,6 +18,7 @@ from .seqcore import (
     QuadseqError,
     SeqQuadruple,
     VerificationReport,
+    as_binary,
     npaf_values,
     parse_seq,
     profile_index,
@@ -37,6 +38,8 @@ class GolayPair:
     b: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "a", as_binary(self.a))
+        object.__setattr__(self, "b", as_binary(self.b))
         if len(self.a) != len(self.b):
             raise ConstructionError("pair sequences must have equal length")
 
@@ -249,9 +252,9 @@ def ts_to_od(t: SeqQuadruple) -> SymbolicMatrix:
     m2 = _combine(n, (-2, c1), (1, c2), (4, c3), (-3, c4))
     m3 = _combine(n, (-3, c1), (-4, c2), (1, c3), (2, c4))
     m4 = _combine(n, (-4, c1), (3, c2), (-2, c3), (1, c4))
-    rr = np.fliplr(np.eye(n, dtype=np.int64))
-    m2r, m3r, m4r = m2 @ rr, m3 @ rr, m4 @ rr
-    m2tr, m3tr, m4tr = m2.T @ rr, m3.T @ rr, m4.T @ rr
+    # right-multiplying by R reverses the columns
+    m2r, m3r, m4r = m2[:, ::-1], m3[:, ::-1], m4[:, ::-1]
+    m2tr, m3tr, m4tr = m2.T[:, ::-1], m3.T[:, ::-1], m4.T[:, ::-1]
     block = np.block(
         [
             [m1, m2r, m3r, m4r],

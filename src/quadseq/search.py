@@ -35,27 +35,24 @@ and distributed case by case.
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
-from functools import partial
-from itertools import product
+from dataclasses import dataclass
+from functools import cache, partial
+from itertools import chain, product
 from math import isqrt
 from operator import sub
 
 from .seqcore import (
     KIND_NEAR_NORMAL,
     KIND_NORMAL,
+    KIND_T,
     ProfileIndex,
     QuadseqError,
     SeqQuadruple,
-    alternate,
     int_to_seq,
-    negate,
     npaf_values,
     parse_quad,
     profile_index,
-    reverse,
     seq_str,
-    sum_of_squares_check,
     verify_quadruple,
     write_text_atomic,
 )
@@ -583,121 +580,115 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 # --- equivalence machinery ---------------------------------------------------
 
-def _op_negate_ab(q: SeqQuadruple) -> SeqQuadruple:
-    return replace(q, a=negate(q.a), b=negate(q.b))
+@cache
+def _signed_maps(m: int, n: int) -> tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]:
+    """The ten generators of the equivalence group for shape (m, n), each a
+    named signed position map (name, source, sign) over the flat tuple
+    A||B||C||D: image[i] = sign[i] * flat[source[i]].
 
-
-def _op_negate_c(q: SeqQuadruple) -> SeqQuadruple:
-    return replace(q, c=negate(q.c))
-
-
-def _op_negate_d(q: SeqQuadruple) -> SeqQuadruple:
-    return replace(q, d=negate(q.d))
-
-
-def _op_swap_cd(q: SeqQuadruple) -> SeqQuadruple:
-    return replace(q, c=q.d, d=q.c)
-
-
-def _op_reverse_c(q: SeqQuadruple) -> SeqQuadruple:
-    return replace(q, c=reverse(q.c))
-
-
-def _op_reverse_d(q: SeqQuadruple) -> SeqQuadruple:
-    return replace(q, d=reverse(q.d))
-
-
-def _op_alternate_all(q: SeqQuadruple) -> SeqQuadruple:
-    return replace(q, a=alternate(q.a), b=alternate(q.b), c=alternate(q.c), d=alternate(q.d))
-
-
-def _op_swap_ab(q: SeqQuadruple) -> SeqQuadruple:
-    return replace(q, a=q.b, b=q.a)
-
-
-def _odd_interior(m: int) -> range:
-    # 0-based indices of the 1-based odd positions below the top entry
-    return range(0, m - 1, 2)
-
-
-def _op_reverse_odd_interior(q: SeqQuadruple) -> SeqQuadruple:
-    """Reverse the odd-position interior subsequence of the long pair.
-
-    For a near-normal pair the combined autocorrelation splits into the norms
-    of the odd-interior part and of the rest, so any norm-preserving move on
-    the odd-interior subsequence alone keeps membership.
+    Negation and reversal of C or D, the C<->D swap and the simultaneous
+    alternation of all four sequences keep any base quadruple a base
+    quadruple.  Negating A and B together, swapping them, and reversing or
+    negating the odd-position interior of both (the 1-based odd positions
+    below the top entry) keep the near-normality pattern too: the long
+    pair's combined autocorrelation splits into the norms of its
+    odd-interior part and of the rest, so any norm-preserving move on the
+    odd interior alone keeps membership.
     """
-    idx = list(_odd_interior(q.m))
-    a, b = list(q.a), list(q.b)
-    for j, i in enumerate(idx):
-        src = idx[len(idx) - 1 - j]
-        a[i], b[i] = q.a[src], q.b[src]
-    return replace(q, a=tuple(a), b=tuple(b))
+    a, b = range(m), range(m, 2 * m)
+    c, d = range(2 * m, 2 * m + n), range(2 * m + n, 2 * m + 2 * n)
+    odd_a, odd_b = a[: m - 1 : 2], b[: m - 1 : 2]
+
+    def signed_map(name, moves=(), negated=()):
+        source = list(range(2 * m + 2 * n))
+        for dst, src in moves:
+            source[dst] = src
+        sign = [1] * len(source)
+        for i in negated:
+            sign[i] = -1
+        return name, tuple(source), tuple(sign)
+
+    return (
+        signed_map("NegateAB", negated=chain(a, b)),
+        signed_map("NegateC", negated=c),
+        signed_map("NegateD", negated=d),
+        signed_map("SwapCD", moves=chain(zip(c, d), zip(d, c))),
+        signed_map("ReverseC", moves=zip(c, reversed(c))),
+        signed_map("ReverseD", moves=zip(d, reversed(d))),
+        signed_map("AlternateAll", negated=chain(a[::2], b[::2], c[::2], d[::2])),
+        signed_map("SwapAB", moves=chain(zip(a, b), zip(b, a))),
+        signed_map("ReverseOddInterior",
+                   moves=chain(zip(odd_a, reversed(odd_a)), zip(odd_b, reversed(odd_b)))),
+        signed_map("NegateOddInterior", negated=chain(odd_a, odd_b)),
+    )
 
 
-def _op_negate_odd_interior(q: SeqQuadruple) -> SeqQuadruple:
-    a, b = list(q.a), list(q.b)
-    for i in _odd_interior(q.m):
-        a[i], b[i] = -a[i], -b[i]
-    return replace(q, a=tuple(a), b=tuple(b))
-
-
-EQUIVALENCE_OPS = {
-    "NegateAB": _op_negate_ab,
-    "NegateC": _op_negate_c,
-    "NegateD": _op_negate_d,
-    "SwapCD": _op_swap_cd,
-    "ReverseC": _op_reverse_c,
-    "ReverseD": _op_reverse_d,
-    "AlternateAll": _op_alternate_all,
-    "SwapAB": _op_swap_ab,
-    "ReverseOddInterior": _op_reverse_odd_interior,
-    "NegateOddInterior": _op_negate_odd_interior,
-}
-
-DEFAULT_GENERATORS = tuple(EQUIVALENCE_OPS)
-
-
-def nn_orbit(q: SeqQuadruple, generators: tuple[str, ...] = DEFAULT_GENERATORS):
-    """Closure of a verified near-normal quadruple under the generator set."""
-    report = verify_quadruple(q)
-    if not report:
-        raise SearchError(f"orbit input fails verification: {report.failure}")
-    ops = [EQUIVALENCE_OPS[name] for name in generators]
-    seen = {q}
-    frontier = [q]
+def _orbit(flat: tuple[int, ...], maps) -> set[tuple[int, ...]]:
+    """Closure of the flat tuple `flat` under the signed position maps."""
+    seen = {flat}
+    frontier = [flat]
     while frontier:
         cur = frontier.pop()
-        for op in ops:
-            nxt = op(cur)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+        for _name, source, sign in maps:
+            image = tuple([s * cur[i] for s, i in zip(sign, source)])
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
     return seen
 
 
-def canonicalize(q: SeqQuadruple, generators: tuple[str, ...] = DEFAULT_GENERATORS) -> SeqQuadruple:
+def _flat(q: SeqQuadruple) -> tuple[int, ...]:
+    return q.a + q.b + q.c + q.d
+
+
+def _verified_orbit(q: SeqQuadruple) -> set[tuple[int, ...]]:
+    """Flat tuples of the orbit of a verified binary quadruple."""
+    if q.kind == KIND_T:
+        raise SearchError("equivalence orbits are defined for binary quadruples")
+    report = verify_quadruple(q)
+    if not report:
+        raise SearchError(f"orbit input fails verification: {report.failure}")
+    return _orbit(_flat(q), _signed_maps(q.m, q.n))
+
+
+def _quadruple(flat: tuple[int, ...], like: SeqQuadruple, shared: dict) -> SeqQuadruple:
+    """The quadruple of kind and shape `like` whose flat tuple is `flat`.
+
+    A sequence equal to one already in `shared` reuses that tuple, so the
+    members of an orbit, which have few distinct sequences, share them.
+    """
+    m, n = like.shape
+    seqs = (flat[:m], flat[m : 2 * m], flat[2 * m : 2 * m + n], flat[2 * m + n :])
+    return SeqQuadruple(*(shared.setdefault(seq, seq) for seq in seqs), like.kind)
+
+
+def nn_orbit(q: SeqQuadruple) -> set[SeqQuadruple]:
+    """Closure of a verified near-normal quadruple under the equivalence group."""
+    shared = {}
+    return {_quadruple(flat, q, shared) for flat in _verified_orbit(q)}
+
+
+def canonicalize(q: SeqQuadruple) -> SeqQuadruple:
     """Lexicographically least plaintext member of the orbit; idempotent and
-    constant on orbits by construction."""
-    return min(nn_orbit(q, generators), key=SeqQuadruple.plaintext)
+    constant on orbits by construction.
+
+    Within one shape plaintext order is entry-by-entry order with '+'
+    before '-' (see _in_plaintext_order), so that member has the largest
+    flat tuple.
+    """
+    return _quadruple(max(_verified_orbit(q)), q, {})
 
 
-def equivalence_classes(
-    quads, generators: tuple[str, ...] = DEFAULT_GENERATORS
-) -> list[SeqQuadruple]:
+def equivalence_classes(quads) -> list[SeqQuadruple]:
     """Distinct canonical forms among `quads`, sorted by plaintext."""
-    canonical = set()
+    canonical = []
     seen = set()
+    shared = {}
     for q in quads:
-        if q in seen:
+        kind_shape = (q.kind, q.shape)  # flat tuples of other kinds or shapes may coincide
+        if (kind_shape, _flat(q)) in seen:
             continue
-        orbit = nn_orbit(q, generators)
-        seen.update(orbit)
-        canonical.add(min(orbit, key=SeqQuadruple.plaintext))
+        orbit = _verified_orbit(q)
+        seen.update((kind_shape, flat) for flat in orbit)
+        canonical.append(_quadruple(max(orbit), q, shared))
     return sorted(canonical, key=SeqQuadruple.plaintext)
-
-
-def oracle_check_solution(q: SeqQuadruple) -> bool:
-    """Every emitted solution must satisfy both the verifier and the
-    sums-of-squares necessity; used as a belt-and-braces assertion."""
-    return bool(verify_quadruple(q)) and sum_of_squares_check(q.m, q.n, q.sums())

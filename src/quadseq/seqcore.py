@@ -92,24 +92,6 @@ def write_text_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-@dataclass(frozen=True)
-class LagProfile:
-    """Non-periodic autocorrelation values at lags 0..len-1.
-
-    Only nonnegative lags are stored; the value at lag -j always equals the
-    value at lag j, so the negative side is redundant.
-    """
-
-    values: tuple[int, ...]
-    source_len: int
-
-    def __getitem__(self, j: int) -> int:
-        return self.values[j]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 _INT64_LIMIT = 1 << 63
 
 
@@ -181,17 +163,6 @@ def profile_index(length: int) -> ProfileIndex:
     if index is None:
         index = _PROFILE_INDEXES[length] = ProfileIndex(length)
     return index
-
-
-def npaf(seq) -> LagProfile:
-    """Non-periodic autocorrelation profile of an integer sequence."""
-    seq = tuple(int(v) for v in seq)
-    return LagProfile(values=npaf_values(seq), source_len=len(seq))
-
-
-def sequence_sum(seq: Seq) -> int:
-    """Sum of the entries; for a binary sequence, #plus minus #minus."""
-    return sum(seq)
 
 
 @dataclass(frozen=True)

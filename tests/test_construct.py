@@ -22,7 +22,7 @@ from quadseq.construct import (
     ts_to_od,
     verify_od,
 )
-from quadseq.seqcore import SeqQuadruple, parse_quad, verify_quadruple
+from quadseq.seqcore import AlphabetError, SeqQuadruple, parse_quad, verify_quadruple
 
 from naive_oracle import brute_force_golay
 from published import ROW36_RECORD
@@ -149,6 +149,15 @@ def test_golay_double_examples():
     assert pair.length == 8 and pair.is_valid()
     with pytest.raises(ConstructionError):
         golay_double(GolayPair((1, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("entry", [2, 1.5, "1"])
+def test_golay_pair_rejects_non_binary_entries(entry):
+    # a non-binary pair used to pass is_valid, and the int64 kernel truncated 1.5
+    with pytest.raises(AlphabetError):
+        GolayPair((entry,), (entry,))
+    with pytest.raises(AlphabetError):
+        GolayPair((1, 1), (1, entry))
 
 
 def test_golay_double_every_small_pair():

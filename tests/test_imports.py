@@ -1,9 +1,11 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and no name the
+package exports hides one of its modules.
 
 `__init__.py` is exempt: it imports names only to re-export them.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -33,3 +35,10 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_package_attribute_shadows_a_submodule(module):
+    # `import quadseq.search as S` binds whatever the package's `search` attribute is
+    submodule = importlib.import_module(f"quadseq.{module.stem}")
+    assert getattr(importlib.import_module("quadseq"), module.stem) is submodule

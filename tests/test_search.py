@@ -1,12 +1,14 @@
-import importlib
+import hashlib
 import itertools
 import os
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import quadseq.search as search_module
+from quadseq.catalog import witness_records
 from quadseq.search import (
-    DEFAULT_GENERATORS,
-    EQUIVALENCE_OPS,
     BudgetExhausted,
     Checkpoint,
     SearchError,
@@ -16,11 +18,19 @@ from quadseq.search import (
     equivalence_classes,
     load_checkpoint,
     nn_orbit,
-    oracle_check_solution,
     save_checkpoint,
     search,
 )
-from quadseq.seqcore import SeqQuadruple, npaf_values, parse_quad, verify_quadruple
+from quadseq.seqcore import (
+    SeqQuadruple,
+    alternate,
+    negate,
+    npaf_values,
+    parse_quad,
+    reverse,
+    sum_of_squares_check,
+    verify_quadruple,
+)
 
 from naive_oracle import brute_force_solutions
 
@@ -64,10 +74,9 @@ def test_prune_toggles_never_change_solutions(kind, order):
 
 def test_every_emitted_solution_passes_verifier(solutions):
     for order in (4, 6):
-        for quad in solutions("nn", order):
-            assert oracle_check_solution(quad)
-        for quad in solutions("ns", order):
-            assert oracle_check_solution(quad)
+        for quad in solutions("nn", order) + solutions("ns", order):
+            assert verify_quadruple(quad)
+            assert sum_of_squares_check(quad.m, quad.n, quad.sums())
 
 
 def test_output_is_sorted_and_deterministic(solutions):
@@ -335,7 +344,6 @@ def test_budgeted_first_mode_returns_lex_least(workers, solutions):
 
 def test_budget_stops_every_worker_count_at_the_same_block(tmp_path, monkeypatch):
     # a budgeted pool used to scan its whole queue of blocks before raising
-    search_module = importlib.import_module("quadseq.search")  # the package exports search()
     log = tmp_path / "blocks.log"
     scan = search_module._scan_block
 
@@ -380,6 +388,9 @@ def test_orbits_partition(solutions):
 def test_orbit_rejects_non_members():
     with pytest.raises(SearchError):
         nn_orbit(parse_quad("+++;+--;++;++", "nn"))
+    # a T-sequence quadruple verifies, but its plaintext order is not the flat tuple order
+    with pytest.raises(SearchError, match="binary"):
+        nn_orbit(parse_quad("+0;00;0+;00", "ts"))
 
 
 def test_canonicalize_idempotent_and_orbit_constant(solutions):
@@ -388,6 +399,12 @@ def test_canonicalize_idempotent_and_orbit_constant(solutions):
     assert canonicalize(canon) == canon
     for member in nn_orbit(quad):
         assert canonicalize(member) == canon
+
+
+def test_classes_of_different_shapes_stay_apart():
+    # both flat tuples A||B||C||D are (1, 1)
+    quads = [parse_quad("+;+;;", "bs"), parse_quad(";;+;+", "bs")]
+    assert equivalence_classes(quads) == quads
 
 
 def test_single_class_at_order_two(solutions):
@@ -408,20 +425,95 @@ def test_orbit_of_published_row():
     assert canon in orbit
 
 
+def _odd_interior(op):
+    # op applied to the 1-based odd positions below the top entry
+    def move(seq):
+        moved = list(seq)
+        moved[: len(seq) - 1 : 2] = op(seq[: len(seq) - 1 : 2])
+        return tuple(moved)
+    return move
+
+
+# the generators written on the four sequences, the reference for the signed maps
+_GENERATORS = {
+    "NegateAB": lambda a, b, c, d: (negate(a), negate(b), c, d),
+    "NegateC": lambda a, b, c, d: (a, b, negate(c), d),
+    "NegateD": lambda a, b, c, d: (a, b, c, negate(d)),
+    "SwapCD": lambda a, b, c, d: (a, b, d, c),
+    "ReverseC": lambda a, b, c, d: (a, b, reverse(c), d),
+    "ReverseD": lambda a, b, c, d: (a, b, c, reverse(d)),
+    "AlternateAll": lambda a, b, c, d: (alternate(a), alternate(b), alternate(c), alternate(d)),
+    "SwapAB": lambda a, b, c, d: (b, a, c, d),
+    "ReverseOddInterior": lambda a, b, c, d: (*map(_odd_interior(reverse), (a, b)), c, d),
+    "NegateOddInterior": lambda a, b, c, d: (*map(_odd_interior(negate), (a, b)), c, d),
+}
+
+
 def test_every_generator_preserves_membership(solutions):
     for order in (2, 4, 6):
         members = {q.plaintext() for q in solutions("nn", order)}
         for quad in solutions("nn", order):
-            for name in DEFAULT_GENERATORS:
-                image = EQUIVALENCE_OPS[name](quad)
-                assert image.plaintext() in members, name
+            flat = quad.a + quad.b + quad.c + quad.d
+            m, n = quad.shape
+            maps = search_module._signed_maps(m, n)
+            assert [name for name, _source, _sign in maps] == list(_GENERATORS)
+            for name, source, sign in maps:
+                image = tuple(s * flat[i] for s, i in zip(sign, source))
+                seqs = (image[:m], image[m : 2 * m], image[2 * m : 2 * m + n], image[2 * m + n :])
+                assert seqs == _GENERATORS[name](*quad.seqs()), name
+                assert SeqQuadruple(*seqs, "nn").plaintext() in members, name
+
+
+# sha256 of the newline-joined sorted plaintexts of each witness orbit, in
+# witness_records() order
+WITNESS_ORBIT_SHA256 = (
+    "b9f67eae6422dc2702d8c42c6f65037af52f63b9d1d0c43fd6739095dce1c5c0",
+    "f1b5b5ddbeb38100f8a89299f30f684995aa4d7db51d45e391c776911331b209",
+    "fbb83dc6c678596b4b7e03bac7b09b8807f0c9372b8bda58a40fe56c2c653a40",
+    "f54486b6068d13b6e9c4e9e90e6bba1e565591168a6bd907e3a2fa40d29f3dd7",
+    "cb7362b5fdcb9f6a4e78533c9275bdca99f38a30808b2d2f0240e0804d376105",
+    "63aa94910ab7884a731ef005946961df681bbd357a42e9a4c4db87732edc301d",
+)
+
+
+@cache
+def _witness_orbit(index):
+    """Plaintext-sorted orbit of one witness record."""
+    return tuple(sorted(nn_orbit(witness_records()[index].quad), key=SeqQuadruple.plaintext))
+
+
+def test_witness_orbits_are_pinned():
+    for index, expected in enumerate(WITNESS_ORBIT_SHA256):
+        texts = [q.plaintext() for q in _witness_orbit(index)]
+        assert len(texts) == 512
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, len(WITNESS_ORBIT_SHA256) - 1), st.integers(0, 511))
+def test_any_witness_orbit_member_has_the_same_orbit_and_canonical_form(index, position):
+    orbit = _witness_orbit(index)
+    member = orbit[position]
+    assert tuple(sorted(nn_orbit(member), key=SeqQuadruple.plaintext)) == orbit
+    assert canonicalize(member) == orbit[0]
+
+
+def test_canonical_form_is_the_plaintext_least_orbit_member(solutions):
+    least = {}  # member -> plaintext-least member of its orbit
+    for order in range(0, 9):
+        for quad in solutions("nn", order):
+            if quad not in least:
+                orbit = nn_orbit(quad)
+                least.update(dict.fromkeys(orbit, min(orbit, key=SeqQuadruple.plaintext)))
+            assert canonicalize(quad) == least[quad]
+        classes = {least[quad] for quad in solutions("nn", order)}
+        assert equivalence_classes(solutions("nn", order)) == sorted(classes, key=SeqQuadruple.plaintext)
 
 
 def test_alternation_flips_lag_signs():
     # the simultaneous alternation scales every lag-j total by (-1)^j, which
     # is why it must touch all four sequences at once
     quad = parse_quad("+-++;+++-;-++;+-+", "bs")
-    from quadseq.seqcore import npaf_values, alternate
     base = [sum(npaf_values(s)[j] if j < len(s) else 0 for s in quad.seqs())
             for j in range(1, 4)]
     flipped_quad = [alternate(s) for s in quad.seqs()]

@@ -8,20 +8,17 @@ from hypothesis import given, settings, strategies as st
 from quadseq.codec import parse_record
 from quadseq.seqcore import (
     AlphabetError,
-    LagProfile,
     SeqQuadruple,
     ShapeError,
     SumsVector,
     alternate,
     negate,
-    npaf,
     npaf_values,
     parse_quad,
     parse_seq,
     profile_index,
     reverse,
     seq_str,
-    sequence_sum,
     sum_of_squares_check,
     verify_quadruple,
 )
@@ -35,20 +32,19 @@ def all_signs(length):
 
 
 def test_npaf_examples():
-    assert npaf((1,)).values == (1,)
-    assert npaf((1, 1, 1)).values == (3, 2, 1)
-    assert npaf((1, 1, -1)).values == (3, 0, -1)
+    assert npaf_values((1,)) == (1,)
+    assert npaf_values((1, 1, 1)) == (3, 2, 1)
+    assert npaf_values((1, 1, -1)) == (3, 0, -1)
+    assert npaf_values((1, -1, 1)) == (3, -2, 1)
 
 
 def test_npaf_empty_sequence():
-    profile = npaf(())
-    assert profile.values == (0,)
-    assert profile.source_len == 0
+    assert npaf_values(()) == (0,)
 
 
 def test_npaf_lag_zero_counts_nonzeros():
-    assert npaf((1, 0, -1, 0, 1))[0] == 3
-    assert npaf((1, -1, 1, 1))[0] == 4
+    assert npaf_values((1, 0, -1, 0, 1))[0] == 3
+    assert npaf_values((1, -1, 1, 1))[0] == 4
 
 
 _SEQUENCES = st.one_of(
@@ -67,9 +63,9 @@ def test_npaf_kernel_equals_the_double_sum(seq):
 
 
 def test_npaf_beyond_int64_is_exact():
-    assert npaf((2**40, 2**40)).values == (2**81, 2**80)
+    assert npaf_values((2**40, 2**40)) == (2**81, 2**80)
     # an unguarded int64 correlate wraps 2**81 and 2**80 to 0
-    assert npaf((2**40, -3, 2**40)).values == (2**81 + 9, -6 * 2**40, 2**80)
+    assert npaf_values((2**40, -3, 2**40)) == (2**81 + 9, -6 * 2**40, 2**80)
 
 
 @pytest.mark.parametrize("length", [1, 2, 73])
@@ -80,13 +76,6 @@ def test_npaf_at_the_int64_bound(length):
         for seq in ((p,) * length, (-p,) * length):
             assert npaf_values(seq) == npaf_double_sum(seq)
             assert npaf_values(seq)[0] == length * p * p
-
-
-def test_lag_profile_indexing():
-    profile = npaf((1, -1, 1))
-    assert profile[0] == 3
-    assert len(profile) == 3
-    assert isinstance(profile, LagProfile)
 
 
 @pytest.mark.parametrize("length", range(0, 13))
@@ -143,13 +132,6 @@ def test_profile_index_groups_in_bits_order(length):
         assert index.groups[profile] is seqs
         assert all(sum(seq) ** 2 == square for seq in seqs)
     assert profile_index(length) is index
-
-
-def test_sequence_sum():
-    assert sequence_sum((1, -1, 1)) == 1
-    assert sequence_sum(()) == 0
-    row36 = parse_record(ROW36_RECORD)
-    assert sequence_sum(row36.a) == 3
 
 
 def test_parse_seq_round_trip_and_whitespace():
