@@ -6,7 +6,7 @@ the verifier is the contract, so a sign-convention slip in a recipe is caught
 immediately instead of propagating.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,35 +201,37 @@ def bs_to_ts(q: SeqQuadruple) -> SeqQuadruple:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolicMatrix:
-    """Square matrix over {0, +-x_1, ..., +-x_u}, stored as signed indices."""
+    """Square matrix over {0, +-x_1, ..., +-x_u}, stored as signed indices
+    (+k for x_k) in `grid`, a read-only int64 copy of the array passed in."""
 
     order: int
     nvars: int
-    grid: tuple[tuple[int, ...], ...]
+    grid: np.ndarray
     signature: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.grid) != self.order or any(len(r) != self.order for r in self.grid):
+        try:
+            grid = np.array(self.grid)
+        except ValueError:  # ragged rows
+            raise ConstructionError("grid does not match declared order") from None
+        if grid.shape != (self.order, self.order):
             raise ConstructionError("grid does not match declared order")
+        if grid.dtype.kind not in "iu":
+            raise ConstructionError(f"grid entries must be integers, got {grid.dtype}")
         if len(self.signature) != self.nvars:
             raise ConstructionError("signature length must equal the variable count")
-        for row in self.grid:
-            for v in row:
-                if abs(v) > self.nvars:
-                    raise ConstructionError(f"entry {v} references variable beyond {self.nvars}")
+        beyond = (grid > self.nvars) | (grid < -self.nvars)
+        if beyond.any():
+            raise ConstructionError(f"entry {grid[beyond][0]} references variable beyond {self.nvars}")
+        grid = grid.astype(np.int64, copy=False)
+        grid.flags.writeable = False
+        object.__setattr__(self, "grid", grid)
 
-    def coefficient_matrix(self, var: int) -> np.ndarray:
-        """Integer matrix of the coefficients of variable `var` (1-based)."""
-        g = np.array(self.grid, dtype=np.int64)
-        return ((g == var).astype(np.int64) - (g == -var).astype(np.int64))
-
-
-def _circulant(seq) -> list[list[int]]:
-    # row r is the sequence cyclically shifted right by r
-    n = len(seq)
-    return [[seq[(c - r) % n] for c in range(n)] for r in range(n)]
+    def __eq__(self, other):
+        return isinstance(other, SymbolicMatrix) and np.array_equal(self.grid, other.grid) and (
+            (self.order, self.nvars, self.signature) == (other.order, other.nvars, other.signature))
 
 
 def ts_to_od(t: SeqQuadruple) -> SymbolicMatrix:
@@ -246,12 +248,13 @@ def ts_to_od(t: SeqQuadruple) -> SymbolicMatrix:
     if not report:
         raise ConstructionError(f"input fails T verification: {report.failure}")
     n = t.n
-    circulants = [np.array(_circulant(s), dtype=np.int64) for s in t.seqs()]
-    c1, c2, c3, c4 = circulants
-    m1 = _combine(n, (1, c1), (2, c2), (3, c3), (4, c4))
-    m2 = _combine(n, (-2, c1), (1, c2), (4, c3), (-3, c4))
-    m3 = _combine(n, (-3, c1), (-4, c2), (1, c3), (2, c4))
-    m4 = _combine(n, (-4, c1), (3, c2), (-2, c3), (1, c4))
+    # row r of a circulant is its sequence cyclically shifted right by r
+    shift = (np.arange(n) - np.arange(n)[:, None]) % n
+    c1, c2, c3, c4 = np.array(t.seqs(), dtype=np.int64)[:, shift]
+    m1 = c1 + 2 * c2 + 3 * c3 + 4 * c4
+    m2 = -2 * c1 + c2 + 4 * c3 - 3 * c4
+    m3 = -3 * c1 - 4 * c2 + c3 + 2 * c4
+    m4 = -4 * c1 + 3 * c2 - 2 * c3 + c4
     # right-multiplying by R reverses the columns
     m2r, m3r, m4r = m2[:, ::-1], m3[:, ::-1], m4[:, ::-1]
     m2tr, m3tr, m4tr = m2.T[:, ::-1], m3.T[:, ::-1], m4.T[:, ::-1]
@@ -263,66 +266,61 @@ def ts_to_od(t: SeqQuadruple) -> SymbolicMatrix:
             [-m4r, m3tr, -m2tr, m1],
         ]
     )
-    design = SymbolicMatrix(
-        order=4 * n,
-        nvars=4,
-        grid=tuple(tuple(int(v) for v in row) for row in block),
-        signature=(n, n, n, n),
-    )
+    design = SymbolicMatrix(order=4 * n, nvars=4, grid=block, signature=(n, n, n, n))
     check = verify_od(design)
     if not check:
         raise ConstructionError(f"assembled array fails design verification: {check.failure}")
     return design
 
 
-def _combine(n, *terms) -> np.ndarray:
-    """Sum of signed-variable multiples of disjoint-support circulants,
-    stored as signed variable indices."""
-    out = np.zeros((n, n), dtype=np.int64)
-    for coeff, mat in terms:
-        var = abs(coeff)
-        sign = 1 if coeff > 0 else -1
-        out += var * sign * mat  # mat entries in {-1,0,1}; disjoint supports
-    return out
+def _exact_gram(a: np.ndarray, b: np.ndarray, peak: int) -> np.ndarray:
+    """a @ b.T, exact, for integer-valued a and b whose entries are at most
+    `peak` in magnitude."""
+    # Every entry and partial sum of the product is an integer of magnitude
+    # at most N * peak**2 (N = a.shape[-1]), and float64 holds every integer
+    # below 2**53: so float64 (BLAS) is exact while N * peak**2 < 2**53, and
+    # Python ints in object arrays beyond.  seqcore._npaf_array's guard.
+    dtype = np.float64 if a.shape[-1] * peak * peak < 2**53 else object
+    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False).T
+
+
+def _first_mismatch(product: np.ndarray, diagonal: int) -> tuple[int, int, int, int] | None:
+    """(row, column, value, expected) of the first cell, row-major, where the
+    square `product` differs from diagonal * I."""
+    bad = product != 0
+    # as Python objects, a float meets an int diagonal of any size exactly
+    np.fill_diagonal(bad, product.diagonal().astype(object) != diagonal)
+    if not bad.any():
+        return None
+    r, c = divmod(int(bad.argmax()), bad.shape[1])
+    return r, c, int(product[r, c]), diagonal if r == c else 0
 
 
 def verify_od(s: SymbolicMatrix) -> VerificationReport:
     """Exact symbolic check of S S^T = (s_1 x_1^2 + ... + s_u x_u^2) I.
 
-    Expands the product per monomial x_j x_k with integer coefficient
-    matrices; monomials are checked in a thread pool (the matrix products
-    share nothing and numpy releases the GIL), and the first failing cell
-    and monomial in canonical order are named in the report.
+    With S = C_1 x_1 + ... + C_u x_u and coefficient matrices C_k over
+    {0, +-1}, x_j^2 has coefficient C_j C_j^T and x_j x_k has C_j C_k^T +
+    C_k C_j^T.  For each j one exact float64 product C_j [C_j ... C_u]^T
+    holds every C_j C_k^T with k >= j.  The report names the first failing
+    monomial (x1^2, x1*x2, ..., xu^2) and its first failing cell, row-major.
     """
-    coeffs = [s.coefficient_matrix(k) for k in range(1, s.nvars + 1)]
-    eye = np.eye(s.order, dtype=np.int64)
-
-    def check(j: int, k: int) -> str | None:
-        if j == k:
-            product = coeffs[j] @ coeffs[j].T
-            target = s.signature[j] * eye
-            label = f"x{j + 1}^2"
-        else:
-            product = coeffs[j] @ coeffs[k].T + coeffs[k] @ coeffs[j].T
-            target = np.zeros_like(eye)
-            label = f"x{j + 1}*x{k + 1}"
-        if np.array_equal(product, target):
-            return None
-        bad = np.argwhere(product != target)[0]
-        r, c = int(bad[0]), int(bad[1])
-        return (
-            f"monomial {label} at cell ({r}, {c}): "
-            f"coefficient {int(product[r, c])}, expected {int(target[r, c])}"
-        )
-
-    monomials = [(j, k) for j in range(s.nvars) for k in range(j, s.nvars)]
-    if not monomials:
-        return VerificationReport(passed=True)
-    with ThreadPoolExecutor(max_workers=min(4, len(monomials))) as pool:
-        failures = list(pool.map(lambda jk: check(*jk), monomials))
-    for failure in failures:
-        if failure is not None:
-            return VerificationReport(passed=False, failure=failure)
+    n, u = s.order, s.nvars
+    var = np.arange(1, u + 1)[:, None, None]
+    coeffs = (s.grid == var).astype(np.float64)
+    coeffs -= s.grid == -var
+    for j in range(u):
+        products = _exact_gram(coeffs[j], coeffs[j:].reshape(-1, n), 1)
+        for k in range(j, u):
+            block = products[:, (k - j) * n : (k - j + 1) * n]
+            if k == j:
+                label, product, diagonal = f"x{j + 1}^2", block, s.signature[j]
+            else:
+                label, product, diagonal = f"x{j + 1}*x{k + 1}", block + block.T, 0
+            bad = _first_mismatch(product, diagonal)
+            if bad is not None:
+                failure = "monomial {} at cell ({}, {}): coefficient {}, expected {}"
+                return VerificationReport(passed=False, failure=failure.format(label, *bad))
     return VerificationReport(passed=True)
 
 
@@ -331,40 +329,34 @@ def od_substitute(
 ) -> tuple[np.ndarray, VerificationReport]:
     """Replace each variable by an integer and verify the resulting product.
 
-    With +-1 values on a zero-free design the output is a Hadamard matrix of
-    the design's order; require_hadamard insists on that situation.
+    H is int64 while the values fit in it, Python ints beyond; H H^T is
+    checked exactly.  With +-1 values on a zero-free design the output is a
+    Hadamard matrix of the design's order; require_hadamard insists on that.
     """
     if len(values) != s.nvars:
         raise ConstructionError(f"need {s.nvars} values, got {len(values)}")
-    grid = np.array(s.grid, dtype=np.int64)
+    values = tuple(map(operator.index, values))  # TypeError for 1.5 or 1.0
     if require_hadamard:
-        if np.any(grid == 0):
+        if np.any(s.grid == 0):
             raise ConstructionError("design has zero support")
         if any(v not in (1, -1) for v in values):
             raise ConstructionError("Hadamard substitution needs +-1 values")
-    h = np.zeros_like(grid)
-    for k in range(1, s.nvars + 1):
-        h += values[k - 1] * s.coefficient_matrix(k)
-    expected = sum(s.signature[k] * values[k] ** 2 for k in range(s.nvars))
-    product = h @ h.T
-    target = expected * np.eye(s.order, dtype=np.int64)
-    if np.array_equal(product, target):
-        report = VerificationReport(passed=True)
-    else:
-        bad = np.argwhere(product != target)[0]
-        r, c = int(bad[0]), int(bad[1])
-        report = VerificationReport(
-            passed=False,
-            failure=f"product at cell ({r}, {c}) is {int(product[r, c])}, expected {int(target[r, c])}",
-        )
-    return h, report
+    peak = max(map(abs, values), default=0)
+    # table[k] = values[k-1] and table[-k] = -values[k-1], counted from the end
+    table = np.array((0, *values, *(-v for v in reversed(values))),
+                     dtype=np.int64 if peak < 2**63 else object)
+    h = table[s.grid]
+    expected = sum(int(sig) * v * v for sig, v in zip(s.signature, values))
+    bad = _first_mismatch(_exact_gram(h, h, peak), expected)
+    failure = None if bad is None else "product at cell ({}, {}) is {}, expected {}".format(*bad)
+    return h, VerificationReport(passed=bad is None, failure=failure)
 
 
 def matrix_to_text(s: SymbolicMatrix) -> str:
     """Serialize: first line 'order u', then one row per line of signed
     variable indices ('+k', '-k', '0')."""
     lines = [f"{s.order} {s.nvars}"]
-    for row in s.grid:
+    for row in s.grid.tolist():
         lines.append(" ".join("0" if v == 0 else f"{'+' if v > 0 else '-'}{abs(v)}" for v in row))
     return "\n".join(lines) + "\n"
 
@@ -379,19 +371,13 @@ def matrix_from_text(text: str) -> SymbolicMatrix:
         raise ConstructionError(f"bad header line {lines[0]!r}") from None
     if len(lines) != order + 1:
         raise ConstructionError(f"expected {order} rows, got {len(lines) - 1}")
-    grid = []
-    for ln in lines[1:]:
-        row = []
-        for tok in ln.split():
-            try:
-                row.append(int(tok))
-            except ValueError:
-                raise ConstructionError(f"bad entry {tok!r}") from None
-        grid.append(tuple(row))
-    # signature is re-derived: count of each variable per row must be constant
-    g = np.array(grid, dtype=np.int64)
-    signature = tuple(int(np.count_nonzero(np.abs(g[0]) == k)) for k in range(1, nvars + 1))
-    return SymbolicMatrix(order=order, nvars=nvars, grid=tuple(grid), signature=signature)
+    try:
+        grid = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
+    except ValueError as exc:
+        raise ConstructionError(f"bad entry: {exc}") from None
+    # signature is re-derived from the first row; verify_od checks the others
+    signature = tuple(sum(abs(v) == k for v in grid[0]) for k in range(1, nvars + 1)) if grid else ()
+    return SymbolicMatrix(order=order, nvars=nvars, grid=grid, signature=signature)
 
 
 def pm_matrix_to_text(h: np.ndarray) -> str:

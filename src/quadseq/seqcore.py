@@ -45,17 +45,30 @@ _BINARY = frozenset({1, -1})
 _TERNARY = frozenset({1, 0, -1})
 
 
+def _integral(entries) -> Seq:
+    """`entries` as a tuple of plain ints once every entry equals an integer:
+    1.0, numpy integers and bools pass, 1.5, inf and '1' do not.  A tuple of
+    plain ints is returned as it is."""
+    if type(entries) is tuple and _PLAIN_INT.issuperset(map(type, entries)):
+        return entries
+    entries = tuple(entries)
+    for v in entries:
+        try:
+            if int(v) == v:
+                continue
+        except (TypeError, ValueError, OverflowError):  # None, '1.5', inf
+            pass
+        raise AlphabetError(f"entry must be an integer, got {v!r}")
+    return tuple(map(int, entries))
+
+
 def _checked(entries, alphabet: frozenset, what: str) -> Seq:
-    """`entries` as a tuple of plain ints once every entry equals a member of
-    `alphabet`: 1.0, numpy integers and bools pass, 1.5 and '1' do not.  A
-    tuple of plain ints is returned as it is."""
-    plain = type(entries) is tuple and _PLAIN_INT.issuperset(map(type, entries))
-    if not plain:
-        entries = tuple(entries)
+    """`entries` as plain ints (see _integral) once each is in `alphabet`."""
+    entries = _integral(entries)
     if not alphabet.issuperset(entries):
         bad = next(v for v in entries if v not in alphabet)
         raise AlphabetError(f"{what}, got {bad!r}")
-    return entries if plain else tuple(map(int, entries))
+    return entries
 
 
 def as_binary(entries) -> Seq:
@@ -96,22 +109,21 @@ _INT64_LIMIT = 1 << 63
 
 
 def _npaf_array(seq: Seq) -> np.ndarray:
-    """Autocorrelations of a nonempty integer sequence at lags 0..len-1.
+    """Autocorrelations of a nonempty tuple of plain ints at lags 0..len-1.
 
     Each value is a sum of at most len products of two entries, so int64 is
-    exact while len * max|entry|**2 < 2**63; beyond that the entries become
+    exact while len * max|entry|**2 < 2**63; beyond that the entries stay
     Python ints in an object array, whose sums never wrap.
     """
     peak = max(max(seq), -min(seq))
-    if len(seq) * peak * peak < _INT64_LIMIT:
-        x = np.array(seq, dtype=np.int64)
-    else:
-        x = np.array([int(v) for v in seq], dtype=object)
+    x = np.array(seq, dtype=np.int64 if len(seq) * peak * peak < _INT64_LIMIT else object)
     return np.correlate(x, x, "full")[len(seq) - 1 :]
 
 
 def npaf_values(seq: Seq) -> tuple[int, ...]:
-    """Raw autocorrelation tuple of plain ints; (0,) for the empty sequence."""
+    """Raw autocorrelation tuple of plain ints; (0,) for the empty sequence.
+    A non-integral entry raises AlphabetError (see _integral)."""
+    seq = _integral(seq)
     return tuple(_npaf_array(seq).tolist()) if seq else (0,)
 
 

@@ -4,7 +4,8 @@ These enumerate raw sign assignments and decide membership through the
 public verifier (or, for the norm identity, through literal polynomial
 multiplication), so they share no code path with the search engine's
 profile tables and hash join.  Autocorrelations here come from the defining
-double sum, never from the library's numpy kernel.
+double sum, never from the library's numpy kernel, and the design and
+Hadamard products from loops over Python ints, never from numpy.
 """
 
 import itertools
@@ -75,3 +76,47 @@ def brute_force_golay(g):
             if all(pe[j] + pf[j] == 0 for j in range(1, g)):
                 pairs.append((e, f))
     return pairs
+
+
+def design_failure(grid, signature):
+    """verify_od's verdict by literal expansion: None when S S^T equals
+    (s_1 x_1^2 + ... + s_u x_u^2) I, else the first failing monomial and cell
+    worded as verify_od words them.  Cell (r, c) of S S^T is the sum of the
+    products S[r][i] * S[c][i], each expanded term by term in Python ints."""
+    n, u = len(grid), len(signature)
+    coeffs = {}
+    for r in range(n):
+        for c in range(n):
+            for a, b in zip(grid[r], grid[c]):
+                if a and b:
+                    key = (r, c, min(abs(a), abs(b)), max(abs(a), abs(b)))
+                    coeffs[key] = coeffs.get(key, 0) + (1 if (a > 0) == (b > 0) else -1)
+    for j in range(1, u + 1):
+        for k in range(j, u + 1):
+            label = f"x{j}^2" if j == k else f"x{j}*x{k}"
+            for r in range(n):
+                for c in range(n):
+                    got = coeffs.get((r, c, j, k), 0)
+                    want = signature[j - 1] if j == k and r == c else 0
+                    if got != want:
+                        return f"monomial {label} at cell ({r}, {c}): coefficient {got}, expected {want}"
+    return None
+
+
+def substitute(grid, values):
+    """The grid with each +-k replaced by +-values[k-1], as lists of ints."""
+    return [[0 if v == 0 else (1 if v > 0 else -1) * values[abs(v) - 1] for v in row] for row in grid]
+
+
+def substitution_failure(grid, signature, values):
+    """od_substitute's verdict on H H^T by a triple loop in Python ints."""
+    h = substitute(grid, values)
+    n = len(h)
+    expected = sum(s * v * v for s, v in zip(signature, values))
+    for r in range(n):
+        for c in range(n):
+            got = sum(h[r][i] * h[c][i] for i in range(n))
+            want = expected if r == c else 0
+            if got != want:
+                return f"product at cell ({r}, {c}) is {got}, expected {want}"
+    return None

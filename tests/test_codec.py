@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadseq.codec import (
     CENTER_TABLE,
@@ -130,6 +131,45 @@ def test_every_encodable_pair_round_trips(n):
             except UnencodableError:
                 continue
             assert decode_pair(code, PAIR_AB, n) == (x, y)
+
+
+# the orders the codec encodes: ab pairs have odd length n+1, cd pairs even n
+_ORDERS = st.integers(0, 60).map(lambda k: 2 * k)
+
+
+@settings(deadline=None)
+@given(_ORDERS, st.data())
+def test_every_digit_string_round_trips(n, data):
+    quads, centers = st.sampled_from(sorted(QUAD_TABLE)), st.sampled_from(sorted(CENTER_TABLE))
+    cd = "".join(data.draw(st.lists(quads, min_size=n // 2, max_size=n // 2)))
+    ab = "".join(data.draw(st.lists(quads, min_size=n // 2, max_size=n // 2))) + data.draw(centers)
+    assert encode_pair(*decode_pair(cd, PAIR_CD, n), PAIR_CD) == cd
+    assert encode_pair(*decode_pair(ab, PAIR_AB, n), PAIR_AB) == ab
+
+
+# column quads ((x_k, y_k), (x_mirror, y_mirror)), mostly encodable ones
+_COLUMN_QUADS = st.one_of(
+    st.sampled_from(sorted(QUAD_TABLE.values())),
+    st.tuples(*[st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1)))] * 2),
+)
+
+
+@settings(deadline=None)
+@given(_ORDERS, st.sampled_from((PAIR_AB, PAIR_CD)), st.data())
+def test_every_encodable_pair_round_trips_at_any_order(n, pair_kind, data):
+    length = n + 1 if pair_kind == PAIR_AB else n
+    quads = data.draw(st.lists(_COLUMN_QUADS, min_size=length // 2, max_size=length // 2))
+    x, y = [0] * length, [0] * length
+    for k, ((xk, yk), (xm, ym)) in enumerate(quads):
+        x[k], y[k], x[length - 1 - k], y[length - 1 - k] = xk, yk, xm, ym
+    if length % 2:
+        x[length // 2], y[length // 2] = data.draw(st.sampled_from(sorted(CENTER_TABLE.values())))
+    x, y = tuple(x), tuple(y)
+    if all(quad in QUAD_TABLE.values() for quad in quads):
+        assert decode_pair(encode_pair(x, y, pair_kind), pair_kind, n) == (x, y)
+    else:
+        with pytest.raises(UnencodableError):
+            encode_pair(x, y, pair_kind)
 
 
 def test_parity_structure_of_near_normal_codes():

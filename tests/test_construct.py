@@ -1,7 +1,9 @@
 import itertools
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadseq.codec import parse_record
 from quadseq.construct import (
@@ -24,7 +26,7 @@ from quadseq.construct import (
 )
 from quadseq.seqcore import AlphabetError, SeqQuadruple, parse_quad, verify_quadruple
 
-from naive_oracle import brute_force_golay
+from naive_oracle import brute_force_golay, design_failure, substitute, substitution_failure
 from published import ROW36_RECORD
 
 
@@ -92,7 +94,108 @@ def test_design_verifier_names_failing_cell():
                             tuple(tuple(r) for r in grid), design.signature)
     report = verify_od(broken)
     assert not report.passed
-    assert "cell" in report.failure and "monomial" in report.failure
+    assert report.failure == "monomial x1*x2 at cell (0, 1): coefficient 2, expected 0"
+
+
+def test_design_grid_is_one_read_only_array():
+    design = quaternion_design()
+    assert isinstance(design.grid, np.ndarray) and design.grid.dtype == np.int64
+    with pytest.raises(ValueError):
+        design.grid[0, 0] = 0
+    # the grid passed in is copied, not frozen or aliased
+    grid = np.array(design.grid)
+    copy = SymbolicMatrix(4, 4, grid, design.signature)
+    grid[0, 0] = 0
+    assert copy == design and grid.flags.writeable
+
+
+@pytest.mark.parametrize("grid,message", [
+    (((1, 0), (0,)), "does not match declared order"),
+    (((1, 0),), "does not match declared order"),
+    (((1, 0), (0, 1.5)), "must be integers"),
+    (((1, 0), (0, "1")), "must be integers"),
+    (((1, 0), (0, 2)), "entry 2 references variable beyond 1"),
+    (((1, -(2**63)), (0, 1)), "entry -9223372036854775808 references variable beyond 1"),
+])
+def test_symbolic_matrix_rejects_bad_grids(grid, message):
+    with pytest.raises(ConstructionError, match=message):
+        SymbolicMatrix(2, 1, grid, (1,))
+
+
+# valid designs of orders 2, 4 and 8, as (grid, signature)
+_VALID_DESIGNS = [
+    (((1, 0), (0, 1)), (1,)),
+    (quaternion_design().grid.tolist(), (1, 1, 1, 1)),
+    (ts_to_od(bs_to_ts(parse_quad("+;+;+;+", "bs"))).grid.tolist(), (2, 2, 2, 2)),
+]
+
+
+@st.composite
+def _signed_grids(draw):
+    """A valid design with up to two cells rewritten, or a random grid."""
+    if draw(st.booleans()):
+        grid, signature = draw(st.sampled_from(_VALID_DESIGNS))
+        grid = [list(row) for row in grid]
+        for _ in range(draw(st.integers(0, 2))):
+            r, c = draw(st.integers(0, len(grid) - 1)), draw(st.integers(0, len(grid) - 1))
+            grid[r][c] = draw(st.integers(-len(signature), len(signature)))
+        return grid, signature
+    n, u = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    entries = st.integers(-u, u)
+    grid = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return grid, tuple(draw(st.lists(st.integers(0, n), min_size=u, max_size=u)))
+
+
+# value sizes on both sides of the float64 bound N * max|v|^2 < 2^53, N <= 8
+_VALUES = st.one_of(st.integers(-3, 3), st.integers(-(2**27), 2**27), st.integers(-(2**70), 2**70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_grids(), st.data())
+def test_design_checks_match_the_python_int_reference(design, data):
+    grid, signature = design
+    s = SymbolicMatrix(len(grid), len(signature), grid, signature)
+    assert verify_od(s).failure == design_failure(grid, signature)
+    values = tuple(data.draw(st.lists(_VALUES, min_size=len(signature), max_size=len(signature))))
+    h, report = od_substitute(s, values)
+    assert h.tolist() == substitute(grid, values)
+    assert report.failure == substitution_failure(grid, signature, values)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_substitution_at_the_float64_bound(side):
+    # the largest value whose products are exact in float64 at order 4, and
+    # one more; flipping one cell makes a failure that names exact values
+    peak = isqrt((2**53 - 1) // 4) + side
+    design = quaternion_design()
+    values = (peak, peak - 1, 3, -peak)
+    h, report = od_substitute(design, values)
+    assert report.passed
+    assert h.tolist() == substitute(design.grid.tolist(), values)
+    grid = design.grid.tolist()
+    grid[1][2] = -grid[1][2]
+    broken = SymbolicMatrix(4, 4, grid, design.signature)
+    assert od_substitute(broken, values)[1].failure == substitution_failure(grid, design.signature, values)
+
+
+@pytest.mark.parametrize("values", [(2**32, 1, 1, 1), (2**27 + 1, 0, 0, 0), (2**70, -(2**64), 1, 0)])
+def test_substitution_exact_for_large_values(values):
+    # these used to raise OverflowError; 2^54 + 2^28 + 1 has no float64
+    h, report = od_substitute(quaternion_design(), values)
+    assert report.passed
+    expected = sum(v * v for v in values)
+    assert (h.astype(object) @ h.T.astype(object)).tolist() == (expected * np.eye(4, dtype=object)).tolist()
+
+
+def test_order_1284_design_from_golay_pair():
+    # Golay pair 160 -> NS(160) -> T-sequences of length 321 -> order 1284;
+    # ts_to_od raises unless verify_od passes
+    design = ts_to_od(bs_to_ts(golay_to_ns(golay_pair(160))))
+    assert design.order == 1284 and design.signature == (321,) * 4
+    h, report = od_substitute(design, (1, -1, 1, 1), require_hadamard=True)
+    assert report.passed
+    hf = h.astype(np.float64)
+    assert np.array_equal(hf @ hf.T, 1284 * np.eye(1284))
 
 
 def test_design_rejects_non_t_input():
@@ -128,6 +231,8 @@ def test_substitution_general_integers():
     h, report = od_substitute(quaternion_design(), (2, 1, 0, 1))
     assert report.passed
     assert np.array_equal(h @ h.T, 6 * np.eye(4, dtype=np.int64))
+    with pytest.raises(TypeError):  # an int64 table would truncate 1.5
+        od_substitute(quaternion_design(), (1.5, 1, 1, 1))
 
 
 def test_substitution_zero_support_error():
@@ -269,3 +374,9 @@ def test_matrix_serialization_round_trip():
     h, _report = od_substitute(design, (1, 1, 1, 1))
     pm = pm_matrix_to_text(h)
     assert set(pm) <= {"+", "-", "\n"} and len(pm.splitlines()) == 8
+
+
+@pytest.mark.parametrize("text", ["2 1\n1 0\n0\n", "2 1\n1 0\n0 1 0\n", "0 0\n"])
+def test_matrix_from_text_rejects_ragged_rows(text):
+    with pytest.raises(ConstructionError, match="does not match declared order"):
+        matrix_from_text(text)

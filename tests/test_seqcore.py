@@ -78,6 +78,17 @@ def test_npaf_at_the_int64_bound(length):
             assert npaf_values(seq)[0] == length * p * p
 
 
+@pytest.mark.parametrize("big", [False, True])
+def test_npaf_refuses_non_integral_entries(big):
+    # below and beyond the int64 bound; int64 conversion used to truncate,
+    # so (1.5, -1.9) read as (1, -1)
+    scale = 2**40 if big else 1
+    for bad in (1.5, -1.9, "1", None, float("inf"), np.float64(0.5)):
+        with pytest.raises(AlphabetError):
+            npaf_values((scale, bad))
+    assert npaf_values((float(scale), np.int64(-3), True)) == npaf_double_sum((scale, -3, 1))
+
+
 @pytest.mark.parametrize("length", range(0, 13))
 def test_npaf_laws_exhaustive_binary(length):
     # reversal and negation invariance, alternation sign law, Parseval at 1
