@@ -110,7 +110,6 @@ def _cmd_search(args) -> int:
         node_limit=args.limit,
         representatives=args.representatives,
         allow_large=args.allow_large,
-        use_sum_prune=not args.no_sum_prune,
     )
     resume = load_checkpoint(args.resume) if args.resume else None
     try:
@@ -261,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--representatives", action="store_true",
                    help="fix the boundary to '0'-form (class representatives only)")
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--no-sum-prune", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_search)
 

@@ -84,21 +84,25 @@ def golay_search(g: int, allow_large: bool = False) -> list[GolayPair]:
     return pairs
 
 
+def _golay_exponents(n: int) -> tuple[int, int, int, int]:
+    """(fives, thirteens, twos, rest) with n = 5^fives * 13^thirteens * 2^twos * rest,
+    for n >= 1."""
+    exponents = []
+    for prime in (5, 13, 2):
+        count = 0
+        while n % prime == 0:
+            n //= prime
+            count += 1
+        exponents.append(count)
+    return (*exponents, n)
+
+
 def is_golay_number(n: int) -> bool:
     """True iff n factors as 2^a * 10^b * 26^c with a, b, c >= 0."""
     if n < 1:
         raise ConstructionError("argument must be a positive integer")
-    fives = thirteens = twos = 0
-    while n % 5 == 0:
-        n //= 5
-        fives += 1
-    while n % 13 == 0:
-        n //= 13
-        thirteens += 1
-    while n % 2 == 0:
-        n //= 2
-        twos += 1
-    return n == 1 and twos >= fives + thirteens
+    fives, thirteens, twos, rest = _golay_exponents(n)
+    return rest == 1 and twos >= fives + thirteens
 
 
 def golay_pair(g: int, seeds: list[GolayPair] | None = None) -> GolayPair:
@@ -110,14 +114,7 @@ def golay_pair(g: int, seeds: list[GolayPair] | None = None) -> GolayPair:
     """
     if not is_golay_number(g):
         raise ConstructionError(f"{g} is not of the form 2^a*10^b*26^c")
-    fives = thirteens = 0
-    reduced = g
-    while reduced % 5 == 0:
-        reduced //= 5
-        fives += 1
-    while reduced % 13 == 0:
-        reduced //= 13
-        thirteens += 1
+    fives, thirteens, _twos, _rest = _golay_exponents(g)
     if fives + thirteens > 1:
         raise ConstructionError(
             f"length {g} needs a pair product; only doubling from seeds is supported"
@@ -228,6 +225,10 @@ class SymbolicMatrix:
         grid = grid.astype(np.int64, copy=False)
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
+
+    def __reduce__(self):
+        # through the constructor, so a pickled or deep-copied grid is read-only again
+        return SymbolicMatrix, (self.order, self.nvars, self.grid, self.signature)
 
     def __eq__(self, other):
         return isinstance(other, SymbolicMatrix) and np.array_equal(self.grid, other.grid) and (
@@ -382,4 +383,4 @@ def matrix_from_text(text: str) -> SymbolicMatrix:
 
 def pm_matrix_to_text(h: np.ndarray) -> str:
     """Serialize a +-1 matrix as lines of '+'/'-' characters."""
-    return "\n".join("".join("+" if v > 0 else "-" for v in row) for row in h) + "\n"
+    return "\n".join(map("".join, np.where(h > 0, "+", "-").tolist())) + "\n"

@@ -17,9 +17,8 @@ A that shares it.  A pass scans A in lex order, in blocks of isqrt(2^(n+1))
 A's whatever the worker count, mode or budget, so its first block with a
 solution holds its lex-least one; a memo lives one pass in each process.
 
-The sum-of-squares prune is the only test before the join.  With
-use_sum_prune off, an A of inadmissible sums reaches the join, whose sum
-index finds nothing for it, so the toggle changes counters, never solutions.
+The sum-of-squares prune is the only test before the join.  It only saves
+work: the join's sum index finds no (C, D) for an A it rejects.
 
 A node is one A candidate or one C-profile probed for a surviving A.  Each
 surviving A is charged the probes of its target's join whether the join was
@@ -30,12 +29,17 @@ Case splitting partitions the admissible sums vectors (a, b, c, d) with
 a^2+b^2+c^2+d^2 = 2(m+n) into orbits under coordinate sign changes and the
 C<->D swap, packed into exactly 12 descriptors so long runs can be resumed
 and distributed case by case.
+
+A run's resumable state is one Checkpoint, saved as one JSON document
+tagged with CHECKPOINT_FORMAT; a file of another format, a truncated one or
+one whose fields are missing or mistyped is refused, never misread.
 """
 
+import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cache, partial
 from itertools import chain, product
 from math import isqrt
@@ -64,6 +68,9 @@ CHECKPOINT_EVERY = 250_000  # nodes between periodic checkpoint writes
 PRUNE_SUM = "sum_of_squares"
 PRUNE_CASE = "case"
 
+# bump when a checkpoint's fields or their meaning change: older files are refused
+CHECKPOINT_FORMAT = "quadseq-search-checkpoint/2"
+
 
 class SearchError(QuadseqError):
     """Invalid search specification."""
@@ -86,7 +93,6 @@ class SearchSpec:
     node_limit: int | None = None
     representatives: bool = False
     allow_large: bool = False
-    use_sum_prune: bool = True
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,15 @@ class Checkpoint:
     prunes: dict[str, int]
     found: int
     solutions: list[str]  # plaintext quadruples
+
+
+# the fields a checkpoint shares with the SearchSpec it resumes; every other
+# SearchSpec field is per run and changes no counter
+_IDENTITY_FIELDS = ("kind", "order", "mode", "representatives", "cases")
+
+
+def _identity(spec_or_checkpoint) -> tuple:
+    return tuple(getattr(spec_or_checkpoint, name) for name in _IDENTITY_FIELDS)
 
 
 def _validate_spec(spec: SearchSpec) -> None:
@@ -280,7 +295,7 @@ def _scan_block(plan: _PassPlan, memo: dict, bounds: tuple[int, int]):
         b_seq = _derive_b(a_seq, spec.kind, n)
         nodes += 1
         a_sum, b_sum = sum(a_seq), sum(b_seq)
-        if spec.use_sum_prune and (total - a_sum * a_sum - b_sum * b_sum) not in plan.sum_targets:
+        if (total - a_sum * a_sum - b_sum * b_sum) not in plan.sum_targets:
             prunes[PRUNE_SUM] += 1
             continue
         ab_rep = (abs(a_sum), abs(b_sum))
@@ -336,12 +351,6 @@ def _parse_solutions(texts, kind: str) -> list:
     ]
 
 
-def _merge_prunes(total: dict, part: dict) -> None:
-    # only the counters `total` keeps: an older checkpoint's retired ones drop
-    for key in total:
-        total[key] += part.get(key, 0)
-
-
 def search(
     spec: SearchSpec,
     *,
@@ -364,95 +373,78 @@ def search(
     """
     _validate_spec(spec)
     started = time.perf_counter()
-    passes: list[int] = list(spec.cases) if spec.cases is not None else [0]
-
-    nodes = 0
-    prunes = {PRUNE_SUM: 0, PRUNE_CASE: 0}
-    found = 0
-    texts: list[str] = []
-    case_start, lex_start = 0, 0
-    if resume is not None:
-        _check_resume(spec, resume)
-        case_start, lex_start = resume.case_pos, resume.lex_next
-        nodes = resume.nodes
-        _merge_prunes(prunes, resume.prunes)
-        found = resume.found
-        texts = list(resume.solutions)
+    if resume is None:
+        resume = Checkpoint(
+            **dict(zip(_IDENTITY_FIELDS, _identity(spec))),
+            case_pos=0, lex_next=0, nodes=0, prunes={PRUNE_SUM: 0, PRUNE_CASE: 0},
+            found=0, solutions=[],
+        )
+    elif _identity(resume) != _identity(spec):
+        raise SearchError("checkpoint does not match the requested search")
 
     if spec.order == 0:
         quads = _order_zero_solutions(spec)
-        return _finish(spec, quads, len(quads), nodes + len(quads), prunes, started)
+        return _finish(spec, quads, len(quads), resume.nodes + len(quads), resume.prunes, started)
 
-    tracker = _ProgressTracker(spec, nodes, prunes, found, texts, checkpoint_path)
-    for case_pos in range(case_start, len(passes)):
+    tracker = _ProgressTracker(spec, resume, checkpoint_path)
+    passes: list[int] = list(spec.cases) if spec.cases is not None else [0]
+    for case_pos in range(resume.case_pos, len(passes)):
         plan = _PassPlan(spec, passes[case_pos])
-        start = lex_start if case_pos == case_start else 0
+        start = resume.lex_next if case_pos == resume.case_pos else 0
         if _run_pass(plan, case_pos, start, case_pos == len(passes) - 1, tracker, workers):
             break  # first mode found its solution
-    return _finish(spec, tracker.solutions, tracker.found, tracker.nodes, tracker.prunes, started)
+    state = tracker.state
+    return _finish(spec, tracker.solutions, state.found, state.nodes, state.prunes, started)
 
 
 class _ProgressTracker:
     """Accumulates results and enforces budget/checkpoint bookkeeping.
 
-    Solutions are kept as raw tuples; a checkpoint stores them as plaintext,
+    `state` is the run's checkpoint, a copy of the one it started from,
+    advanced block by block.  Solutions are kept as raw tuples in
+    `solutions`; state.solutions holds the plaintexts of a prefix of them,
     converted once each, when the first checkpoint that holds them is made.
     """
 
-    def __init__(self, spec, nodes, prunes, found, texts, checkpoint_path):
+    def __init__(self, spec, start: Checkpoint, checkpoint_path):
         self.spec = spec
-        self.nodes = nodes
-        self.prunes = prunes
-        self.found = found
-        self.solutions = _parse_solutions(texts, spec.kind)
-        self._texts = texts  # plaintexts of a prefix of self.solutions
+        self.state = replace(start, prunes=dict(start.prunes), solutions=list(start.solutions))
+        self.solutions = _parse_solutions(start.solutions, spec.kind)
         self.checkpoint_path = checkpoint_path
-        self._base_nodes = nodes  # node_limit budgets the current run only
-        self._last_checkpoint_nodes = nodes
+        self._base_nodes = start.nodes  # node_limit budgets the current run only
+        self._last_checkpoint_nodes = start.nodes
 
     def commit(self, case_pos, lex_next, sols, block_nodes, block_prunes, last_block):
         # True on a first-mode hit, which, like the search's last block, no budget interrupts
         hit = self.spec.mode == "first" and bool(sols)
         if hit:
             sols = _in_plaintext_order(sols)[:1]
-        self.nodes += block_nodes
-        _merge_prunes(self.prunes, block_prunes)
-        self.found += len(sols)
+        state = self.state
+        state.case_pos, state.lex_next = case_pos, lex_next
+        state.nodes += block_nodes
+        for key, value in block_prunes.items():
+            state.prunes[key] += value
+        state.found += len(sols)
         if self.spec.mode != "count":
             self.solutions.extend(sols)
         exhausted = (
             self.spec.node_limit is not None
-            and self.nodes - self._base_nodes >= self.spec.node_limit
+            and state.nodes - self._base_nodes >= self.spec.node_limit
             and not (hit or last_block)
         )
         if exhausted:
-            checkpoint = self._checkpoint(case_pos, lex_next)
-            if self.checkpoint_path:
-                save_checkpoint(checkpoint, self.checkpoint_path)
-            raise BudgetExhausted(checkpoint)
-        if (
-            self.checkpoint_path
-            and self.nodes - self._last_checkpoint_nodes >= CHECKPOINT_EVERY
-        ):
-            save_checkpoint(self._checkpoint(case_pos, lex_next), self.checkpoint_path)
-            self._last_checkpoint_nodes = self.nodes
+            self._save()
+            raise BudgetExhausted(state)
+        if self.checkpoint_path and state.nodes - self._last_checkpoint_nodes >= CHECKPOINT_EVERY:
+            self._save()
+            self._last_checkpoint_nodes = state.nodes
         return hit
 
-    def _checkpoint(self, case_pos, lex_next):
-        self._texts.extend(map(_plaintext, self.solutions[len(self._texts):]))
-        return Checkpoint(
-            kind=self.spec.kind,
-            order=self.spec.order,
-            mode=self.spec.mode,
-            representatives=self.spec.representatives,
-            cases=self.spec.cases,
-            case_pos=case_pos,
-            lex_next=lex_next,
-            nodes=self.nodes,
-            prunes=dict(self.prunes),
-            found=self.found,
-            solutions=list(self._texts),
-        )
+    def _save(self):
+        texts = self.state.solutions
+        texts.extend(map(_plaintext, self.solutions[len(texts):]))
+        if self.checkpoint_path:
+            save_checkpoint(self.state, self.checkpoint_path)
 
 
 def _run_pass(plan, case_pos, lex_start, last_pass, tracker, workers) -> bool:
@@ -501,79 +493,56 @@ def _finish(spec, quads, found, nodes, prunes, started):
     return SearchResult(solutions=solutions, count=found, stats=stats)
 
 
-def _check_resume(spec: SearchSpec, checkpoint: Checkpoint) -> None:
-    if (
-        checkpoint.kind != spec.kind
-        or checkpoint.order != spec.order
-        or checkpoint.mode != spec.mode
-        or checkpoint.representatives != spec.representatives
-        or checkpoint.cases != spec.cases
-    ):
-        raise SearchError("checkpoint does not match the requested search")
-
-
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
-    lines = [
-        "# quadseq search checkpoint",
-        f"kind {checkpoint.kind}",
-        f"order {checkpoint.order}",
-        f"mode {checkpoint.mode}",
-        f"representatives {int(checkpoint.representatives)}",
-        "cases " + (",".join(map(str, checkpoint.cases)) if checkpoint.cases else "all"),
-        f"case-pos {checkpoint.case_pos}",
-        f"nodes {checkpoint.nodes}",
-        f"found {checkpoint.found}",
-    ]
-    for key, value in sorted(checkpoint.prunes.items()):
-        lines.append(f"prune {key} {value}")
-    lines.append(f"frame lex-next {checkpoint.lex_next}")
-    for text in checkpoint.solutions:
-        lines.append(f"sol {text}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    # no trailing newline: every proper prefix of the file fails to parse
+    write_text_atomic(path, json.dumps({"format": CHECKPOINT_FORMAT, **vars(checkpoint)}))
+
+
+_CHECKPOINT_KEYS = {"format"} | {field.name for field in fields(Checkpoint)}
+_SCALAR_TYPES = {
+    "kind": str, "order": int, "mode": str, "representatives": bool,
+    "case_pos": int, "lex_next": int, "nodes": int, "found": int,
+}
+
+
+def _all_of(values, expected: type) -> bool:
+    return all(type(v) is expected for v in values)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    fields = {"prunes": {}, "solutions": []}
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, rest = line.partition(" ")
-            if key == "prune":
-                name, _, value = rest.partition(" ")
-                fields["prunes"][name] = int(value)
-            elif key == "sol":
-                fields["solutions"].append(rest)
-            elif key == "frame":
-                name, _, value = rest.partition(" ")
-                if name == "a-next":
-                    raise SearchError("checkpoint is in the older a-next format: cannot resume")
-                if name != "lex-next":
-                    raise SearchError(f"unknown checkpoint frame {name!r}")
-                fields["lex_next"] = int(value)
-            elif key == "cases":
-                fields["cases"] = (
-                    None if rest == "all" else tuple(int(v) for v in rest.split(","))
-                )
-            elif key == "case-pos":
-                fields["case_pos"] = int(rest)
-            elif key in ("order", "nodes", "found"):
-                fields[key] = int(rest)
-            elif key == "representatives":
-                fields[key] = bool(int(rest))
-            elif key in ("kind", "mode"):
-                fields[key] = rest
-            else:
-                raise SearchError(f"unknown checkpoint field {key!r}")
-    try:
-        checkpoint = Checkpoint(**fields)
-    except TypeError as exc:
-        raise SearchError(f"incomplete checkpoint: {exc}") from exc
+        try:
+            data = json.load(fh)
+        except ValueError:  # not JSON, or a truncated document
+            data = None
+    if type(data) is not dict or data.get("format") != CHECKPOINT_FORMAT:
+        raise SearchError(
+            f"checkpoint is not a complete {CHECKPOINT_FORMAT} document: cannot resume"
+        )
+    if data.keys() != _CHECKPOINT_KEYS:
+        raise SearchError(
+            f"checkpoint fields {sorted(data.keys() ^ _CHECKPOINT_KEYS)} missing or unknown"
+        )
+    del data["format"]
+    cases, prunes, solutions = data["cases"], data["prunes"], data["solutions"]
+    if not (
+        all(type(data[name]) is expected for name, expected in _SCALAR_TYPES.items())
+        and (cases is None or type(cases) is list and _all_of(cases, int))
+        and type(prunes) is dict and _all_of(prunes.values(), int)
+        and type(solutions) is list and _all_of(solutions, str)
+    ):
+        raise SearchError("checkpoint has a field of the wrong type")
+    if prunes.keys() != {PRUNE_SUM, PRUNE_CASE}:
+        raise SearchError(
+            f"checkpoint prune counters must be {PRUNE_SUM} and {PRUNE_CASE}, got {sorted(prunes)}"
+        )
+    if cases is not None:
+        data["cases"] = tuple(cases)
+    checkpoint = Checkpoint(**data)
     if checkpoint.mode != "count" and checkpoint.found != len(checkpoint.solutions):
         raise SearchError(
             f"damaged checkpoint: found {checkpoint.found} but "
-            f"{len(checkpoint.solutions)} solution lines"
+            f"{len(checkpoint.solutions)} solutions"
         )
     return checkpoint
 

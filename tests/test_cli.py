@@ -6,8 +6,10 @@ import pytest
 
 from quadseq.cli import main
 from quadseq.codec import parse_record
+from quadseq.search import CHECKPOINT_FORMAT
 from quadseq.seqcore import verify_quadruple
 
+from old_formats import TEXT_CHECKPOINT
 from published import NN36_A, NN36_B, NN36_C, NN36_D, ROW36_RECORD, ROWS
 
 
@@ -111,14 +113,13 @@ def test_search_budget_and_resume(tmp_path, capsys):
     assert code == 0
     _, full, _ = run(capsys, "search", "--kind", "nn", "--order", "4")
     assert out == full
-    # a checkpoint of the older a-next format is refused, not misread
-    with open(ckpt, encoding="utf-8") as fh:
-        text = fh.read()
+    # a checkpoint in the text format of earlier releases is refused, not misread
     with open(ckpt, "w", encoding="utf-8") as fh:
-        fh.write(text.replace("frame lex-next", "frame a-next"))
+        fh.write(TEXT_CHECKPOINT)
     code, out, err = run(capsys, "search", "--kind", "nn", "--order", "4",
-                         "--resume", ckpt)
-    assert code == 2 and out == "" and "older a-next format" in err
+                         "--mode", "count", "--resume", ckpt)
+    assert code == 2 and out == ""
+    assert f"not a complete {CHECKPOINT_FORMAT} document" in err
 
 
 def test_construct_ts(capsys):

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from math import isqrt
 
 import numpy as np
@@ -107,6 +109,13 @@ def test_design_grid_is_one_read_only_array():
     copy = SymbolicMatrix(4, 4, grid, design.signature)
     grid[0, 0] = 0
     assert copy == design and grid.flags.writeable
+
+
+def test_design_grid_stays_read_only_through_pickle_and_deepcopy():
+    design = quaternion_design()
+    for again in (pickle.loads(pickle.dumps(design)), copy.deepcopy(design)):
+        assert again == design and again.grid.dtype == np.int64
+        assert not again.grid.flags.writeable
 
 
 @pytest.mark.parametrize("grid,message", [
@@ -374,6 +383,8 @@ def test_matrix_serialization_round_trip():
     h, _report = od_substitute(design, (1, 1, 1, 1))
     pm = pm_matrix_to_text(h)
     assert set(pm) <= {"+", "-", "\n"} and len(pm.splitlines()) == 8
+    # the cell-by-cell reference
+    assert pm == "".join("".join("+" if v > 0 else "-" for v in row) + "\n" for row in h)
 
 
 @pytest.mark.parametrize("text", ["2 1\n1 0\n0\n", "2 1\n1 0\n0 1 0\n", "0 0\n"])

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import itertools
+import json
 import os
 from functools import cache
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import quadseq.search as search_module
 from quadseq.catalog import witness_records
 from quadseq.search import (
+    CHECKPOINT_FORMAT,
     BudgetExhausted,
     Checkpoint,
     SearchError,
@@ -27,12 +30,14 @@ from quadseq.seqcore import (
     negate,
     npaf_values,
     parse_quad,
+    profile_index,
     reverse,
     sum_of_squares_check,
     verify_quadruple,
 )
 
 from naive_oracle import brute_force_solutions
+from old_formats import TEXT_CHECKPOINT
 
 
 def plaintexts(result):
@@ -59,17 +64,6 @@ def test_odd_orders_are_searched_honestly():
     assert search(SearchSpec("nn", 1)).count == 16
     assert search(SearchSpec("nn", 3)).count == 0
     assert search(SearchSpec("nn", 5)).count == 0
-
-
-@pytest.mark.parametrize("kind,order", [("nn", 4), ("nn", 6), ("ns", 4), ("ns", 6)])
-def test_prune_toggles_never_change_solutions(kind, order):
-    reference = None
-    for sum_prune in (True, False):
-        spec = SearchSpec(kind, order, use_sum_prune=sum_prune)
-        got = plaintexts(search(spec))
-        if reference is None:
-            reference = got
-        assert got == reference
 
 
 def test_every_emitted_solution_passes_verifier(solutions):
@@ -219,12 +213,24 @@ def test_counters_do_not_depend_on_workers_budget_or_resume(kind, tmp_path):
     assert runs["budget, workers=2, file"][1] > 1
 
 
-@pytest.mark.parametrize("kind,order", [("nn", 4), ("ns", 4)])
-def test_join_without_sum_prune_matches_brute_force_oracle(kind, order):
-    # with the sum prune off, A's of inadmissible sums reach the join, and
-    # the join's own sum index must find nothing for them
-    spec = SearchSpec(kind, order, use_sum_prune=False)
-    assert set(plaintexts(search(spec))) == brute_force_solutions(kind, order)
+@pytest.mark.parametrize("kind", ["nn", "ns"])
+def test_join_finds_nothing_for_an_a_the_sum_prune_rejects(kind):
+    # the prune only saves work: for every A it rejects, the join's own sum
+    # index probes no C-profile and returns no (C, D)
+    for order in range(1, 9):
+        plan = search_module._PassPlan(SearchSpec(kind, order), 0)
+        index = profile_index(order)
+        total = 2 * (2 * order + 1)
+        rejected = 0
+        for a_seq in itertools.product((1, -1), repeat=order + 1):
+            b_seq = search_module._derive_b(a_seq, kind, order)
+            if total - sum(a_seq) ** 2 - sum(b_seq) ** 2 in plan.sum_targets:
+                continue
+            rejected += 1
+            pa, pb = npaf_values(a_seq), npaf_values(b_seq)
+            target = tuple(-pa[j] - pb[j] for j in range(1, order))
+            assert search_module._join(target, index, plan.squared_sums) == ([], 0), (order, a_seq)
+        assert rejected or order < 3, order
 
 
 def test_join_probes_only_sum_compatible_profiles():
@@ -253,24 +259,54 @@ def test_join_probes_only_sum_compatible_profiles():
 
 
 def test_checkpoint_file_round_trip(tmp_path):
-    spec = SearchSpec("nn", 4, node_limit=10)
-    path = str(tmp_path / "ck.txt")
+    spec = SearchSpec("nn", 4, node_limit=10, cases=(3, 1, 2))
+    path = str(tmp_path / "ck.json")
     with pytest.raises(BudgetExhausted) as info:
         search(spec, checkpoint_path=path)
     loaded = load_checkpoint(path)
-    assert loaded == info.value.checkpoint
+    assert loaded == info.value.checkpoint and loaded.cases == (3, 1, 2)
+    assert loaded.found == len(loaded.solutions) > 0
+    with open(path, encoding="utf-8") as fh:
+        document = json.load(fh)
+    assert document.pop("format") == CHECKPOINT_FORMAT
+    assert document == {**vars(loaded), "cases": [3, 1, 2]}
     save_checkpoint(loaded, path)
     assert load_checkpoint(path) == loaded
     with pytest.raises(SearchError):
         search(SearchSpec("nn", 6), resume=loaded)
-    # the cursor of the older format counts long sequences in another order
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    assert f"frame lex-next {loaded.lex_next}\n" in text
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text.replace("frame lex-next", "frame a-next"))
-    with pytest.raises(SearchError, match="older a-next format"):
-        load_checkpoint(path)
+
+
+def test_checkpoint_identity_covers_every_counter_changing_spec_field():
+    # a SearchSpec field outside the identity is not recorded in a checkpoint,
+    # so it must not change what a resumed run counts
+    per_run = {"node_limit", "allow_large"}
+    spec_fields = {field.name for field in dataclasses.fields(SearchSpec)}
+    assert spec_fields == set(search_module._IDENTITY_FIELDS) | per_run
+    base = SearchSpec("nn", 4, mode="all", cases=(2,), node_limit=10)
+    with pytest.raises(BudgetExhausted) as info:
+        search(base)
+    checkpoint = info.value.checkpoint
+    changed = {"kind": "ns", "order": 6, "mode": "count", "representatives": True, "cases": (3,)}
+    assert changed.keys() == set(search_module._IDENTITY_FIELDS)
+    for name, value in changed.items():
+        with pytest.raises(SearchError, match="does not match"):
+            search(dataclasses.replace(base, **{name: value}), resume=checkpoint)
+    resumed = search(dataclasses.replace(base, node_limit=None, allow_large=True), resume=checkpoint)
+    assert plaintexts(resumed) == plaintexts(search(SearchSpec("nn", 4, cases=(2,))))
+
+
+@pytest.mark.parametrize("text", [
+    TEXT_CHECKPOINT,
+    TEXT_CHECKPOINT.replace("frame lex-next", "frame a-next"),
+    "",
+    "[]",
+    json.dumps({"format": "quadseq-search-checkpoint/1"}),
+])
+def test_checkpoint_of_another_format_is_refused(tmp_path, text):
+    path = tmp_path / "old.ckpt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SearchError, match=f"not a complete {CHECKPOINT_FORMAT} document"):
+        load_checkpoint(str(path))
 
 
 def _budgeted_checkpoint_file(tmp_path, spec):
@@ -280,17 +316,77 @@ def _budgeted_checkpoint_file(tmp_path, spec):
     return path
 
 
-def test_torn_checkpoint_is_rejected(tmp_path):
-    # a file that lost its last solution lines must not resume to a run that
-    # counts them but no longer returns them
-    path = _budgeted_checkpoint_file(tmp_path, SearchSpec("nn", 8, node_limit=6000))
+@pytest.mark.parametrize("spec", [
+    SearchSpec("nn", 4, node_limit=25),
+    SearchSpec("nn", 6, mode="first", cases=(3, 4), node_limit=40),  # case 3 is empty
+    SearchSpec("nn", 4, mode="count", node_limit=25),
+], ids=lambda spec: spec.mode)
+def test_truncated_checkpoint_is_refused_at_every_byte(tmp_path, spec):
+    path = _budgeted_checkpoint_file(tmp_path, spec)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert load_checkpoint(path).nodes > 0
+    cut = str(tmp_path / "cut.ckpt")
+    for size in range(len(data)):
+        with open(cut, "wb") as fh:
+            fh.write(data[:size])
+        with pytest.raises(SearchError):
+            load_checkpoint(cut)
+
+
+def _rewritten(path, **changes):
+    """The checkpoint document at `path` with top-level fields changed
+    (None deletes one), written back."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    assert sum(line.startswith("sol ") for line in lines) > 3
+        document = json.load(fh)
+    for name, value in changes.items():
+        if value is None:
+            del document[name]
+        else:
+            document[name] = value
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines[:-3])
+        json.dump(document, fh)
+    return path
+
+
+def test_torn_checkpoint_is_rejected(tmp_path):
+    # a file that lost a solution must not resume to a run that counts it but
+    # no longer returns it
+    path = _budgeted_checkpoint_file(tmp_path, SearchSpec("nn", 8, node_limit=6000))
+    solutions = load_checkpoint(path).solutions
+    assert len(solutions) > 3
     with pytest.raises(SearchError, match="damaged checkpoint"):
-        load_checkpoint(path)
+        load_checkpoint(_rewritten(path, solutions=solutions[:-1]))
+
+
+@pytest.mark.parametrize("prunes", [
+    {"sum_of_squares": 3, "case": 0, "partial_lag": 0},  # retired with the partial-lag prune
+    {"sum_of_squares": 3, "case": 0, "psd": 0},
+    {"sum_of_squares": 3},
+], ids=["retired", "unknown", "missing"])
+def test_checkpoint_with_an_unknown_or_retired_prune_counter_is_refused(tmp_path, prunes):
+    path = _budgeted_checkpoint_file(tmp_path, SearchSpec("nn", 6, node_limit=40))
+    with pytest.raises(SearchError, match="prune counters must be"):
+        load_checkpoint(_rewritten(path, prunes=prunes))
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("order", "6", "wrong type"),
+    ("nodes", True, "wrong type"),  # JSON true is not a count
+    ("representatives", 0, "wrong type"),
+    ("found", 2.0, "wrong type"),
+    ("cases", [7, "3"], "wrong type"),
+    ("cases", 7, "wrong type"),
+    ("prunes", {"sum_of_squares": 3, "case": "0"}, "wrong type"),
+    ("prunes", [], "wrong type"),
+    ("solutions", "+;+;+;+", "wrong type"),
+    ("lex_next", None, "missing or unknown"),
+    ("partial_lag", 0, "missing or unknown"),
+])
+def test_checkpoint_with_a_bad_field_is_refused(tmp_path, name, value, message):
+    path = _budgeted_checkpoint_file(tmp_path, SearchSpec("nn", 6, node_limit=40))
+    with pytest.raises(SearchError, match=message):
+        load_checkpoint(_rewritten(path, **{name: value}))
 
 
 def test_checkpoint_write_replaces_the_file_in_one_step(tmp_path, monkeypatch):
@@ -308,21 +404,6 @@ def test_checkpoint_write_replaces_the_file_in_one_step(tmp_path, monkeypatch):
         save_checkpoint(checkpoint, path)
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == before
-
-
-def test_checkpoint_with_a_retired_prune_counter_still_resumes(tmp_path):
-    # files written before the partial-lag prune was removed carry a
-    # `prune partial_lag 0` line
-    spec = SearchSpec("nn", 8, node_limit=6000)
-    path = _budgeted_checkpoint_file(tmp_path, spec)
-    checkpoint = load_checkpoint(path)
-    checkpoint.prunes["partial_lag"] = 0
-    save_checkpoint(checkpoint, path)
-    with open(path, encoding="utf-8") as fh:
-        assert "prune partial_lag 0\n" in fh.read()
-    result, _legs = _resumed(spec, 1, path)
-    assert plaintexts(result) == plaintexts(search(SearchSpec("nn", 8)))
-    assert set(result.stats.prunes) == {"sum_of_squares", "case"}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
