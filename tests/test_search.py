@@ -66,6 +66,39 @@ def test_odd_orders_are_searched_honestly():
     assert search(SearchSpec("nn", 5)).count == 0
 
 
+class _EverySum:
+    """Stands in for _PassPlan.sum_targets: admits every sum, so no A is
+    stopped by the sum prune and each one reaches the join."""
+
+    def __contains__(self, value):
+        return True
+
+
+@pytest.fixture
+def sum_prune_off(monkeypatch):
+    plan_init = search_module._PassPlan.__init__
+
+    def init_without_sum_prune(self, spec, pass_case):
+        plan_init(self, spec, pass_case)
+        self.sum_targets = _EverySum()
+
+    monkeypatch.setattr(search_module._PassPlan, "__init__", init_without_sum_prune)
+
+
+@pytest.mark.parametrize("kind,order", [("nn", 4), ("nn", 6), ("ns", 4), ("ns", 6)])
+def test_prune_toggles_never_change_solutions(kind, order, request):
+    # the sum prune only saves work: switching it off changes neither the
+    # solutions nor the nodes, only the prune counters
+    on = search(SearchSpec(kind, order))
+    request.getfixturevalue("sum_prune_off")
+    off = search(SearchSpec(kind, order))
+    assert on.stats.prunes["sum_of_squares"] > 0
+    assert off.stats.prunes["sum_of_squares"] == 0
+    assert plaintexts(off) == plaintexts(on)
+    assert off.count == on.count
+    assert off.stats.nodes == on.stats.nodes
+
+
 def test_every_emitted_solution_passes_verifier(solutions):
     for order in (4, 6):
         for quad in solutions("nn", order) + solutions("ns", order):
@@ -231,6 +264,15 @@ def test_join_finds_nothing_for_an_a_the_sum_prune_rejects(kind):
             target = tuple(-pa[j] - pb[j] for j in range(1, order))
             assert search_module._join(target, index, plan.squared_sums) == ([], 0), (order, a_seq)
         assert rejected or order < 3, order
+
+
+@pytest.mark.parametrize("kind,order", [("nn", 4), ("ns", 4)])
+def test_join_without_sum_prune_matches_brute_force_oracle(kind, order, sum_prune_off):
+    # with the sum prune off, A's of inadmissible sums reach the join, and
+    # the join's own sum index must find nothing for them
+    result = search(SearchSpec(kind, order))
+    assert result.stats.prunes["sum_of_squares"] == 0
+    assert set(plaintexts(result)) == brute_force_solutions(kind, order)
 
 
 def test_join_probes_only_sum_compatible_profiles():
