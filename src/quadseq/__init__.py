@@ -10,7 +10,6 @@ from .seqcore import (
     KIND_T,
     QuadseqError,
     SeqQuadruple,
-    SumsVector,
     VerificationReport,
     parse_quad,
     parse_seq,

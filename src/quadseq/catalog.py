@@ -17,7 +17,6 @@ from .seqcore import (
     KIND_NORMAL,
     QuadseqError,
     SeqQuadruple,
-    SumsVector,
     verify_quadruple,
     write_text_atomic,
 )
@@ -74,7 +73,7 @@ class WitnessRecord:
     quad: SeqQuadruple
     ab_code: str | None
     cd_code: str | None
-    sums: SumsVector
+    sums: tuple[int, int, int, int]
     provenance: str
 
 
@@ -85,12 +84,12 @@ def _record_from_codes(n, ab, cd, sums, provenance) -> WitnessRecord:
     report = verify_quadruple(quad)
     if not report:
         raise CatalogError(f"embedded record for order {n} fails: {report.failure}")
-    if quad.sums().as_tuple() != sums:
+    if quad.sums() != sums:
         raise CatalogError(
-            f"embedded record for order {n}: sums {quad.sums().as_tuple()} "
+            f"embedded record for order {n}: sums {quad.sums()} "
             f"do not match the recorded column {sums}"
         )
-    return WitnessRecord(quad, ab, cd, SumsVector(*sums), provenance)
+    return WitnessRecord(quad, ab, cd, sums, provenance)
 
 
 def witness_records() -> list[WitnessRecord]:

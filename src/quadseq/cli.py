@@ -68,7 +68,7 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         print(json.dumps({"pass": report.passed, "failure": report.failure,
                           "kind": quad.kind, "shape": list(quad.shape),
-                          "sums": list(quad.sums().as_tuple())}))
+                          "sums": list(quad.sums())}))
     else:
         print("pass" if report.passed else f"fail: {report.failure}")
     return EXIT_OK if report.passed else EXIT_FALSE
@@ -85,7 +85,7 @@ def _cmd_decode(args) -> int:
         quad = SeqQuadruple(a, b, c, d, KIND_NEAR_NORMAL)
     if args.format == "json":
         print(json.dumps({"kind": quad.kind, "plaintext": quad.plaintext(),
-                          "sums": list(quad.sums().as_tuple())}))
+                          "sums": list(quad.sums())}))
     else:
         print(quad.plaintext())
     return EXIT_OK

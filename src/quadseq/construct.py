@@ -64,24 +64,21 @@ def golay_double(pair: GolayPair) -> GolayPair:
 
 
 def golay_search(g: int, allow_large: bool = False) -> list[GolayPair]:
-    """All ordered complementary pairs of length g, deterministic order.
+    """All ordered complementary pairs of length g, in bits order (see
+    seqcore.int_to_seq) of the first sequence, then of the second.
 
-    Hash-joins the two sides on their positive-lag profiles, so the cost is
-    2^g table entries rather than 2^(2g) candidate pairs.
+    The profile index's join on the all-zero target: the cost is 2^g table
+    entries rather than 2^(2g) candidate pairs.
     """
     if g < 0:
         raise ConstructionError("length must be nonnegative")
     if g > 12 and not allow_large:
         raise ConstructionError(f"length {g} over search budget (pass allow_large to force)")
-    if g == 0:
-        return [GolayPair((), ())]
-    index = profile_index(g)
-    pairs = []
-    for first, profile in zip(index.seqs, index.profiles):
-        want = tuple(-v for v in profile)
-        for second in index.groups.get(want, ()):
-            pairs.append(GolayPair(first, second))
-    return pairs
+    joined, _probes = profile_index(g).join((0,) * (g - 1))
+    pairs = [pair for _rep, group in joined for pair in group]
+    # bits order is descending order of the reversed sequence ('+' is 1)
+    pairs.sort(key=lambda p: (p[0][::-1], p[1][::-1]), reverse=True)
+    return [GolayPair(first, second) for first, second in pairs]
 
 
 def _golay_exponents(n: int) -> tuple[int, int, int, int]:

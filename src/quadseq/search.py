@@ -3,19 +3,18 @@
 Layout: the long pair (A, B) costs one free sequence, because B is forced on
 positions 1..n by the (near-)normality pattern and at position n+1 by the
 top-lag cancellation a_1*a_{n+1} + b_1*b_{n+1} = 0, which therefore holds
-for every A and is never tested.  The short pair (C, D) is found by a hash
-join on positive-lag profiles (seqcore.ProfileIndex): each A that survives
-the sum-of-squares prune fixes a target profile at lags 1..n-1 that C and D
-must add up to, and for each C-profile the D-profile it needs is looked up
-directly.
+for every A and is never tested.  The short pair (C, D) is found by the hash
+join on positive-lag profiles, ProfileIndex.join: each A that survives the
+sum-of-squares prune fixes a target profile at lags 1..n-1 that C and D
+must add up to.
 
-The target also fixes c^2 + d^2 = 2(m+n) - a^2 - b^2, and a profile fixes
-the squared sum of its sequences, so the join probes only the C-profiles
-whose c^2 leaves an admissible d^2.  Surviving A's share few targets, so a
-pass joins each distinct target once and reuses its (C, D) pairs for every
-A that shares it.  A pass scans A in lex order, in blocks of isqrt(2^(n+1))
-A's whatever the worker count, mode or budget, so its first block with a
-solution holds its lex-least one; a memo lives one pass in each process.
+Surviving A's share few targets, so a pass joins each distinct target once
+and reuses its (C, D) pairs for every A that shares it.  A pass scans A in
+lex order, in blocks of isqrt(2^(n+1)) A's whatever the worker count, mode
+or budget, so its first block with a solution holds its lex-least one.  The
+scan and the pass's one memo live in the calling process; with workers > 1
+a process pool, one for the whole search, computes the joins of each
+block's new targets.
 
 The sum-of-squares prune is the only test before the join.  It only saves
 work: the join's sum index finds no (C, D) for an A it rejects.
@@ -38,23 +37,22 @@ one whose fields are missing or mistyped is refused, never misread.
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
-from itertools import chain, product
+from itertools import chain
 from math import isqrt
-from operator import sub
 
 from .seqcore import (
     KIND_NEAR_NORMAL,
     KIND_NORMAL,
     KIND_T,
-    ProfileIndex,
     QuadseqError,
     SeqQuadruple,
+    ShapeError,
     int_to_seq,
     npaf_values,
-    parse_quad,
+    parse_seq,
     profile_index,
     seq_str,
     verify_quadruple,
@@ -224,14 +222,13 @@ def _derive_b(a_seq: tuple[int, ...], kind: str, n: int) -> tuple[int, ...]:
 
 
 class _PassPlan:
-    """What one case pass needs beyond the A range: built once per pass and
-    given once to each process that scans it."""
+    """What one case pass needs beyond the A range, built once per pass."""
 
     def __init__(self, spec: SearchSpec, pass_case: int):
         self.spec = spec
-        # admissible c^2 (and d^2), and admissible c^2 + d^2
-        self.squared_sums = frozenset(v * v for v in _admissible_values(spec.order))
-        self.sum_targets = frozenset(c2 + d2 for c2 in self.squared_sums for d2 in self.squared_sums)
+        # admissible c^2 + d^2
+        squares = [v * v for v in _admissible_values(spec.order)]
+        self.sum_targets = frozenset(c2 + d2 for c2 in squares for d2 in squares)
         # sums reps of the case and their (|a|, |b|) parts; None when unfiltered
         self.reps_filter = self.ab_filter = None
         if pass_case != 0:
@@ -240,53 +237,19 @@ class _PassPlan:
             self.ab_filter = frozenset((r[0], r[1]) for r in self.reps_filter)
 
 
-def _join(target: tuple[int, ...], index: ProfileIndex, squared_sums: frozenset[int]):
-    """Every (C, D) whose positive-lag profiles add up to `target`.
-
-    The target fixes c^2 + d^2 = 2n + 2*sum(target), so only C-profiles
-    whose c^2 leaves an admissible d^2 are probed.  Returns the pairs grouped
-    by (max(|c|,|d|), min(|c|,|d|)), the part of the sums rep they share,
-    and the number of C-profiles probed.
-    """
-    residual = 2 * index.length + 2 * sum(target)
-    groups = index.groups
-    joined = []
-    probes = 0
-    for c2, c_groups in index.by_square_sum.items():
-        d2 = residual - c2
-        if d2 not in squared_sums:
-            continue
-        probes += len(c_groups)
-        pairs = []
-        for c_profile, c_seqs in c_groups:
-            d_seqs = groups.get(tuple(map(sub, target, c_profile)))
-            if d_seqs:
-                pairs.extend(product(c_seqs, d_seqs))
-        if pairs:
-            c_abs, d_abs = isqrt(c2), isqrt(d2)
-            joined.append(((max(c_abs, d_abs), min(c_abs, d_abs)), pairs))
-    return joined, probes
-
-
-def _scan_block(plan: _PassPlan, memo: dict, bounds: tuple[int, int]):
-    """Scan the long sequences of lex indices lo <= k < hi; returns raw
-    solutions, node and prune counters.
-
-    `memo` maps a join target to its _join result and carries over between
-    the blocks of a pass that one process scans.  Every surviving A is
-    charged the C-profiles its join probes whether or not the memo already
-    held it, so the counters do not depend on which process scans a block.
-    """
+def _scan_block(plan: _PassPlan, bounds: tuple[int, int]):
+    """Scan the long sequences of lex indices lo <= k < hi; returns the
+    surviving A's, each as (A, B, (|a|, |b|), join target), and the block's
+    node and prune counters so far (the joins are charged by the caller)."""
     spec = plan.spec
-    reps_filter, ab_filter = plan.reps_filter, plan.ab_filter
+    ab_filter = plan.ab_filter
     n = spec.order
     m = n + 1
-    index = profile_index(n)
     total = 2 * (m + n)
     top_bit = m - 1
     nodes = 0
     prunes = {PRUNE_SUM: 0, PRUNE_CASE: 0}
-    solutions = []
+    survivors = []
     for k in range(*bounds):
         # entries 0 and m-1 are bits top_bit and 0: the test is order-free
         if spec.representatives and (k & 1 or (k >> top_bit) & 1):
@@ -304,17 +267,13 @@ def _scan_block(plan: _PassPlan, memo: dict, bounds: tuple[int, int]):
             continue
         pa, pb = npaf_values(a_seq), npaf_values(b_seq)
         target = tuple(-pa[j] - pb[j] for j in range(1, n))
-        joined = memo.get(target)
-        if joined is None:
-            joined = memo[target] = _join(target, index, plan.squared_sums)
-        by_cd_rep, probes = joined
-        nodes += probes
-        for cd_rep, pairs in by_cd_rep:
-            if reps_filter is not None and ab_rep + cd_rep not in reps_filter:
-                prunes[PRUNE_CASE] += len(pairs)
-                continue
-            solutions.extend((a_seq, b_seq, c_seq, d_seq) for c_seq, d_seq in pairs)
-    return solutions, nodes, prunes
+        survivors.append((a_seq, b_seq, ab_rep, target))
+    return survivors, nodes, prunes
+
+
+def _join(order: int, target: tuple[int, ...]):
+    # module level, so that a process pool can run it
+    return profile_index(order).join(target)
 
 
 def _order_zero_solutions(spec: SearchSpec):
@@ -341,14 +300,22 @@ def _plaintext(quad) -> str:
     return ";".join(map(seq_str, quad))
 
 
-def _parse_solutions(texts, kind: str) -> list:
-    """Raw tuples of checkpoint plaintexts; equal sequences share one tuple,
+def _parse_solutions(texts) -> list:
+    """Raw (A, B, C, D) tuples of checkpoint plaintexts; SearchError names one
+    that is not four binary sequences.  A checkpoint repeats few distinct
+    sequences, so each is parsed once, and equal sequences share one tuple,
     as they do in a search's own results."""
-    shared = {}
-    return [
-        tuple(shared.setdefault(seq, seq) for seq in parse_quad(text, kind).seqs())
-        for text in texts
-    ]
+    parse = cache(parse_seq)
+    quads = []
+    for text in texts:
+        seqs = text.split(";")
+        try:
+            if len(seqs) != 4:
+                raise ShapeError(f"expected four ';'-separated sequences, got {len(seqs)}")
+            quads.append(tuple(map(parse, seqs)))
+        except QuadseqError as exc:
+            raise SearchError(f"checkpoint solution {text} does not parse: {exc}") from None
+    return quads
 
 
 def search(
@@ -388,11 +355,15 @@ def search(
 
     tracker = _ProgressTracker(spec, resume, checkpoint_path)
     passes: list[int] = list(spec.cases) if spec.cases is not None else [0]
-    for case_pos in range(resume.case_pos, len(passes)):
-        plan = _PassPlan(spec, passes[case_pos])
-        start = resume.lex_next if case_pos == resume.case_pos else 0
-        if _run_pass(plan, case_pos, start, case_pos == len(passes) - 1, tracker, workers):
-            break  # first mode found its solution
+    if workers > 1:
+        profile_index(spec.order)  # built before the fork: the workers inherit it
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for case_pos in range(resume.case_pos, len(passes)):
+            plan = _PassPlan(spec, passes[case_pos])
+            start = resume.lex_next if case_pos == resume.case_pos else 0
+            if _run_pass(plan, case_pos, start, case_pos == len(passes) - 1, tracker,
+                         pool, workers):
+                break  # first mode found its solution
     state = tracker.state
     return _finish(spec, tracker.solutions, state.found, state.nodes, state.prunes, started)
 
@@ -409,7 +380,7 @@ class _ProgressTracker:
     def __init__(self, spec, start: Checkpoint, checkpoint_path):
         self.spec = spec
         self.state = replace(start, prunes=dict(start.prunes), solutions=list(start.solutions))
-        self.solutions = _parse_solutions(start.solutions, spec.kind)
+        self.solutions = _parse_solutions(start.solutions)
         self.checkpoint_path = checkpoint_path
         self._base_nodes = start.nodes  # node_limit budgets the current run only
         self._last_checkpoint_nodes = start.nodes
@@ -447,39 +418,39 @@ class _ProgressTracker:
             save_checkpoint(self.state, self.checkpoint_path)
 
 
-def _run_pass(plan, case_pos, lex_start, last_pass, tracker, workers) -> bool:
+def _run_pass(plan, case_pos, lex_start, last_pass, tracker, pool, workers) -> bool:
     """Scan one case pass from `lex_start` on and commit its blocks in lex
-    order; True on a first-mode hit.  Leaving early (a hit, an exhausted
-    budget, an interrupt) cancels every queued block.
+    order; True on a first-mode hit.
+
+    The pass joins each distinct target once, when a block first holds it,
+    on `pool` when one is given, and charges its probes to every surviving
+    A that has it.  A block's joins are all back before the next block is
+    scanned, so leaving early leaves at most one block's joins running.
     """
-    lex_limit = 1 << (plan.spec.order + 1)
+    spec = plan.spec
+    reps_filter = plan.reps_filter
+    join = partial(_join, spec.order)
+    lex_limit = 1 << (spec.order + 1)
     block = isqrt(lex_limit)
-    ranges = [(lo, min(lo + block, lex_limit)) for lo in range(lex_start, lex_limit, block)]
-    with ExitStack() as cleanup:
-        if workers > 1:
-            profile_index(plan.spec.order)  # built before the fork: the workers inherit it
-            pool = ProcessPoolExecutor(workers, initializer=_serve_pass, initargs=(plan,))
-            cleanup.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(_scan_served_block, ranges)
-        else:
-            results = map(partial(_scan_block, plan, {}), ranges)
-        for (_lo, hi), (sols, block_nodes, block_prunes) in zip(ranges, results):
-            if tracker.commit(case_pos, hi, sols, block_nodes, block_prunes,
-                              last_pass and hi == lex_limit):
-                return True
+    memo = {}  # join target -> (pairs by (max(|c|,|d|), min(|c|,|d|)), probes)
+    for lo in range(lex_start, lex_limit, block):
+        hi = min(lo + block, lex_limit)
+        survivors, nodes, prunes = _scan_block(plan, (lo, hi))
+        new = list(dict.fromkeys(t for *_, t in survivors if t not in memo))
+        chunk = max(1, -(-len(new) // workers))  # one chunk per worker
+        memo.update(zip(new, pool.map(join, new, chunksize=chunk) if pool else map(join, new)))
+        solutions = []
+        for a_seq, b_seq, ab_rep, target in survivors:
+            by_cd_rep, probes = memo[target]
+            nodes += probes
+            for cd_rep, pairs in by_cd_rep:
+                if reps_filter is not None and ab_rep + cd_rep not in reps_filter:
+                    prunes[PRUNE_CASE] += len(pairs)
+                    continue
+                solutions.extend((a_seq, b_seq, c_seq, d_seq) for c_seq, d_seq in pairs)
+        if tracker.commit(case_pos, hi, solutions, nodes, prunes, last_pass and hi == lex_limit):
+            return True
     return False
-
-
-_served_pass = None  # (plan, memo) of the pass a pool worker process scans
-
-
-def _serve_pass(plan: _PassPlan) -> None:
-    global _served_pass
-    _served_pass = (plan, {})
-
-
-def _scan_served_block(bounds: tuple[int, int]):
-    return _scan_block(*_served_pass, bounds)
 
 
 def _finish(spec, quads, found, nodes, prunes, started):
@@ -544,6 +515,18 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"damaged checkpoint: found {checkpoint.found} but "
             f"{len(checkpoint.solutions)} solutions"
         )
+    # a resumed run returns these solutions, so each must verify as a member
+    # of the checkpoint's kind and order
+    for text, seqs in zip(checkpoint.solutions, _parse_solutions(checkpoint.solutions)):
+        try:
+            quad = SeqQuadruple(*seqs, checkpoint.kind)
+            failure = verify_quadruple(quad).failure
+        except QuadseqError as exc:
+            failure = str(exc)
+        if failure is None and quad.n != checkpoint.order:
+            failure = f"order {quad.n}, expected {checkpoint.order}"
+        if failure is not None:
+            raise SearchError(f"checkpoint solution {text} fails verification: {failure}")
     return checkpoint
 
 

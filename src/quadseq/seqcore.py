@@ -7,12 +7,15 @@ and every value immutable, so they are safe to share between worker processes.
 The autocorrelations of a sequence come from one numpy kernel, _npaf_array,
 exact for any integer sequence: int64 under an explicit bound, Python ints
 beyond it.  ProfileIndex forms the same lag sums for every binary sequence
-of one length in one batched pass.
+of one length in one batched pass, and its join() is the one hash join on
+them, shared by the search and golay_search.
 """
 
 import os
 from dataclasses import dataclass
 from itertools import product
+from math import isqrt
+from operator import sub
 
 import numpy as np
 
@@ -135,34 +138,60 @@ def int_to_seq(bits: int, length: int) -> Seq:
 class ProfileIndex:
     """Every binary sequence of one length, grouped by positive-lag profile.
 
-    `seqs` and `profiles` list the sequences and their profiles in bits order
-    (see int_to_seq); `groups` maps each profile to its sequences in the same
-    order.  A profile p fixes the squared sum of its sequences,
+    `groups` maps each profile to its sequences in bits order (see
+    int_to_seq), and the profiles themselves come in the bits order of their
+    first sequences.  A profile p fixes the squared sum of its sequences,
     sum^2 = length + 2 * sum(p), so `by_square_sum` maps each squared sum to
-    the (profile, sequences) groups that have it.
+    the (profile, sequences) groups that have it; its keys are exactly the
+    admissible squared sums.  join() is the one hash join over the index.
     """
 
     def __init__(self, length: int):
         self.length = length
         # entry i of seqs[bits] is -1 exactly when bit i is set (int_to_seq)
-        self.seqs = [seq[::-1] for seq in product((1, -1), repeat=length)]
-        signs = np.array(self.seqs, dtype=np.int8)
+        seqs = [seq[::-1] for seq in product((1, -1), repeat=length)]
+        signs = np.array(seqs, dtype=np.int8)
         # lag j of every row at once, the sums _npaf_array forms for one
         # sequence; |value| <= length, and np.sum accumulates int8 in int64
-        table = np.empty((len(self.seqs), max(length - 1, 0)), dtype=np.int64)
+        table = np.empty((len(seqs), max(length - 1, 0)), dtype=np.int64)
         for j in range(1, length):
             table[:, j - 1] = (signs[:, : length - j] * signs[:, j:]).sum(axis=1)
         # row tuples one at a time, so that only distinct profiles stay allocated
-        rows = zip(*table.T.tolist()) if length > 1 else [()] * len(self.seqs)
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.profiles = [shared.setdefault(row, row) for row in rows]  # equal profiles share one tuple
+        rows = zip(*table.T.tolist()) if length > 1 else [()] * len(seqs)
         self.groups: dict[tuple[int, ...], list[Seq]] = {}
-        for seq, profile in zip(self.seqs, self.profiles):
+        for seq, profile in zip(seqs, rows):
             self.groups.setdefault(profile, []).append(seq)
         self.by_square_sum: dict[int, list[tuple[tuple[int, ...], list[Seq]]]] = {}
-        for profile, seqs in self.groups.items():
+        for profile, group in self.groups.items():
             square = length + 2 * sum(profile)
-            self.by_square_sum.setdefault(square, []).append((profile, seqs))
+            self.by_square_sum.setdefault(square, []).append((profile, group))
+
+    def join(self, target: tuple[int, ...]):
+        """Every (C, D) whose positive-lag profiles add up to `target`.
+
+        The target fixes c^2 + d^2 = 2 * length + 2 * sum(target), so only
+        the C-profiles whose c^2 leaves an admissible d^2 are probed.
+        Returns the pairs grouped by (max(|c|,|d|), min(|c|,|d|)), the part
+        of a sums rep they share, and the number of C-profiles probed.
+        """
+        residual = 2 * self.length + 2 * sum(target)
+        groups, by_square_sum = self.groups, self.by_square_sum
+        joined = []
+        probes = 0
+        for c2, c_groups in by_square_sum.items():
+            d2 = residual - c2
+            if d2 not in by_square_sum:
+                continue
+            probes += len(c_groups)
+            pairs = []
+            for c_profile, c_seqs in c_groups:
+                d_seqs = groups.get(tuple(map(sub, target, c_profile)))
+                if d_seqs:
+                    pairs.extend(product(c_seqs, d_seqs))
+            if pairs:
+                c_abs, d_abs = isqrt(c2), isqrt(d2)
+                joined.append(((max(c_abs, d_abs), min(c_abs, d_abs)), pairs))
+        return joined, probes
 
 
 _PROFILE_INDEXES: dict[int, ProfileIndex] = {}
@@ -175,17 +204,6 @@ def profile_index(length: int) -> ProfileIndex:
     if index is None:
         index = _PROFILE_INDEXES[length] = ProfileIndex(length)
     return index
-
-
-@dataclass(frozen=True)
-class SumsVector:
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
 
 
 @dataclass(frozen=True)
@@ -228,8 +246,8 @@ class SeqQuadruple:
     def shape(self) -> tuple[int, int]:
         return (self.m, self.n)
 
-    def sums(self) -> SumsVector:
-        return SumsVector(sum(self.a), sum(self.b), sum(self.c), sum(self.d))
+    def sums(self) -> tuple[int, int, int, int]:
+        return (sum(self.a), sum(self.b), sum(self.c), sum(self.d))
 
     def seqs(self) -> tuple[Seq, Seq, Seq, Seq]:
         return (self.a, self.b, self.c, self.d)
@@ -319,10 +337,10 @@ def _verify_t(q: SeqQuadruple) -> VerificationReport:
     return _PASS
 
 
-def sum_of_squares_check(m: int, n: int, sums: SumsVector) -> bool:
+def sum_of_squares_check(m: int, n: int, sums: tuple[int, int, int, int]) -> bool:
     """Necessary condition for base-sequence membership: the defining identity
     evaluated at z = 1 forces a^2+b^2+c^2+d^2 = 2(m+n)."""
-    a, b, c, d = sums.as_tuple()
+    a, b, c, d = sums
     return a * a + b * b + c * c + d * d == 2 * (m + n)
 
 

@@ -49,7 +49,7 @@ def test_criterion_1_published_rows_round_trip():
         assert encode_pair(c, d, PAIR_CD) == cd
         quad = SeqQuadruple(a, b, c, d, "nn")
         assert verify_quadruple(quad).passed
-        sums.append(quad.sums().as_tuple())
+        sums.append(quad.sums())
     elapsed = time.perf_counter() - started
     ok = sums == PUBLISHED_SUMS and elapsed < 1.0
     report(1, ok, f"6 rows decode/re-encode/verify, sums match ({elapsed:.3f}s)")

@@ -26,11 +26,11 @@ def test_witness_records_decode_verify_and_match_sums():
     assert [r.quad.n for r in records] == [34, 34, 34, 34, 34, 36]
     for record, (n, ab, cd, sums) in zip(records, ROWS):
         assert record.ab_code == ab and record.cd_code == cd
-        assert record.sums.as_tuple() == sums
+        assert record.sums == sums
         assert record.quad.kind == "nn"
         assert verify_quadruple(record.quad).passed
-    assert records[0].sums.as_tuple() == (7, 7, -2, 6)
-    assert records[5].sums.as_tuple() == (3, -3, 8, 8)
+    assert records[0].sums == (7, 7, -2, 6)
+    assert records[5].sums == (3, -3, 8, 8)
 
 
 def test_status_examples():

@@ -122,6 +122,21 @@ def test_search_budget_and_resume(tmp_path, capsys):
     assert f"not a complete {CHECKPOINT_FORMAT} document" in err
 
 
+def test_search_resume_refuses_a_tampered_solution(tmp_path, capsys):
+    ckpt = tmp_path / "run.ckpt"
+    code, _, _ = run(capsys, "search", "--kind", "nn", "--order", "4",
+                     "--limit", "25", "--checkpoint", str(ckpt))
+    assert code == 2
+    document = json.loads(ckpt.read_text(encoding="utf-8"))
+    assert document["solutions"]
+    document["solutions"][0] = "+++++;+++++;++++;++++"
+    ckpt.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run(capsys, "search", "--kind", "nn", "--order", "4",
+                         "--resume", str(ckpt))
+    assert code == 2 and out == ""
+    assert "+++++;+++++;++++;++++ fails verification" in err
+
+
 def test_construct_ts(capsys):
     code, out, _ = run(capsys, "construct", "ts", "--from-record", "bs +;+;+;+")
     assert code == 0

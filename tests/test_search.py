@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 from functools import cache
 
 import pytest
@@ -25,11 +26,12 @@ from quadseq.search import (
     search,
 )
 from quadseq.seqcore import (
-    SeqQuadruple,
     alternate,
     negate,
     npaf_values,
     parse_quad,
+    ProfileIndex,
+    SeqQuadruple,
     profile_index,
     reverse,
     sum_of_squares_check,
@@ -262,7 +264,7 @@ def test_join_finds_nothing_for_an_a_the_sum_prune_rejects(kind):
             rejected += 1
             pa, pb = npaf_values(a_seq), npaf_values(b_seq)
             target = tuple(-pa[j] - pb[j] for j in range(1, order))
-            assert search_module._join(target, index, plan.squared_sums) == ([], 0), (order, a_seq)
+            assert index.join(target) == ([], 0), (order, a_seq)
         assert rejected or order < 3, order
 
 
@@ -276,16 +278,13 @@ def test_join_without_sum_prune_matches_brute_force_oracle(kind, order, sum_prun
 
 
 def test_join_probes_only_sum_compatible_profiles():
-    from quadseq.search import _join
-    from quadseq.seqcore import profile_index
-
     n = 8
     index = profile_index(n)
     squares = frozenset(v * v for v in range(0, n + 1, 2))
     c, d = (1, 1, -1, 1, 1, 1, -1, -1), (1, -1, -1, -1, 1, 1, 1, 1)
     target = tuple(u + v for u, v in zip(npaf_values(c)[1:], npaf_values(d)[1:]))
     residual = 2 * n + 2 * sum(target)
-    groups, probes = _join(target, index, squares)
+    groups, probes = index.join(target)
     compatible = [p for p in index.groups if residual - (n + 2 * sum(p)) in squares]
     assert probes == len(compatible) < len(index.groups)
     expected = {
@@ -431,6 +430,31 @@ def test_checkpoint_with_a_bad_field_is_refused(tmp_path, name, value, message):
         load_checkpoint(_rewritten(path, **{name: value}))
 
 
+@pytest.mark.parametrize("bad,message", [
+    ("+++++;+++++;++++;++++", "near-normality"),  # not a solution
+    ("+++;+--;+-;+-", "order 2, expected 4"),  # a solution, of another order
+    ("+++++;+++++;++++", "does not parse: expected four"),  # not a quadruple
+    ("+++++;+++++;+x++;++++", "does not parse: bad sequence character 'x'"),
+])
+def test_checkpoint_with_a_solution_that_fails_verification_is_refused(tmp_path, bad, message):
+    # a resumed run returns the checkpoint's solutions as its own
+    assert verify_quadruple(parse_quad("+++;+--;+-;+-", "nn"))
+    path = _budgeted_checkpoint_file(tmp_path, SearchSpec("nn", 4, node_limit=25))
+    solutions = load_checkpoint(path).solutions
+    assert solutions
+    with pytest.raises(SearchError, match=f"solution {re.escape(bad)} .*{message}"):
+        load_checkpoint(_rewritten(path, solutions=[bad] + solutions[1:]))
+
+
+def test_resume_from_memory_refuses_an_unparsable_solution_before_searching():
+    with pytest.raises(BudgetExhausted) as info:
+        search(SearchSpec("nn", 4, node_limit=25))
+    checkpoint = info.value.checkpoint
+    checkpoint.solutions[0] = "+++;+--;+-"
+    with pytest.raises(SearchError, match="solution [+;-]+ does not parse: expected four"):
+        search(SearchSpec("nn", 4), resume=checkpoint)
+
+
 def test_checkpoint_write_replaces_the_file_in_one_step(tmp_path, monkeypatch):
     path = _budgeted_checkpoint_file(tmp_path, SearchSpec("nn", 6, node_limit=40))
     with open(path, encoding="utf-8") as fh:
@@ -470,10 +494,10 @@ def test_budget_stops_every_worker_count_at_the_same_block(tmp_path, monkeypatch
     log = tmp_path / "blocks.log"
     scan = search_module._scan_block
 
-    def logged_scan(plan, memo, bounds):
+    def logged_scan(plan, bounds):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{bounds[0]}\n")
-        return scan(plan, memo, bounds)
+        return scan(plan, bounds)
 
     monkeypatch.setattr(search_module, "_scan_block", logged_scan)
     spec = SearchSpec("nn", 12, node_limit=1000)
@@ -487,6 +511,30 @@ def test_budget_stops_every_worker_count_at_the_same_block(tmp_path, monkeypatch
         assert scanned < 92 // 4, workers  # nn 12 has 92 blocks of 90 long sequences
     assert checkpoints[1] == checkpoints[2]
     assert checkpoints[1].nodes < 20_000 and checkpoints[1].lex_next == 90
+
+
+def test_each_distinct_target_is_joined_once_per_pass(tmp_path, monkeypatch):
+    # one memo per pass, in the parent: a pool joins each new target once,
+    # where per-worker memos used to join nearly every target in each worker
+    order = 10
+    plan = search_module._PassPlan(SearchSpec("nn", order), 0)
+    survivors, _nodes, _prunes = search_module._scan_block(plan, (0, 1 << (order + 1)))
+    targets = {target for *_, target in survivors}
+    assert len(survivors) > len(targets) > 1
+    log = tmp_path / "joins.log"
+    join = ProfileIndex.join
+
+    def logged_join(index, target):
+        with open(log, "a", encoding="utf-8") as fh:  # forked workers log too
+            fh.write(f"{target}\n")
+        return join(index, target)
+
+    monkeypatch.setattr(ProfileIndex, "join", logged_join)
+    for workers in (1, 2):
+        log.write_text("")
+        search(SearchSpec("nn", order, mode="count"), workers=workers)
+        joined = log.read_text().splitlines()
+        assert sorted(joined) == sorted(map(str, targets)), workers
 
 
 def test_orbit_contains_input_and_preserves_membership(solutions):

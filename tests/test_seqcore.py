@@ -10,8 +10,8 @@ from quadseq.seqcore import (
     AlphabetError,
     SeqQuadruple,
     ShapeError,
-    SumsVector,
     alternate,
+    int_to_seq,
     negate,
     npaf_values,
     parse_quad,
@@ -120,17 +120,14 @@ def test_npaf_laws_ternary(length):
 @pytest.mark.parametrize("length", [0, 1, 5, 8])
 def test_profile_index_groups_in_bits_order(length):
     index = profile_index(length)
-    assert index.seqs == [
-        tuple(-1 if (bits >> i) & 1 else 1 for i in range(length))
-        for bits in range(1 << length)
-    ]
-    position = {seq: bits for bits, seq in enumerate(index.seqs)}
+    in_bits_order = [int_to_seq(bits, length) for bits in range(1 << length)]
+    position = {seq: bits for bits, seq in enumerate(in_bits_order)}
     grouped = []
     for profile, seqs in index.groups.items():
         assert all(npaf_values(seq)[1:] == profile for seq in seqs)
         assert [position[s] for s in seqs] == sorted(position[s] for s in seqs)
         grouped.extend(seqs)
-    assert sorted(grouped) == sorted(index.seqs)
+    assert sorted(grouped) == sorted(in_bits_order)
     # first appearance in bits order fixes the order of the groups
     firsts = [position[seqs[0]] for seqs in index.groups.values()]
     assert firsts == sorted(firsts)
@@ -142,6 +139,8 @@ def test_profile_index_groups_in_bits_order(length):
     for square, profile, seqs in by_square:
         assert index.groups[profile] is seqs
         assert all(sum(seq) ** 2 == square for seq in seqs)
+    # the squared sums present are exactly the admissible ones
+    assert set(index.by_square_sum) == {v * v for v in range(length % 2, length + 1, 2)}
     assert profile_index(length) is index
 
 
@@ -253,9 +252,9 @@ def test_verify_t_sequence_conditions():
 
 
 def test_sum_of_squares_check_examples():
-    assert sum_of_squares_check(37, 36, SumsVector(3, -3, 8, 8))
-    assert sum_of_squares_check(35, 34, SumsVector(7, 7, -2, 6))
-    assert not sum_of_squares_check(3, 2, SumsVector(3, 3, 0, 0))
+    assert sum_of_squares_check(37, 36, (3, -3, 8, 8))
+    assert sum_of_squares_check(35, 34, (7, 7, -2, 6))
+    assert not sum_of_squares_check(3, 2, (3, 3, 0, 0))
 
 
 def test_verifier_agrees_with_polynomial_norm_identity():
