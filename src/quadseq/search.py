@@ -11,18 +11,24 @@ must add up to.
 Surviving A's share few targets, so a pass joins each distinct target once
 and reuses its (C, D) pairs for every A that shares it.  A pass scans A in
 lex order, in blocks of isqrt(2^(n+1)) A's whatever the worker count, mode
-or budget, so its first block with a solution holds its lex-least one.  The
-scan and the pass's one memo live in the calling process; with workers > 1
-a process pool, one for the whole search, computes the joins of each
-block's new targets.
+or budget, so its first block with a solution holds its lex-least one.  A
+block is scanned as one array: its A and B rows, the sum and case tests as
+masks, and its targets from one loop over the lags.  The scan and the pass's
+one memo live in the calling process; with workers > 1 a process pool, one
+for the whole search, computes the joins of each block's new targets.
 
 The sum-of-squares prune is the only test before the join.  It only saves
-work: the join's sum index finds no (C, D) for an A it rejects.
+work: the join's sum index finds no (C, D) for an A it rejects.  Inside the
+join, the power-spectral-density (PSD) test skips the C-profiles, or whole
+targets, that no D can complete (see ProfileIndex.join and
+seqcore._PSD_MARGIN for its float error bound); it changes no solution.
 
-A node is one A candidate or one C-profile probed for a surviving A.  Each
-surviving A is charged the probes of its target's join whether the join was
-computed or reused, so node counts, node_limit, checkpoints and resume do not
-depend on block size, worker count or how often the memo hits.
+A node is one A candidate or one C-profile probed for a surviving A: every
+sum-compatible C-profile of the target, including those the PSD test
+disposes of, as a sum-pruned A is still a node.  Each surviving A is charged
+the probes of its target's join whether the join was computed or reused, so
+node counts, node_limit, checkpoints and resume do not depend on block size,
+worker count, how often the memo hits or what the PSD test rejects.
 
 Case splitting partitions the admissible sums vectors (a, b, c, d) with
 a^2+b^2+c^2+d^2 = 2(m+n) into orbits under coordinate sign changes and the
@@ -43,6 +49,8 @@ from functools import cache, partial
 from itertools import chain
 from math import isqrt
 
+import numpy as np
+
 from .seqcore import (
     KIND_NEAR_NORMAL,
     KIND_NORMAL,
@@ -50,8 +58,7 @@ from .seqcore import (
     QuadseqError,
     SeqQuadruple,
     ShapeError,
-    int_to_seq,
-    npaf_values,
+    caching_verifier,
     parse_seq,
     profile_index,
     seq_str,
@@ -213,14 +220,6 @@ def enumerate_cases(kind: str, order: int) -> list[CaseDescriptor]:
     return cases
 
 
-def _derive_b(a_seq: tuple[int, ...], kind: str, n: int) -> tuple[int, ...]:
-    if kind == KIND_NORMAL:
-        body = a_seq[:n]
-    else:
-        body = tuple(v if i % 2 == 0 else -v for i, v in enumerate(a_seq[:n]))
-    return body + (-a_seq[n],)
-
-
 class _PassPlan:
     """What one case pass needs beyond the A range, built once per pass."""
 
@@ -240,34 +239,43 @@ class _PassPlan:
 def _scan_block(plan: _PassPlan, bounds: tuple[int, int]):
     """Scan the long sequences of lex indices lo <= k < hi; returns the
     surviving A's, each as (A, B, (|a|, |b|), join target), and the block's
-    node and prune counters so far (the joins are charged by the caller)."""
+    node and prune counters so far (the joins are charged by the caller).
+
+    The block is one array pass: row i holds A_k for the i-th scanned k
+    and B is derived column-wise, as ProfileIndex builds its table."""
     spec = plan.spec
-    ab_filter = plan.ab_filter
     n = spec.order
     m = n + 1
-    total = 2 * (m + n)
-    top_bit = m - 1
-    nodes = 0
-    prunes = {PRUNE_SUM: 0, PRUNE_CASE: 0}
-    survivors = []
-    for k in range(*bounds):
-        # entries 0 and m-1 are bits top_bit and 0: the test is order-free
-        if spec.representatives and (k & 1 or (k >> top_bit) & 1):
-            continue
-        a_seq = int_to_seq(k, m)[::-1]  # bit top_bit is entry 0: k counts in lex order
-        b_seq = _derive_b(a_seq, spec.kind, n)
-        nodes += 1
-        a_sum, b_sum = sum(a_seq), sum(b_seq)
-        if (total - a_sum * a_sum - b_sum * b_sum) not in plan.sum_targets:
-            prunes[PRUNE_SUM] += 1
-            continue
-        ab_rep = (abs(a_sum), abs(b_sum))
-        if ab_filter is not None and ab_rep not in ab_filter:
-            prunes[PRUNE_CASE] += 1
-            continue
-        pa, pb = npaf_values(a_seq), npaf_values(b_seq)
-        target = tuple(-pa[j] - pb[j] for j in range(1, n))
-        survivors.append((a_seq, b_seq, ab_rep, target))
+    ks = np.arange(*bounds, dtype=np.int64)
+    if spec.representatives:
+        # entries 0 and m-1 are bits m-1 and 0: the test is order-free
+        ks = ks[(ks & 1 | ks >> (m - 1) & 1) == 0]
+    # bit m-1 is entry 0, so k counts in lex order ('+' before '-')
+    a = (1 - 2 * (ks[:, None] >> np.arange(m - 1, -1, -1) & 1)).astype(np.int8)
+    b = a.copy()
+    if spec.kind == KIND_NEAR_NORMAL:
+        b[:, 1:n:2] *= -1
+    b[:, n] *= -1  # top-lag cancellation: a_1 * a_m + b_1 * b_m = 0
+    a_sum, b_sum = a.sum(axis=1), b.sum(axis=1)
+    rest = 2 * (m + n) - a_sum * a_sum - b_sum * b_sum  # c^2 + d^2 left for C and D
+    # sum_targets is only asked `in`, once per distinct value of the block
+    keep = np.isin(rest, [r for r in np.unique(rest).tolist() if r in plan.sum_targets])
+    nodes = len(ks)
+    prunes = {PRUNE_SUM: nodes - int(keep.sum()), PRUNE_CASE: 0}
+    ab = np.stack([np.abs(a_sum), np.abs(b_sum)], axis=1)
+    if plan.ab_filter is not None:
+        in_case = np.array([tuple(row) in plan.ab_filter for row in ab.tolist()], dtype=bool)
+        prunes[PRUNE_CASE] = int((keep & ~in_case).sum())
+        keep &= in_case
+    a, b, ab = a[keep], b[keep], ab[keep]
+    # target_j = -(A's plus B's autocorrelation at lag j), j = 1..n-1
+    targets = np.empty((len(a), max(n - 1, 0)), dtype=np.int64)
+    for j in range(1, n):
+        targets[:, j - 1] = -(a[:, : m - j] * a[:, j:] + b[:, : m - j] * b[:, j:]).sum(axis=1)
+    survivors = list(zip(
+        map(tuple, a.tolist()), map(tuple, b.tolist()), map(tuple, ab.tolist()),
+        map(tuple, targets.tolist()),
+    ))
     return survivors, nodes, prunes
 
 
@@ -516,11 +524,12 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"{len(checkpoint.solutions)} solutions"
         )
     # a resumed run returns these solutions, so each must verify as a member
-    # of the checkpoint's kind and order
+    # of the checkpoint's kind and order; they repeat few distinct sequences
+    verify = caching_verifier()
     for text, seqs in zip(checkpoint.solutions, _parse_solutions(checkpoint.solutions)):
         try:
             quad = SeqQuadruple(*seqs, checkpoint.kind)
-            failure = verify_quadruple(quad).failure
+            failure = verify(quad).failure
         except QuadseqError as exc:
             failure = str(exc)
         if failure is None and quad.n != checkpoint.order:

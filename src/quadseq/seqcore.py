@@ -8,11 +8,14 @@ The autocorrelations of a sequence come from one numpy kernel, _npaf_array,
 exact for any integer sequence: int64 under an explicit bound, Python ints
 beyond it.  ProfileIndex forms the same lag sums for every binary sequence
 of one length in one batched pass, and its join() is the one hash join on
-them, shared by the search and golay_search.
+them, shared by the search and golay_search; it looks up only the profiles
+that pass a power-spectral-density test.
 """
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import product
 from math import isqrt
 from operator import sub
@@ -135,6 +138,30 @@ def int_to_seq(bits: int, length: int) -> Seq:
     return tuple(-1 if (bits >> i) & 1 else 1 for i in range(length))
 
 
+# Slack of the PSD test in ProfileIndex.join.  The PSDs there are float64
+# sums of at most `length` terms 2 * p_j * cos(j * w) with |p_j| <= 2 * length,
+# over cosines rounded to float64, so each is within about
+# 4 * length^3 * 2^-52 of its exact value: below 1e-11 for every length up to
+# search.MAX_ORDER_WITHOUT_OVERRIDE = 20, and below 1e-6 up to length 1000.
+# The test is sound (it never drops a true pair) while that error stays
+# under this margin.
+_PSD_MARGIN = 1e-6
+
+
+def _psd_cosines(length: int) -> np.ndarray:
+    """cos(j * w) at lags j = 1..length-1 (rows) and the 4 * length + 1
+    samples w of [0, pi] (columns)."""
+    return np.cos(np.outer(np.arange(1, length), np.linspace(0.0, np.pi, 4 * length + 1)))
+
+
+def _psd(lag0: int, lags, cosines: np.ndarray) -> np.ndarray:
+    """lag0 + 2 * sum_j lags_j * cos(j * w) at each sample of `cosines`, in
+    float64, for one lag tuple or for each of a list of them: the PSD of
+    the sequences of one profile, or of the pairs whose profiles add up to
+    a target."""
+    return lag0 + 2 * (np.array(lags, dtype=np.float64) @ cosines)
+
+
 class ProfileIndex:
     """Every binary sequence of one length, grouped by positive-lag profile.
 
@@ -144,6 +171,13 @@ class ProfileIndex:
     sum^2 = length + 2 * sum(p), so `by_square_sum` maps each squared sum to
     the (profile, sequences) groups that have it; its keys are exactly the
     admissible squared sums.  join() is the one hash join over the index.
+
+    A profile also fixes the power spectral density of its sequences,
+    PSD(w) = |X(e^{iw})|^2 = length + 2 * sum_j p_j * cos(j * w).
+    `psd_by_square_sum` holds it at the 4 * length + 1 samples w of [0, pi]
+    whose cos(j * w) are the columns of `cosines`: one float64 row per
+    profile, in the order of the profile's by_square_sum bucket.  The
+    tables are per profile, not per sequence.
     """
 
     def __init__(self, length: int):
@@ -165,17 +199,31 @@ class ProfileIndex:
         for profile, group in self.groups.items():
             square = length + 2 * sum(profile)
             self.by_square_sum.setdefault(square, []).append((profile, group))
+        self.cosines = _psd_cosines(length)
+        self.psd_by_square_sum = {
+            square: _psd(length, [p for p, _ in bucket], self.cosines)
+            for square, bucket in self.by_square_sum.items()
+        }
 
     def join(self, target: tuple[int, ...]):
         """Every (C, D) whose positive-lag profiles add up to `target`.
 
         The target fixes c^2 + d^2 = 2 * length + 2 * sum(target), so only
-        the C-profiles whose c^2 leaves an admissible d^2 are probed.
-        Returns the pairs grouped by (max(|c|,|d|), min(|c|,|d|)), the part
-        of a sums rep they share, and the number of C-profiles probed.
+        the C-profiles whose c^2 leaves an admissible d^2 are probed.  It
+        also fixes PSD_C(w) + PSD_D(w) = R(w) = 2 * length + 2 * sum_j
+        target_j * cos(j * w), and a PSD is never negative: a target with
+        R < 0 at a sample has no pairs, and a C-profile with PSD_C > R at a
+        sample has no D.  Only the other C-profiles are looked up (within
+        _PSD_MARGIN), but every probed one is counted, whatever the PSD
+        test decides.  Returns the pairs grouped by (max(|c|,|d|),
+        min(|c|,|d|)), the part of a sums rep they share, and the number of
+        C-profiles probed.
         """
         residual = 2 * self.length + 2 * sum(target)
         groups, by_square_sum = self.groups, self.by_square_sum
+        # R + margin, the most PSD_C may be at each sample
+        bound = _psd(2 * self.length, target, self.cosines) + _PSD_MARGIN
+        dead = bool(bound.min() < 0)
         joined = []
         probes = 0
         for c2, c_groups in by_square_sum.items():
@@ -183,8 +231,12 @@ class ProfileIndex:
             if d2 not in by_square_sum:
                 continue
             probes += len(c_groups)
+            if dead:
+                continue
             pairs = []
-            for c_profile, c_seqs in c_groups:
+            live = (self.psd_by_square_sum[c2] <= bound).all(axis=1)
+            for i in np.flatnonzero(live).tolist():
+                c_profile, c_seqs = c_groups[i]
                 d_seqs = groups.get(tuple(map(sub, target, c_profile)))
                 if d_seqs:
                     pairs.extend(product(c_seqs, d_seqs))
@@ -282,16 +334,16 @@ def _fail(msg: str) -> VerificationReport:
 _PASS = VerificationReport(passed=True)
 
 
-def _lag_sum_failure(seqs) -> VerificationReport | None:
-    """First positive lag where the four autocorrelations do not cancel."""
+def _lag_sum_failure(seqs, npaf) -> VerificationReport | None:
+    """First positive lag where the four autocorrelations do not cancel;
+    npaf(seq) gives a nonempty sequence's autocorrelations (_npaf_array)."""
     # entries are in {-1, 0, 1}: each sum is at most 4 * max length
     total = np.zeros(max(map(len, seqs)), dtype=np.int64)
     for seq in seqs:
         if seq:
-            total[: len(seq)] += _npaf_array(seq)
-    bad = np.flatnonzero(total[1:])
-    if bad.size:
-        j = int(bad[0]) + 1
+            total[: len(seq)] += npaf(seq)
+    if total[1:].any():
+        j = int(np.flatnonzero(total[1:])[0]) + 1
         return _fail(f"lag {j}: autocorrelation sum = {int(total[j])}, expected 0")
     return None
 
@@ -304,8 +356,20 @@ def verify_quadruple(q: SeqQuadruple) -> VerificationReport:
     of the defining equations is reported as a non-passing verdict naming
     the first violated condition.
     """
+    return _verify(q, _npaf_array)
+
+
+def caching_verifier() -> Callable[[SeqQuadruple], VerificationReport]:
+    """verify_quadruple, except that each distinct sequence's
+    autocorrelations are computed once for all the quadruples the returned
+    function is given: the same verdicts, cheaper for many quadruples over
+    few sequences, such as a checkpoint's solutions."""
+    return partial(_verify, npaf=cache(_npaf_array))
+
+
+def _verify(q: SeqQuadruple, npaf) -> VerificationReport:
     if q.kind == KIND_T:
-        return _verify_t(q)
+        return _verify_t(q, npaf)
     if q.kind in (KIND_NORMAL, KIND_NEAR_NORMAL):
         if q.m != q.n + 1:
             raise ShapeError(
@@ -316,13 +380,13 @@ def verify_quadruple(q: SeqQuadruple) -> VerificationReport:
             if q.b[i] != want:
                 label = "normality" if q.kind == KIND_NORMAL else "near-normality"
                 return _fail(f"{label} violated at position {i + 1}")
-    bad = _lag_sum_failure(q.seqs())
+    bad = _lag_sum_failure(q.seqs(), npaf)
     if bad is not None:
         return bad
     return _PASS
 
 
-def _verify_t(q: SeqQuadruple) -> VerificationReport:
+def _verify_t(q: SeqQuadruple, npaf) -> VerificationReport:
     if not (q.m == q.n == len(q.b) == len(q.d)):
         raise ShapeError("T-sequence quadruple needs four sequences of equal length")
     for i in range(q.n):
@@ -331,7 +395,7 @@ def _verify_t(q: SeqQuadruple) -> VerificationReport:
             return _fail(
                 f"support at position {i + 1}: {nonzero} nonzero entries, expected 1"
             )
-    bad = _lag_sum_failure(q.seqs())
+    bad = _lag_sum_failure(q.seqs(), npaf)
     if bad is not None:
         return bad
     return _PASS

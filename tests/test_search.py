@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 from functools import cache
@@ -25,8 +27,11 @@ from quadseq.search import (
     save_checkpoint,
     search,
 )
+from quadseq import seqcore
+from quadseq.construct import golay_search
 from quadseq.seqcore import (
     alternate,
+    int_to_seq,
     negate,
     npaf_values,
     parse_quad,
@@ -254,18 +259,64 @@ def test_join_finds_nothing_for_an_a_the_sum_prune_rejects(kind):
     # index probes no C-profile and returns no (C, D)
     for order in range(1, 9):
         plan = search_module._PassPlan(SearchSpec(kind, order), 0)
+        unpruned = copy.copy(plan)
+        unpruned.sum_targets = _EverySum()
+        survivors, nodes, prunes = search_module._scan_block(unpruned, (0, 1 << (order + 1)))
+        assert len(survivors) == nodes == 1 << (order + 1)
+        assert prunes == {"sum_of_squares": 0, "case": 0}
         index = profile_index(order)
         total = 2 * (2 * order + 1)
         rejected = 0
-        for a_seq in itertools.product((1, -1), repeat=order + 1):
-            b_seq = search_module._derive_b(a_seq, kind, order)
+        for a_seq, b_seq, _ab_rep, target in survivors:
             if total - sum(a_seq) ** 2 - sum(b_seq) ** 2 in plan.sum_targets:
                 continue
             rejected += 1
-            pa, pb = npaf_values(a_seq), npaf_values(b_seq)
-            target = tuple(-pa[j] - pb[j] for j in range(1, order))
             assert index.join(target) == ([], 0), (order, a_seq)
         assert rejected or order < 3, order
+
+
+def _reference_scan(plan, bounds):
+    """The per-A loop that _scan_block batches: same survivors, same counters."""
+    spec = plan.spec
+    n = spec.order
+    m = n + 1
+    nodes = 0
+    prunes = {"sum_of_squares": 0, "case": 0}
+    survivors = []
+    for k in range(*bounds):
+        if spec.representatives and (k & 1 or (k >> (m - 1)) & 1):
+            continue
+        a_seq = int_to_seq(k, m)[::-1]
+        if spec.kind == "ns":
+            body = a_seq[:n]
+        else:
+            body = tuple(v if i % 2 == 0 else -v for i, v in enumerate(a_seq[:n]))
+        b_seq = body + (-a_seq[n],)
+        nodes += 1
+        a_sum, b_sum = sum(a_seq), sum(b_seq)
+        if 2 * (m + n) - a_sum * a_sum - b_sum * b_sum not in plan.sum_targets:
+            prunes["sum_of_squares"] += 1
+            continue
+        ab_rep = (abs(a_sum), abs(b_sum))
+        if plan.ab_filter is not None and ab_rep not in plan.ab_filter:
+            prunes["case"] += 1
+            continue
+        pa, pb = npaf_values(a_seq), npaf_values(b_seq)
+        survivors.append((a_seq, b_seq, ab_rep, tuple(-pa[j] - pb[j] for j in range(1, n))))
+    return survivors, nodes, prunes
+
+
+@pytest.mark.parametrize("kind", ["nn", "ns"])
+@pytest.mark.parametrize("representatives", [False, True])
+def test_batched_scan_matches_the_per_a_reference(kind, representatives):
+    for order in range(1, 11):
+        spec = SearchSpec(kind, order, representatives=representatives)
+        lex_limit = 1 << (order + 1)
+        for pass_case in (0, 1, 3):
+            plan = search_module._PassPlan(spec, pass_case)
+            for bounds in ((0, lex_limit), (lex_limit // 3, lex_limit // 3 + 7), (5, 5)):
+                got = search_module._scan_block(plan, bounds)
+                assert got == _reference_scan(plan, bounds), (order, pass_case, bounds)
 
 
 @pytest.mark.parametrize("kind,order", [("nn", 4), ("ns", 4)])
@@ -297,6 +348,76 @@ def test_join_probes_only_sum_compatible_profiles():
         for c_seq, d_seq in pairs:
             c_abs, d_abs = abs(sum(c_seq)), abs(sum(d_seq))
             assert (high, low) == (max(c_abs, d_abs), min(c_abs, d_abs))
+
+
+@pytest.fixture
+def psd_filter_off(monkeypatch):
+    # an infinite margin lets every target and every C-profile through
+    monkeypatch.setattr(seqcore, "_PSD_MARGIN", math.inf)
+
+
+@pytest.mark.parametrize(
+    "kind,order", [("nn", n) for n in range(1, 15)] + [("ns", n) for n in range(1, 13)]
+)
+def test_psd_filter_never_changes_solutions_or_counters(kind, order, request):
+    on = search(SearchSpec(kind, order))
+    request.getfixturevalue("psd_filter_off")
+    off = search(SearchSpec(kind, order))
+    assert plaintexts(off) == plaintexts(on)
+    assert off.count == on.count
+    assert off.stats.nodes == on.stats.nodes
+    assert off.stats.prunes == on.stats.prunes
+
+
+def test_psd_filter_never_changes_golay_search(request):
+    on = [golay_search(g) for g in range(13)]
+    request.getfixturevalue("psd_filter_off")
+    assert [golay_search(g) for g in range(13)] == on
+
+
+class _CountingDict(dict):
+    """A profile -> sequences dict that counts its get() lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_psd_filter_skips_lookups_but_counts_every_probe(monkeypatch):
+    # a C-profile the PSD test rejects, or one of a PSD-dead target, is not
+    # looked up but still counts as a probe, and so as a node
+    order = 10
+    plan = search_module._PassPlan(SearchSpec("nn", order), 0)
+    survivors, _nodes, _prunes = search_module._scan_block(plan, (0, 1 << (order + 1)))
+    targets = sorted({target for *_, target in survivors})
+    index = profile_index(order)
+    groups = _CountingDict(index.groups)
+    monkeypatch.setattr(index, "groups", groups)
+    runs = {}
+    for margin in (seqcore._PSD_MARGIN, math.inf):
+        monkeypatch.setattr(seqcore, "_PSD_MARGIN", margin)
+        runs[margin] = []
+        for target in targets:
+            before = groups.lookups
+            runs[margin].append((index.join(target), groups.lookups - before))
+    on, off = runs.values()
+    assert [joined for joined, _ in on] == [joined for joined, _ in off]
+    assert all(lookups == probes for (_pairs, probes), lookups in off)
+    # dead targets look nothing up, and live ones skip the C-profiles whose
+    # PSD exceeds the target's somewhere
+    dead = [lookups for (_pairs, probes), lookups in on if probes and not lookups]
+    skipping = [lookups for (_pairs, probes), lookups in on if 0 < lookups < probes]
+    assert dead and skipping
+
+
+@pytest.mark.parametrize("order,count,nodes", [
+    (12, 9344, 1_891_640), (14, 6144, 17_166_500), (16, 20480, 431_947_688),
+])
+def test_nn_counts_and_nodes_are_pinned(order, count, nodes):
+    result = search(SearchSpec("nn", order, mode="count"))
+    assert (result.count, result.stats.nodes) == (count, nodes)
 
 
 def test_checkpoint_file_round_trip(tmp_path):
@@ -702,7 +823,6 @@ def test_search_stats_populated():
 
 def test_pool_workers_inherit_the_parents_profile_index(monkeypatch):
     # the parent builds the index before the pool forks, so no worker builds its own
-    from quadseq import seqcore
     monkeypatch.setattr(seqcore, "_PROFILE_INDEXES", {})
     search(SearchSpec("nn", 6), workers=2)
     assert 6 in seqcore._PROFILE_INDEXES

@@ -1,16 +1,19 @@
 import itertools
 from math import isqrt
+from operator import add
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadseq import seqcore
 from quadseq.codec import parse_record
 from quadseq.seqcore import (
     AlphabetError,
     SeqQuadruple,
     ShapeError,
     alternate,
+    caching_verifier,
     int_to_seq,
     negate,
     npaf_values,
@@ -142,6 +145,55 @@ def test_profile_index_groups_in_bits_order(length):
     # the squared sums present are exactly the admissible ones
     assert set(index.by_square_sum) == {v * v for v in range(length % 2, length + 1, 2)}
     assert profile_index(length) is index
+    # each PSD row is |X(e^{iw})|^2 of its profile's sequences at the samples
+    assert index.psd_by_square_sum.keys() == index.by_square_sum.keys()
+    on_circle = np.exp(1j * np.linspace(0, np.pi, 4 * length + 1))
+    for square, groups in index.by_square_sum.items():
+        rows = index.psd_by_square_sum[square]
+        assert rows.shape == (len(groups), 4 * length + 1)
+        for row, (_profile, seqs) in zip(rows, groups):
+            for seq in seqs:
+                exact = np.abs(np.polyval(seq, on_circle)) ** 2 if seq else np.zeros(1)
+                assert np.abs(row - exact).max() < 1e-9
+
+
+def _binary_pairs(lengths):
+    """Pairs (C, D) of binary tuples of one length drawn from `lengths`."""
+    def pair(n):
+        seq = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n).map(tuple)
+        return st.tuples(seq, seq)
+    return lengths.flatmap(pair)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_binary_pairs(st.integers(2, 16)))
+def test_join_of_a_pairs_profile_sum_holds_the_pair(pair):
+    # the PSD test never drops a true pair; the index is built up to length
+    # 16 here (length 20 takes about 9 s and 720 MB), and the test below
+    # covers the PSD arithmetic itself up to length 20
+    c, d = pair
+    target = tuple(map(add, npaf_values(c)[1:], npaf_values(d)[1:]))
+    joined, probes = profile_index(len(c)).join(target)
+    assert (c, d) in [p for _rep, pairs in joined for p in pairs]
+    assert probes > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_binary_pairs(st.integers(2, 20)))
+def test_psd_of_a_pair_stays_within_the_margin_up_to_length_20(pair):
+    # the arithmetic of ProfileIndex.join for a true (C, D): R is not
+    # negative and PSD_C does not exceed R, both within _PSD_MARGIN
+    c, d = pair
+    n = len(c)
+    cosines = seqcore._psd_cosines(n)
+    c_lags, d_lags = npaf_values(c)[1:], npaf_values(d)[1:]
+    bound = seqcore._psd(2 * n, tuple(map(add, c_lags, d_lags)), cosines) + seqcore._PSD_MARGIN
+    psd_c, psd_d = seqcore._psd(n, [c_lags, d_lags], cosines)
+    assert bound.min() >= 0
+    assert (psd_c <= bound).all() and (psd_d <= bound).all()
+    # the float error is far below the margin
+    on_circle = np.exp(1j * np.linspace(0, np.pi, 4 * n + 1))
+    assert np.abs(psd_c - np.abs(np.polyval(c, on_circle)) ** 2).max() < seqcore._PSD_MARGIN / 1000
 
 
 def test_parse_seq_round_trip_and_whitespace():
@@ -249,6 +301,32 @@ def test_verify_t_sequence_conditions():
     report = verify_quadruple(bad_support)
     assert not report.passed
     assert "support at position 2" in report.failure
+
+
+def test_caching_verifier_gives_the_verdicts_of_verify_quadruple():
+    row = parse_record(ROW36_RECORD)
+    quads = [
+        row,
+        SeqQuadruple(row.a, row.b, (-row.c[0],) + row.c[1:], row.d, row.kind),
+        SeqQuadruple((1, 1, 1), (1, 1, -1), (1, 1), (1, 1), "nn"),
+        SeqQuadruple((1, -1, 1), (1, 1, -1), (1, 1), (1, 1), "ns"),
+        parse_quad("+0;00;0+;00", "ts"),
+        parse_quad("++;00;0+;00", "ts"),
+    ]
+    for m, n in ((1, 0), (2, 1), (3, 2), (2, 2)):
+        for seqs in itertools.product(*[list(all_signs(m))] * 2, *[list(all_signs(n))] * 2):
+            quads.append(SeqQuadruple(*seqs, "bs"))
+    # one verifier for all of them: its cache is shared across quadruples
+    verify = caching_verifier()
+    verdicts = [verify(q) for q in quads]
+    assert verdicts == [verify_quadruple(q) for q in quads]
+    assert any(v.passed for v in verdicts) and any(not v.passed for v in verdicts)
+    for malformed in (
+        SeqQuadruple((1, 1, 1), (1, 1, 1), (1,), (1,), "nn"),
+        parse_quad("+0;0-;+;-", "ts"),
+    ):
+        with pytest.raises(ShapeError):
+            verify(malformed)
 
 
 def test_sum_of_squares_check_examples():
