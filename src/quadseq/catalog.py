@@ -8,6 +8,7 @@ of the tables is traceable to the claim it contradicts.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import codec
 from .construct import is_golay_number
@@ -70,26 +71,27 @@ class KnownStatus:
 
 @dataclass(frozen=True)
 class WitnessRecord:
+    """A quadruple and where it came from.  Its record codes (None when its
+    record line is plaintext) and sums are derived from it on first read."""
+
     quad: SeqQuadruple
-    ab_code: str | None
-    cd_code: str | None
-    sums: tuple[int, int, int, int]
     provenance: str
 
+    @cached_property
+    def _codes(self) -> tuple[str | None, str | None]:
+        return codec.record_codes(self.quad) or (None, None)
 
-def _record_from_codes(n, ab, cd, sums, provenance) -> WitnessRecord:
-    a, b = codec.decode_pair(ab, codec.PAIR_AB, n)
-    c, d = codec.decode_pair(cd, codec.PAIR_CD, n)
-    quad = SeqQuadruple(a, b, c, d, KIND_NEAR_NORMAL)
-    report = verify_quadruple(quad)
-    if not report:
-        raise CatalogError(f"embedded record for order {n} fails: {report.failure}")
-    if quad.sums() != sums:
-        raise CatalogError(
-            f"embedded record for order {n}: sums {quad.sums()} "
-            f"do not match the recorded column {sums}"
-        )
-    return WitnessRecord(quad, ab, cd, sums, provenance)
+    @property
+    def ab_code(self) -> str | None:
+        return self._codes[0]
+
+    @property
+    def cd_code(self) -> str | None:
+        return self._codes[1]
+
+    @cached_property
+    def sums(self) -> tuple[int, int, int, int]:
+        return self.quad.sums()
 
 
 def witness_records() -> list[WitnessRecord]:
@@ -98,10 +100,14 @@ def witness_records() -> list[WitnessRecord]:
     Each is decoded, verified and checked against its recorded sums on every
     call; a failure here is a build-breaking data error, not a verdict.
     """
-    return [
-        _record_from_codes(n, ab, cd, sums, f"near-normal classification row, order {n}")
-        for n, ab, cd, sums in _WITNESS_ROWS
-    ]
+    records = []
+    for n, ab, cd, sums in _WITNESS_ROWS:
+        quad = codec.decode_quadruple(n, ab, cd)
+        records.append(record_for_quad(quad, f"near-normal classification row, order {n}"))
+        if quad.sums() != sums:
+            raise CatalogError(f"embedded record for order {n}: sums {quad.sums()} "
+                               f"do not match the recorded column {sums}")
+    return records
 
 
 def status(kind: str, n: int) -> KnownStatus:
@@ -170,10 +176,7 @@ def archive_save(records: list[WitnessRecord], path: str) -> None:
     for rec in records:
         if rec.provenance:
             lines.append(f"# {rec.provenance}")
-        if rec.ab_code is not None and rec.cd_code is not None:
-            lines.append(f"{rec.quad.kind} {rec.quad.n} {rec.ab_code} {rec.cd_code}")
-        else:
-            lines.append(f"{rec.quad.kind} {rec.quad.plaintext()}")
+        lines.append(codec.format_record(rec.quad))
     write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -197,26 +200,17 @@ def archive_load(path: str) -> list[WitnessRecord]:
             report = verify_quadruple(quad)
             if not report:
                 raise RecordFailsVerification(
-                    f"line {lineno}: record {line.split()[0]} of shape {quad.shape} "
+                    f"line {lineno}: record {quad.kind} of shape {quad.shape} "
                     f"fails verification: {report.failure}"
                 )
-            fields = line.split()
-            ab = fields[2] if len(fields) == 4 else None
-            cd = fields[3] if len(fields) == 4 else None
-            records.append(WitnessRecord(quad, ab, cd, quad.sums(), provenance))
+            records.append(WitnessRecord(quad, provenance))
             provenance = ""
     return records
 
 
 def record_for_quad(quad: SeqQuadruple, provenance: str = "") -> WitnessRecord:
-    """Wrap a verified quadruple as a record, encoding it when possible."""
+    """Wrap a verified quadruple as a record."""
     report = verify_quadruple(quad)
     if not report:
         raise CatalogError(f"refusing to record a failing quadruple: {report.failure}")
-    ab = cd = None
-    if quad.kind == KIND_NEAR_NORMAL:
-        try:
-            ab, cd = codec.encode_quadruple(quad)
-        except codec.UnencodableError:
-            pass
-    return WitnessRecord(quad, ab, cd, quad.sums(), provenance)
+    return WitnessRecord(quad, provenance)

@@ -80,9 +80,7 @@ def _cmd_decode(args) -> int:
     else:
         if args.ab is None or args.cd is None or args.order is None:
             raise QuadseqError("need --record or all of --order/--ab/--cd")
-        a, b = codec.decode_pair(args.ab, codec.PAIR_AB, args.order)
-        c, d = codec.decode_pair(args.cd, codec.PAIR_CD, args.order)
-        quad = SeqQuadruple(a, b, c, d, KIND_NEAR_NORMAL)
+        quad = codec.decode_quadruple(args.order, args.ab, args.cd)
     if args.format == "json":
         print(json.dumps({"kind": quad.kind, "plaintext": quad.plaintext(),
                           "sums": list(quad.sums())}))
@@ -93,20 +91,17 @@ def _cmd_decode(args) -> int:
 
 def _cmd_encode(args) -> int:
     quad = parse_quad(args.quad, args.kind)
-    ab, cd = codec.encode_quadruple(quad)
-    print(f"{quad.kind} {quad.n} {ab} {cd}")
+    codec.encode_quadruple(quad)  # says why a quadruple without codes has none
+    print(codec.format_record(quad))
     return EXIT_OK
 
 
 def _cmd_search(args) -> int:
-    cases = None
-    if args.cases:
-        cases = tuple(int(v) for v in args.cases.split(","))
     spec = SearchSpec(
         kind=args.kind,
         order=args.order,
         mode=args.mode,
-        cases=cases,
+        cases=args.cases,
         node_limit=args.limit,
         representatives=args.representatives,
         allow_large=args.allow_large,
@@ -145,6 +140,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    if args.what in ("golay", "ns") and args.length is None:
+        raise QuadseqError(f"construct {args.what} needs --length")
     if args.what == "golay":
         pairs = construct.golay_search(args.length, allow_large=args.allow_large)
         for pair in pairs:
@@ -167,8 +164,7 @@ def _cmd_construct(args) -> int:
         _write_out(args.out, text)
         print(f"SSᵀ = ({'+'.join(f'{s}·x{k+1}²' for k, s in enumerate(design.signature))})·I: pass")
         return EXIT_OK
-    values = tuple(int(v) for v in args.values.split(","))
-    h, report = construct.od_substitute(design, values, require_hadamard=True)
+    h, report = construct.od_substitute(design, args.values, require_hadamard=True)
     _write_out(args.out, construct.pm_matrix_to_text(h))
     print(f"HHᵀ = {design.order}·I: {'pass' if report.passed else 'fail'}")
     return EXIT_OK if report.passed else EXIT_FALSE
@@ -188,7 +184,7 @@ def _cmd_catalog(args) -> int:
             catalog.archive_save(records, args.out)
         else:
             for rec in records:
-                print(f"{rec.quad.kind} {rec.quad.n} {rec.ab_code} {rec.cd_code}")
+                print(codec.format_record(rec.quad))
         return EXIT_OK
     if args.what == "status":
         known = catalog.status(args.kind, args.order)
@@ -218,6 +214,14 @@ def _cmd_catalog(args) -> int:
             print(f"case {case.case_id}: {reps}{note}")
         return EXIT_OK
     raise QuadseqError(f"unknown catalog action {args.what!r}")
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type of a comma-separated list of integers."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=(KIND_NORMAL, KIND_NEAR_NORMAL), required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--mode", choices=("all", "first", "count"), default="all")
-    p.add_argument("--cases", help="comma-separated case ids, e.g. 3,7")
+    p.add_argument("--cases", type=_int_list, help="comma-separated case ids, e.g. 3,7")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--limit", type=int, help="node budget")
     p.add_argument("--checkpoint", help="checkpoint file to write")
@@ -269,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad", help="input quadruple plaintext")
     p.add_argument("--kind", choices=ALL_KINDS, help="kind for --quad")
     p.add_argument("--out", help="output file (stdout otherwise)")
-    p.add_argument("--values", default="1,1,1,1", help="substitution values for hadamard")
+    p.add_argument("--values", type=_int_list, default="1,1,1,1",
+                   help="substitution values for hadamard")
     p.add_argument("--length", type=int, help="pair length for golay/ns")
     p.add_argument("--seeds", help="seed pair file for ns")
     p.add_argument("--allow-large", action="store_true")

@@ -105,14 +105,8 @@ def encode_pair(x, y, pair_kind: str) -> str:
     if len(x) != len(y):
         raise CodecError("sequences of a pair must have equal length")
     length = len(x)
-    if pair_kind == PAIR_AB:
-        if length % 2 == 0:
-            raise CodecError("ab pairs must have odd length (order n even)")
-    elif pair_kind == PAIR_CD:
-        if length % 2 == 1:
-            raise CodecError("cd pairs must have even length")
-    else:
-        raise CodecError(f"unknown pair kind {pair_kind!r}")
+    if length % 2 != _pair_length(pair_kind, 0):  # ab pairs have odd length, cd pairs even
+        raise CodecError(f"{pair_kind} pairs cannot have length {length}")
     digits = []
     for k in range(length // 2):
         quad = ((x[k], y[k]), (x[length - 1 - k], y[length - 1 - k]))
@@ -127,12 +121,28 @@ def encode_pair(x, y, pair_kind: str) -> str:
 
 
 def encode_quadruple(q: SeqQuadruple) -> tuple[str, str]:
-    """Encode a shape-(n+1, n) quadruple as its (ab, cd) digit strings."""
-    if q.m != q.n + 1:
-        raise CodecError(f"encoded records need shape (n+1, n), got {q.shape}")
-    ab = encode_pair(q.a, q.b, PAIR_AB)
-    cd = encode_pair(q.c, q.d, PAIR_CD)
-    return ab, cd
+    """The (ab, cd) digit strings of an nn quadruple of shape (n+1, n) and
+    even order n > 0: both nonempty, as an encoded record line needs them."""
+    if q.kind != KIND_NEAR_NORMAL or q.m != q.n + 1 or q.n == 0:
+        raise CodecError(f"encoded records need kind nn, shape (n+1, n) and n > 0; "
+                         f"got {q.kind} of shape {q.shape}")
+    return encode_pair(q.a, q.b, PAIR_AB), encode_pair(q.c, q.d, PAIR_CD)
+
+
+def decode_quadruple(n: int, ab: str, cd: str) -> SeqQuadruple:
+    """Inverse of encode_quadruple: the near-normal quadruple of order n with
+    these codes.  Membership is not verified."""
+    return SeqQuadruple(*decode_pair(ab, PAIR_AB, n), *decode_pair(cd, PAIR_CD, n),
+                        KIND_NEAR_NORMAL)
+
+
+def record_codes(q: SeqQuadruple) -> tuple[str, str] | None:
+    """The (ab, cd) codes of q's record line, or None when encode_quadruple
+    refuses q and the line is plaintext."""
+    try:
+        return encode_quadruple(q)
+    except CodecError:
+        return None
 
 
 def parse_record(line: str) -> SeqQuadruple:
@@ -153,21 +163,16 @@ def parse_record(line: str) -> SeqQuadruple:
             n = int(fields[1])
         except ValueError:
             raise CodecError(f"bad order field {fields[1]!r}") from None
-        a, b = decode_pair(fields[2], PAIR_AB, n)
-        c, d = decode_pair(fields[3], PAIR_CD, n)
-        return SeqQuadruple(a, b, c, d, kind)
+        return decode_quadruple(n, fields[2], fields[3])
     if len(fields) == 2 and ";" in fields[1]:
         return parse_quad(fields[1], kind)
     raise CodecError(f"malformed record line: {line.strip()!r}")
 
 
 def format_record(q: SeqQuadruple) -> str:
-    """Record line for a quadruple: encoded for near-normal shapes when the
-    pair quads allow it, plaintext otherwise."""
-    if q.kind == KIND_NEAR_NORMAL:
-        try:
-            ab, cd = encode_quadruple(q)
-            return f"{q.kind} {q.n} {ab} {cd}"
-        except UnencodableError:
-            pass
-    return f"{q.kind} {q.plaintext()}"
+    """The record line of a quadruple, which parse_record reads back: encoded
+    when record_codes gives codes, plaintext otherwise."""
+    codes = record_codes(q)
+    if codes is None:
+        return f"{q.kind} {q.plaintext()}"
+    return f"{q.kind} {q.n} {codes[0]} {codes[1]}"

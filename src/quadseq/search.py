@@ -57,11 +57,11 @@ from .seqcore import (
     KIND_T,
     QuadseqError,
     SeqQuadruple,
-    ShapeError,
     caching_verifier,
+    join_quad,
     parse_seq,
     profile_index,
-    seq_str,
+    split_quad,
     verify_quadruple,
     write_text_atomic,
 )
@@ -161,6 +161,8 @@ def _validate_spec(spec: SearchSpec) -> None:
         bad = [c for c in spec.cases if not 1 <= c <= NUM_CASES]
         if bad:
             raise SearchError(f"case ids must be in 1..{NUM_CASES}, got {bad}")
+        if len(set(spec.cases)) != len(spec.cases):
+            raise SearchError(f"case ids must not repeat, got {list(spec.cases)}")
 
 
 def _sums_rep(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
@@ -256,11 +258,13 @@ def _scan_block(plan: _PassPlan, bounds: tuple[int, int]):
     if spec.kind == KIND_NEAR_NORMAL:
         b[:, 1:n:2] *= -1
     b[:, n] *= -1  # top-lag cancellation: a_1 * a_m + b_1 * b_m = 0
+    if n == 0 and not spec.representatives:  # no lag at all, so B is free
+        a, b = np.concatenate([a, a]), np.concatenate([b, a])
     a_sum, b_sum = a.sum(axis=1), b.sum(axis=1)
     rest = 2 * (m + n) - a_sum * a_sum - b_sum * b_sum  # c^2 + d^2 left for C and D
     # sum_targets is only asked `in`, once per distinct value of the block
     keep = np.isin(rest, [r for r in np.unique(rest).tolist() if r in plan.sum_targets])
-    nodes = len(ks)
+    nodes = len(a)
     prunes = {PRUNE_SUM: nodes - int(keep.sum()), PRUNE_CASE: 0}
     ab = np.stack([np.abs(a_sum), np.abs(b_sum)], axis=1)
     if plan.ab_filter is not None:
@@ -284,17 +288,6 @@ def _join(order: int, target: tuple[int, ...]):
     return profile_index(order).join(target)
 
 
-def _order_zero_solutions(spec: SearchSpec):
-    # no positive lags at all: every (A, B) pair of length 1 qualifies
-    quads = []
-    for a in (1, -1):
-        for b in (1, -1):
-            if spec.representatives and (a, b) != (1, -1):
-                continue
-            quads.append(((a,), (b,), (), ()))
-    return quads
-
-
 def _in_plaintext_order(quads) -> list:
     """Raw (A, B, C, D) tuples sorted as their plaintexts sort.
 
@@ -302,10 +295,6 @@ def _in_plaintext_order(quads) -> list:
     entry-by-entry order with '+' before '-': descending integer order.
     """
     return sorted(quads, reverse=True)
-
-
-def _plaintext(quad) -> str:
-    return ";".join(map(seq_str, quad))
 
 
 def _parse_solutions(texts) -> list:
@@ -316,11 +305,8 @@ def _parse_solutions(texts) -> list:
     parse = cache(parse_seq)
     quads = []
     for text in texts:
-        seqs = text.split(";")
         try:
-            if len(seqs) != 4:
-                raise ShapeError(f"expected four ';'-separated sequences, got {len(seqs)}")
-            quads.append(tuple(map(parse, seqs)))
+            quads.append(split_quad(text, parse))
         except QuadseqError as exc:
             raise SearchError(f"checkpoint solution {text} does not parse: {exc}") from None
     return quads
@@ -347,6 +333,8 @@ def search(
     on worker count or budget.  A budget may be overshot by one block.
     """
     _validate_spec(spec)
+    if workers < 1:
+        raise SearchError(f"workers must be at least 1, got {workers}")
     started = time.perf_counter()
     if resume is None:
         resume = Checkpoint(
@@ -356,10 +344,6 @@ def search(
         )
     elif _identity(resume) != _identity(spec):
         raise SearchError("checkpoint does not match the requested search")
-
-    if spec.order == 0:
-        quads = _order_zero_solutions(spec)
-        return _finish(spec, quads, len(quads), resume.nodes + len(quads), resume.prunes, started)
 
     tracker = _ProgressTracker(spec, resume, checkpoint_path)
     passes: list[int] = list(spec.cases) if spec.cases is not None else [0]
@@ -421,7 +405,7 @@ class _ProgressTracker:
 
     def _save(self):
         texts = self.state.solutions
-        texts.extend(map(_plaintext, self.solutions[len(texts):]))
+        texts.extend(map(join_quad, self.solutions[len(texts):]))
         if self.checkpoint_path:
             save_checkpoint(self.state, self.checkpoint_path)
 
@@ -441,6 +425,8 @@ def _run_pass(plan, case_pos, lex_start, last_pass, tracker, pool, workers) -> b
     lex_limit = 1 << (spec.order + 1)
     block = isqrt(lex_limit)
     memo = {}  # join target -> (pairs by (max(|c|,|d|), min(|c|,|d|)), probes)
+    if spec.order == 0:  # no lags: the empty (C, D) completes every (A, B), unprobed
+        memo[()] = ([((0, 0), [((), ())])], 0)
     for lo in range(lex_start, lex_limit, block):
         hi = min(lo + block, lex_limit)
         survivors, nodes, prunes = _scan_block(plan, (lo, hi))

@@ -305,17 +305,25 @@ class SeqQuadruple:
         return (self.a, self.b, self.c, self.d)
 
     def plaintext(self) -> str:
-        return ";".join(seq_str(s) for s in self.seqs())
+        return join_quad(self.seqs())
+
+
+def join_quad(seqs) -> str:
+    """The "A;B;C;D" plaintext of four sequences; split_quad reads it."""
+    return ";".join(map(seq_str, seqs))
+
+
+def split_quad(text: str, parse: Callable[[str], Seq]) -> tuple[Seq, ...]:
+    """The four sequences of "A;B;C;D" plaintext, each read by `parse`."""
+    parts = text.split(";")
+    if len(parts) != 4:
+        raise ShapeError(f"expected four ';'-separated sequences, got {len(parts)}")
+    return tuple(map(parse, parts))
 
 
 def parse_quad(text: str, kind: str) -> SeqQuadruple:
     """Parse "A;B;C;D" plaintext into a quadruple of the given kind."""
-    parts = text.split(";")
-    if len(parts) != 4:
-        raise ShapeError(f"expected four ';'-separated sequences, got {len(parts)}")
-    ternary = kind == KIND_T
-    a, b, c, d = (parse_seq(p, ternary=ternary) for p in parts)
-    return SeqQuadruple(a, b, c, d, kind)
+    return SeqQuadruple(*split_quad(text, partial(parse_seq, ternary=kind == KIND_T)), kind)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from quadseq.catalog import (
@@ -7,6 +9,7 @@ from quadseq.catalog import (
     NS_EMPTY_ORDERS,
     UNKNOWN,
     CatalogError,
+    WitnessRecord,
     archive_load,
     archive_save,
     is_yang_number,
@@ -171,3 +174,21 @@ def test_archive_plaintext_fallback(tmp_path):
 def test_record_for_quad_rejects_failures():
     with pytest.raises(CatalogError):
         record_for_quad(parse_quad("+++;+--;++;++", "nn"))
+
+
+def test_a_record_archives_its_own_quadruple(tmp_path):
+    # a record is (quad, provenance): its codes and sums come from its
+    # quadruple, so a record rebuilt around another one carries nothing stale
+    row0, row1 = witness_records()[:2]
+    with pytest.raises(TypeError):  # codes and sums are no longer passed in
+        WitnessRecord(row0.quad, row1.ab_code, row1.cd_code, row0.sums, "")
+    assert (row1.ab_code, row1.cd_code, row1.sums) == ROWS[1][1:]
+    stale = dataclasses.replace(row1, quad=row0.quad)
+    assert (stale.ab_code, stale.cd_code, stale.sums) == ROWS[0][1:]
+    fresh = WitnessRecord(row0.quad, "")
+    # order-0 and order-1 records have no codes and are stored as plaintext
+    tiny = [record_for_quad(q) for q in (parse_quad("+;-;;", "nn"), parse_quad("++;+-;+;+", "nn"))]
+    assert [(r.ab_code, r.cd_code) for r in tiny] == [(None, None)] * 2
+    path = str(tmp_path / "records.txt")
+    archive_save([stale, fresh] + tiny, path)
+    assert [r.quad for r in archive_load(path)] == [row0.quad, row0.quad] + [r.quad for r in tiny]

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from quadseq import construct
+from quadseq.catalog import witness_records
 from quadseq.cli import main
 from quadseq.codec import parse_record
-from quadseq.search import CHECKPOINT_FORMAT
+from quadseq.search import CHECKPOINT_FORMAT, SearchSpec, search
 from quadseq.seqcore import verify_quadruple
 
 from old_formats import TEXT_CHECKPOINT
@@ -135,6 +137,57 @@ def test_search_resume_refuses_a_tampered_solution(tmp_path, capsys):
                          "--resume", str(ckpt))
     assert code == 2 and out == ""
     assert "+++++;+++++;++++;++++ fails verification" in err
+
+
+@pytest.mark.parametrize("kind", ["nn", "ns"])
+@pytest.mark.parametrize("representatives", [False, True])
+def test_every_search_line_parses_back_to_its_quadruple(capsys, kind, representatives):
+    flag = ["--representatives"] if representatives else []
+    for order in range(9):
+        code, out, _ = run(capsys, "search", "--kind", kind, "--order", str(order), *flag)
+        want = search(SearchSpec(kind, order, representatives=representatives)).solutions
+        assert code == (0 if want else 1)
+        assert [parse_record(line) for line in out.splitlines()] == want, order
+
+
+def test_construct_and_catalog_lines_parse_back_to_their_quadruples(capsys):
+    printed = {}
+    for argv in (["construct", "ts", "--from-record", "bs ++;+-;++;+-"],
+                 ["construct", "ts", "--from-record", ROW36_RECORD],
+                 ["construct", "ns", "--length", "2"],
+                 ["construct", "ns", "--length", "10"],
+                 ["catalog", "records"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        printed[" ".join(argv)] = [parse_record(line) for line in out.splitlines()]
+    assert printed == {
+        "construct ts --from-record bs ++;+-;++;+-":
+            [construct.bs_to_ts(parse_record("bs ++;+-;++;+-"))],
+        f"construct ts --from-record {ROW36_RECORD}": [construct.bs_to_ts(parse_record(ROW36_RECORD))],
+        "construct ns --length 2": [construct.golay_to_ns(construct.golay_pair(2))],
+        "construct ns --length 10": [construct.golay_to_ns(construct.golay_pair(10))],
+        "catalog records": [record.quad for record in witness_records()],
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--kind", "nn", "--order", "4", "--cases", "3,,4"],
+    ["search", "--kind", "nn", "--order", "4", "--cases", "3,x"],
+    ["search", "--kind", "nn", "--order", "4", "--cases", "3,3"],
+    ["search", "--kind", "nn", "--order", "4", "--workers", "0"],
+    ["search", "--kind", "nn", "--order", "4", "--workers", "-2"],
+    ["construct", "golay"],
+    ["construct", "ns"],
+    ["construct", "hadamard", "--from-record", "bs ++;+-;++;+-", "--values", "1,x"],
+    ["construct", "hadamard", "--from-record", "bs ++;+-;++;+-", "--values", "1,,1,1"],
+    ["encode", "--quad", "+;+;;"],
+    ["encode", "--quad", "++;+-;+;+"],
+    ["encode", "--quad", "+++;+-+;++;++", "--kind", "ns"],
+])
+def test_bad_arguments_exit_2_with_an_error_and_no_output(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error:" in err
 
 
 def test_construct_ts(capsys):

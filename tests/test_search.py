@@ -168,6 +168,39 @@ def test_order_bound_refusal():
         search(SearchSpec("nn", 4, cases=(0,)))
 
 
+@pytest.mark.parametrize("spec,workers,message", [
+    (SearchSpec("nn", 4, cases=(3, 3)), 1, "must not repeat"),
+    (SearchSpec("nn", 4, cases=(3, 4, 3)), 1, "must not repeat"),
+    (SearchSpec("nn", 4), 0, "at least 1"),
+    (SearchSpec("nn", 4), -1, "at least 1"),
+])
+def test_repeated_case_ids_and_worker_counts_below_one_are_refused(spec, workers, message):
+    # a repeated case id would scan its pass twice and count its solutions twice
+    with pytest.raises(SearchError, match=message):
+        search(spec, workers=workers)
+
+
+def _sums_rep(text, kind):
+    a, b, c, d = map(abs, parse_quad(text, kind).sums())
+    return (a, b, max(c, d), min(c, d))
+
+
+@pytest.mark.parametrize("kind", ["nn", "ns"])
+@pytest.mark.parametrize("mode", ["all", "first", "count"])
+def test_order_zero_obeys_the_case_filter_and_the_first_mode_rule(kind, mode):
+    oracle = sorted(brute_force_solutions(kind, 0))
+    passes = [(None, oracle)] + [
+        ((case.case_id,), [t for t in oracle if _sums_rep(t, kind) in case.sums_reps])
+        for case in enumerate_cases(kind, 0)
+    ]
+    for cases, want in passes:
+        if mode == "first":
+            want = want[:1]
+        result = search(SearchSpec(kind, 0, mode=mode, cases=cases))
+        assert result.count == len(want), cases
+        assert plaintexts(result) == ([] if mode == "count" else want), cases
+
+
 def test_representatives_mode_fixes_boundary(solutions):
     reps = search(SearchSpec("nn", 4, representatives=True)).solutions
     assert reps
