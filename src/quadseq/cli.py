@@ -22,11 +22,7 @@ from .seqcore import (
     KIND_BASE,
     KIND_NEAR_NORMAL,
     KIND_NORMAL,
-    ALL_KINDS,
     QuadseqError,
-    SeqQuadruple,
-    parse_quad,
-    seq_str,
     verify_quadruple,
     write_text_atomic,
 )
@@ -34,16 +30,6 @@ from .seqcore import (
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_ERROR = 2
-
-
-def _load_quad(args) -> SeqQuadruple:
-    if getattr(args, "record", None):
-        return codec.parse_record(args.record)
-    if getattr(args, "quad", None):
-        if not getattr(args, "kind", None):
-            raise QuadseqError("--quad needs --kind")
-        return parse_quad(args.quad, args.kind)
-    raise QuadseqError("need --record or --quad")
 
 
 def _cmd_verify(args) -> int:
@@ -61,9 +47,7 @@ def _cmd_verify(args) -> int:
         else:
             print(f"pass ({len(records)} records)")
         return EXIT_OK
-    quad = _load_quad(args)
-    if args.kind and quad.kind != args.kind:
-        quad = SeqQuadruple(quad.a, quad.b, quad.c, quad.d, args.kind)
+    quad = codec.parse_record(args.record)
     report = verify_quadruple(quad)
     if args.format == "json":
         print(json.dumps({"pass": report.passed, "failure": report.failure,
@@ -75,12 +59,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    if args.record:
-        quad = codec.parse_record(args.record)
-    else:
-        if args.ab is None or args.cd is None or args.order is None:
-            raise QuadseqError("need --record or all of --order/--ab/--cd")
-        quad = codec.decode_quadruple(args.order, args.ab, args.cd)
+    quad = codec.parse_record(args.record)
     if args.format == "json":
         print(json.dumps({"kind": quad.kind, "plaintext": quad.plaintext(),
                           "sums": list(quad.sums())}))
@@ -90,7 +69,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    quad = parse_quad(args.quad, args.kind)
+    quad = codec.parse_record(args.record)
     codec.encode_quadruple(quad)  # says why a quadruple without codes has none
     print(codec.format_record(quad))
     return EXIT_OK
@@ -108,12 +87,8 @@ def _cmd_search(args) -> int:
     )
     resume = load_checkpoint(args.resume) if args.resume else None
     try:
-        result = run_search(
-            spec,
-            workers=args.workers,
-            resume=resume,
-            checkpoint_path=args.checkpoint,
-        )
+        result = run_search(spec, workers=args.workers, resume=resume,
+                            checkpoint_path=args.checkpoint)
     except BudgetExhausted as exc:
         if args.checkpoint:
             print(f"budget exhausted at {exc.checkpoint.nodes} nodes; "
@@ -140,28 +115,24 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.what in ("golay", "ns") and args.length is None:
-        raise QuadseqError(f"construct {args.what} needs --length")
-    if args.what == "golay":
+    if args.target == "golay":
         pairs = construct.golay_search(args.length, allow_large=args.allow_large)
         for pair in pairs:
-            print(f"{seq_str(pair.a)};{seq_str(pair.b)}")
+            print(pair.plaintext())
         return EXIT_OK if pairs else EXIT_FALSE
-    if args.what == "ns":
+    if args.target == "ns":
         seeds = construct.load_golay_seeds(args.seeds) if args.seeds else None
         quad = construct.golay_to_ns(construct.golay_pair(args.length, seeds))
         print(codec.format_record(quad))
         return EXIT_OK
 
-    quad = _load_quad(args)
-    tseq = construct.bs_to_ts(quad)
-    if args.what == "ts":
+    tseq = construct.bs_to_ts(codec.parse_record(args.record))
+    if args.target == "ts":
         print(codec.format_record(tseq))
         return EXIT_OK
     design = construct.ts_to_od(tseq)
-    if args.what == "od":
-        text = construct.matrix_to_text(design)
-        _write_out(args.out, text)
+    if args.target == "od":
+        _write_out(args.out, construct.matrix_to_text(design))
         print(f"SSᵀ = ({'+'.join(f'{s}·x{k+1}²' for k, s in enumerate(design.signature))})·I: pass")
         return EXIT_OK
     h, report = construct.od_substitute(design, args.values, require_hadamard=True)
@@ -178,7 +149,7 @@ def _write_out(path, text) -> None:
 
 
 def _cmd_catalog(args) -> int:
-    if args.what == "records":
+    if args.action == "records":
         records = catalog.witness_records()
         if args.out:
             catalog.archive_save(records, args.out)
@@ -186,7 +157,7 @@ def _cmd_catalog(args) -> int:
             for rec in records:
                 print(codec.format_record(rec.quad))
         return EXIT_OK
-    if args.what == "status":
+    if args.action == "status":
         known = catalog.status(args.kind, args.order)
         if args.format == "json":
             print(json.dumps({"kind": known.kind, "order": known.order,
@@ -196,24 +167,20 @@ def _cmd_catalog(args) -> int:
         return {catalog.NON_EMPTY: EXIT_OK, catalog.EMPTY: EXIT_FALSE}.get(
             known.status, EXIT_ERROR
         )
-    if args.what == "yang":
-        if args.n is None and args.max is None:
-            raise QuadseqError("yang needs --n or --max")
+    if args.action == "yang":
         if args.max is not None:
-            rows = [(n, catalog.is_yang_number(n)) for n in range(1, args.max + 1, 2)]
-            for n, value in rows:
+            for n in range(1, args.max + 1, 2):
+                value = catalog.is_yang_number(n)
                 print(f"{n} {'yes' if value else 'unknown' if value is None else 'no'}")
             return EXIT_OK
         value = catalog.is_yang_number(args.n)
         print("yes" if value else "unknown" if value is None else "no")
         return EXIT_OK if value else EXIT_ERROR if value is None else EXIT_FALSE
-    if args.what == "cases":
-        for case in enumerate_cases(args.kind, args.order):
-            note = f"  # {case.note}" if case.note else ""
-            reps = " ".join(str(r) for r in case.sums_reps) or "(empty)"
-            print(f"case {case.case_id}: {reps}{note}")
-        return EXIT_OK
-    raise QuadseqError(f"unknown catalog action {args.what!r}")
+    for case in enumerate_cases(args.kind, args.order):
+        note = f"  # {case.note}" if case.note else ""
+        reps = " ".join(str(r) for r in case.sums_reps) or "(empty)"
+        print(f"case {case.case_id}: {reps}{note}")
+    return EXIT_OK
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -224,37 +191,42 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
 
 
+def _shared(flag: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the subcommands that share it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(flag, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadseq",
         description="Complementary sequence quadruple workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    record_help = "record line: 'nn <n> <ab> <cd>' or '<kind> <A;B;C;D>'"
+    fmt = _shared("--format", choices=("text", "json"), default="text")
+    record = _shared("--record", required=True, help=record_help)
+    from_record = _shared("--from-record", dest="record", required=True, help=record_help)
+    out = _shared("--out", help="output file (stdout otherwise)")
+    order = _shared("--order", type=int, required=True)
 
-    p = sub.add_parser("verify", help="verify a quadruple or an archive file")
-    p.add_argument("--record", help="record line, e.g. 'nn 36 <ab> <cd>'")
-    p.add_argument("--quad", help="plaintext quadruple 'A;B;C;D'")
-    p.add_argument("--kind", choices=ALL_KINDS, help="kind for --quad (overrides --record)")
-    p.add_argument("--input", help="archive file: verify every record")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p = sub.add_parser("verify", parents=[fmt], help="verify a quadruple or an archive file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--record", help=record_help)
+    source.add_argument("--input", help="archive file: verify every record")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("decode", help="decode digit codes to plaintext")
-    p.add_argument("--record", help="encoded record line")
-    p.add_argument("--order", type=int)
-    p.add_argument("--ab", help="long-pair digit code")
-    p.add_argument("--cd", help="short-pair digit code")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p = sub.add_parser("decode", parents=[record, fmt], help="print a record as plaintext")
     p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("encode", help="encode a plaintext quadruple as digit codes")
-    p.add_argument("--quad", required=True)
-    p.add_argument("--kind", choices=ALL_KINDS, default=KIND_NEAR_NORMAL)
+    p = sub.add_parser("encode", parents=[record],
+                       help="print the encoded record of a near-normal quadruple")
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("search", help="exhaustive search for ns/nn quadruples")
+    p = sub.add_parser("search", parents=[order, fmt],
+                       help="exhaustive search for ns/nn quadruples")
     p.add_argument("--kind", choices=(KIND_NORMAL, KIND_NEAR_NORMAL), required=True)
-    p.add_argument("--order", type=int, required=True)
     p.add_argument("--mode", choices=("all", "first", "count"), default="all")
     p.add_argument("--cases", type=_int_list, help="comma-separated case ids, e.g. 3,7")
     p.add_argument("--workers", type=int, default=1)
@@ -264,32 +236,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--representatives", action="store_true",
                    help="fix the boundary to '0'-form (class representatives only)")
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("construct", help="build T-sequences, designs, Hadamard matrices, pairs")
-    p.add_argument("what", choices=("ts", "od", "hadamard", "golay", "ns"))
-    p.add_argument("--from-record", dest="record", help="input quadruple record")
-    p.add_argument("--quad", help="input quadruple plaintext")
-    p.add_argument("--kind", choices=ALL_KINDS, help="kind for --quad")
-    p.add_argument("--out", help="output file (stdout otherwise)")
-    p.add_argument("--values", type=_int_list, default="1,1,1,1",
-                   help="substitution values for hadamard")
-    p.add_argument("--length", type=int, help="pair length for golay/ns")
-    p.add_argument("--seeds", help="seed pair file for ns")
-    p.add_argument("--allow-large", action="store_true")
     p.set_defaults(func=_cmd_construct)
+    targets = p.add_subparsers(dest="target", required=True)
+    targets.add_parser("ts", parents=[from_record], help="T-sequences of a base quadruple")
+    targets.add_parser("od", parents=[from_record, out], help="orthogonal design")
+    p = targets.add_parser("hadamard", parents=[from_record, out], help="Hadamard matrix")
+    p.add_argument("--values", type=_int_list, default="1,1,1,1",
+                   help="substitution values, e.g. 1,-1,1,1")
+    p = targets.add_parser("golay", help="every Golay pair of a length")
+    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--allow-large", action="store_true")
+    p = targets.add_parser("ns", help="normal quadruple from a Golay pair")
+    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--seeds", help="Golay seed pair file")
 
     p = sub.add_parser("catalog", help="embedded records, statuses, case tables")
-    p.add_argument("what", choices=("records", "status", "yang", "cases"))
+    p.set_defaults(func=_cmd_catalog)
+    actions = p.add_subparsers(dest="action", required=True)
+    actions.add_parser("records", parents=[out], help="the bundled witness records")
+    p = actions.add_parser("status", parents=[order, fmt], help="existence status of a class")
     p.add_argument("--kind", choices=(KIND_BASE, KIND_NORMAL, KIND_NEAR_NORMAL),
                    default=KIND_NEAR_NORMAL)
-    p.add_argument("--order", type=int, default=0)
-    p.add_argument("--n", type=int, help="single odd integer for yang")
-    p.add_argument("--max", type=int, help="list yang status for odd n up to this bound")
-    p.add_argument("--out", help="archive file for records")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_catalog)
+    p = actions.add_parser("yang", help="Yang-number status of odd integers")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--n", type=int, help="one odd integer")
+    which.add_argument("--max", type=int, help="every odd integer up to this bound")
+    p = actions.add_parser("cases", parents=[order], help="the 12 search cases of an order")
+    p.add_argument("--kind", choices=(KIND_NORMAL, KIND_NEAR_NORMAL), default=KIND_NEAR_NORMAL)
 
     return parser
 
@@ -303,10 +279,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except QuadseqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (QuadseqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -120,18 +120,26 @@ def encode_pair(x, y, pair_kind: str) -> str:
     return "".join(digits)
 
 
+def _require_code_order(n: int) -> None:
+    """Codes exist only for even orders n > 0, where both codes have digits."""
+    if n <= 0 or n % 2:
+        raise CodecError(f"codes exist only for even orders n > 0, got order {n}")
+
+
 def encode_quadruple(q: SeqQuadruple) -> tuple[str, str]:
     """The (ab, cd) digit strings of an nn quadruple of shape (n+1, n) and
-    even order n > 0: both nonempty, as an encoded record line needs them."""
-    if q.kind != KIND_NEAR_NORMAL or q.m != q.n + 1 or q.n == 0:
-        raise CodecError(f"encoded records need kind nn, shape (n+1, n) and n > 0; "
+    even order n > 0, as an encoded record line needs them."""
+    if q.kind != KIND_NEAR_NORMAL or q.m != q.n + 1:
+        raise CodecError(f"encoded records need kind nn and shape (n+1, n); "
                          f"got {q.kind} of shape {q.shape}")
+    _require_code_order(q.n)
     return encode_pair(q.a, q.b, PAIR_AB), encode_pair(q.c, q.d, PAIR_CD)
 
 
 def decode_quadruple(n: int, ab: str, cd: str) -> SeqQuadruple:
     """Inverse of encode_quadruple: the near-normal quadruple of order n with
     these codes.  Membership is not verified."""
+    _require_code_order(n)
     return SeqQuadruple(*decode_pair(ab, PAIR_AB, n), *decode_pair(cd, PAIR_CD, n),
                         KIND_NEAR_NORMAL)
 
@@ -149,8 +157,9 @@ def parse_record(line: str) -> SeqQuadruple:
     """Parse one record line into a quadruple; membership is not verified.
 
     Formats (kind tag case-insensitive):
-      nn <n> <ab-code> <cd-code>    encoded near-normal record
-      <kind> <A;B;C;D>              plaintext record, any kind
+      nn <n> <ab-code> <cd-code>    encoded near-normal record, n even and > 0
+      <kind> <A;B;C;D>              plaintext record, any kind; whitespace
+                                    inside the quadruple is ignored
     """
     fields = line.split()
     if not fields:
@@ -158,14 +167,14 @@ def parse_record(line: str) -> SeqQuadruple:
     kind = fields[0].lower()
     if kind not in ALL_KINDS:
         raise CodecError(f"unknown kind tag {fields[0]!r}")
+    if ";" in line:
+        return parse_quad(line.split(maxsplit=1)[1], kind)
     if kind == KIND_NEAR_NORMAL and len(fields) == 4:
         try:
             n = int(fields[1])
         except ValueError:
             raise CodecError(f"bad order field {fields[1]!r}") from None
         return decode_quadruple(n, fields[2], fields[3])
-    if len(fields) == 2 and ";" in fields[1]:
-        return parse_quad(fields[1], kind)
     raise CodecError(f"malformed record line: {line.strip()!r}")
 
 

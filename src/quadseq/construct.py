@@ -22,6 +22,7 @@ from .seqcore import (
     npaf_values,
     parse_seq,
     profile_index,
+    seq_str,
     verify_quadruple,
 )
 
@@ -50,6 +51,18 @@ class GolayPair:
     def is_valid(self) -> bool:
         pa, pb = npaf_values(self.a), npaf_values(self.b)
         return all(pa[j] + pb[j] == 0 for j in range(1, self.length))
+
+    def plaintext(self) -> str:
+        """The "E;F" line of the pair; parse_golay_pair reads it."""
+        return f"{seq_str(self.a)};{seq_str(self.b)}"
+
+
+def parse_golay_pair(text: str) -> GolayPair:
+    """The pair of an "E;F" line; complementarity is not checked."""
+    parts = text.split(";")
+    if len(parts) != 2:
+        raise ConstructionError("expected two ';'-separated sequences")
+    return GolayPair(parse_seq(parts[0]), parse_seq(parts[1]))
 
 
 def _require_valid(pair: GolayPair) -> None:
@@ -140,19 +153,19 @@ def _seed_of_length(length: int, seeds: list[GolayPair] | None) -> GolayPair:
 
 
 def load_golay_seeds(path: str) -> list[GolayPair]:
-    """Read 'E;F' plaintext pairs, one per line, verifying each on load."""
+    """Read "E;F" pair lines (see parse_golay_pair), verifying each on load;
+    every error names its line."""
     pairs = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(";")
-            if len(parts) != 2:
-                raise ConstructionError(f"line {lineno}: expected two ';'-separated sequences")
-            pair = GolayPair(parse_seq(parts[0]), parse_seq(parts[1]))
-            if not pair.is_valid():
-                raise ConstructionError(f"line {lineno}: pair fails the complementarity check")
+            try:
+                pair = parse_golay_pair(line)
+                _require_valid(pair)
+            except QuadseqError as exc:
+                raise ConstructionError(f"line {lineno}: {exc}") from None
             pairs.append(pair)
     return pairs
 

@@ -145,11 +145,15 @@ def _identity(spec_or_checkpoint) -> tuple:
     return tuple(getattr(spec_or_checkpoint, name) for name in _IDENTITY_FIELDS)
 
 
-def _validate_spec(spec: SearchSpec) -> None:
-    if spec.kind not in (KIND_NORMAL, KIND_NEAR_NORMAL):
-        raise SearchError(f"searchable kinds are ns and nn, got {spec.kind!r}")
-    if spec.order < 0:
+def _validate_kind_and_order(kind: str, order: int) -> None:
+    if kind not in (KIND_NORMAL, KIND_NEAR_NORMAL):
+        raise SearchError(f"searchable kinds are ns and nn, got {kind!r}")
+    if order < 0:
         raise SearchError("order must be nonnegative")
+
+
+def _validate_spec(spec: SearchSpec) -> None:
+    _validate_kind_and_order(spec.kind, spec.order)
     if spec.order > MAX_ORDER_WITHOUT_OVERRIDE and not spec.allow_large:
         raise SearchError(
             f"order {spec.order} above the default bound "
@@ -183,8 +187,7 @@ def enumerate_cases(kind: str, order: int) -> list[CaseDescriptor]:
     orbits the tail is merged into case 12, and when there are fewer the
     remaining descriptors are empty, with the spill noted on the descriptor.
     """
-    if kind not in (KIND_NORMAL, KIND_NEAR_NORMAL):
-        raise SearchError(f"searchable kinds are ns and nn, got {kind!r}")
+    _validate_kind_and_order(kind, order)
     m, n = order + 1, order
     total = 2 * (m + n)
     reps = set()
@@ -297,18 +300,31 @@ def _in_plaintext_order(quads) -> list:
     return sorted(quads, reverse=True)
 
 
-def _parse_solutions(texts) -> list:
-    """Raw (A, B, C, D) tuples of checkpoint plaintexts; SearchError names one
-    that is not four binary sequences.  A checkpoint repeats few distinct
-    sequences, so each is parsed once, and equal sequences share one tuple,
-    as they do in a search's own results."""
+def _verified_solutions(texts, kind: str, order: int) -> list:
+    """Raw (A, B, C, D) tuples of checkpoint plaintexts, each verified as a
+    quadruple of `kind` and `order`: a resumed run returns them as its own.
+    SearchError names the first that does not parse or verify.  A checkpoint
+    repeats few distinct sequences, so each is parsed and its autocorrelations
+    computed once, and equal sequences share one tuple, as they do in a
+    search's own results."""
     parse = cache(parse_seq)
+    verify = caching_verifier()
     quads = []
     for text in texts:
         try:
-            quads.append(split_quad(text, parse))
+            seqs = split_quad(text, parse)
         except QuadseqError as exc:
             raise SearchError(f"checkpoint solution {text} does not parse: {exc}") from None
+        try:
+            quad = SeqQuadruple(*seqs, kind)
+            failure = verify(quad).failure
+        except QuadseqError as exc:
+            failure = str(exc)
+        if failure is None and quad.n != order:
+            failure = f"order {quad.n}, expected {order}"
+        if failure is not None:
+            raise SearchError(f"checkpoint solution {text} fails verification: {failure}")
+        quads.append(seqs)
     return quads
 
 
@@ -372,7 +388,7 @@ class _ProgressTracker:
     def __init__(self, spec, start: Checkpoint, checkpoint_path):
         self.spec = spec
         self.state = replace(start, prunes=dict(start.prunes), solutions=list(start.solutions))
-        self.solutions = _parse_solutions(start.solutions)
+        self.solutions = _verified_solutions(start.solutions, spec.kind, spec.order)
         self.checkpoint_path = checkpoint_path
         self._base_nodes = start.nodes  # node_limit budgets the current run only
         self._last_checkpoint_nodes = start.nodes
@@ -509,19 +525,6 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"damaged checkpoint: found {checkpoint.found} but "
             f"{len(checkpoint.solutions)} solutions"
         )
-    # a resumed run returns these solutions, so each must verify as a member
-    # of the checkpoint's kind and order; they repeat few distinct sequences
-    verify = caching_verifier()
-    for text, seqs in zip(checkpoint.solutions, _parse_solutions(checkpoint.solutions)):
-        try:
-            quad = SeqQuadruple(*seqs, checkpoint.kind)
-            failure = verify(quad).failure
-        except QuadseqError as exc:
-            failure = str(exc)
-        if failure is None and quad.n != checkpoint.order:
-            failure = f"order {quad.n}, expected {checkpoint.order}"
-        if failure is not None:
-            raise SearchError(f"checkpoint solution {text} fails verification: {failure}")
     return checkpoint
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -33,9 +34,19 @@ def test_verify_failing_record(capsys):
     assert out.startswith("fail:")
 
 
-def test_verify_quad_with_kind(capsys):
-    code, out, _ = run(capsys, "verify", "--quad", "+;+;+;+", "--kind", "bs")
+def test_verify_plaintext_record_of_a_kind(capsys):
+    code, out, _ = run(capsys, "verify", "--record", "bs +;+;+;+")
     assert code == 0 and out.strip() == "pass"
+    # the kind tag decides the check: this quadruple is base but not near-normal
+    code, out, _ = run(capsys, "verify", "--record", "nn +++;+++;++;++")
+    assert code == 1 and out.startswith("fail:")
+
+
+def test_whitespace_inside_a_plaintext_record_is_ignored(capsys):
+    for command in ("verify", "decode"):
+        spaced = run(capsys, command, "--record", "nn + ++;+\t--; +-;+ -")
+        assert spaced == run(capsys, command, "--record", "nn +++;+--;+-;+-")
+        assert spaced[0] == 0
 
 
 def test_verify_json_format(capsys):
@@ -68,7 +79,7 @@ def test_decode_then_encode_reproduces_every_row(capsys):
         record = f"nn {n} {ab} {cd}"
         code, plain, _ = run(capsys, "decode", "--record", record)
         assert code == 0
-        code, out, _ = run(capsys, "encode", "--quad", plain.strip(), "--kind", "nn")
+        code, out, _ = run(capsys, "encode", "--record", f"nn {plain.strip()}")
         assert code == 0
         assert out.strip() == record
 
@@ -180,14 +191,74 @@ def test_construct_and_catalog_lines_parse_back_to_their_quadruples(capsys):
     ["construct", "ns"],
     ["construct", "hadamard", "--from-record", "bs ++;+-;++;+-", "--values", "1,x"],
     ["construct", "hadamard", "--from-record", "bs ++;+-;++;+-", "--values", "1,,1,1"],
-    ["encode", "--quad", "+;+;;"],
-    ["encode", "--quad", "++;+-;+;+"],
-    ["encode", "--quad", "+++;+-+;++;++", "--kind", "ns"],
+    ["encode", "--record", "nn +;+;;"],
+    ["encode", "--record", "nn ++;+-;+;+"],
+    ["encode", "--record", "ns +++;+-+;++;++"],
+    # two inputs
+    ["verify", "--record", "nn 2 01 4", "--input", os.devnull],
+    ["catalog", "yang", "--n", "73", "--max", "9"],
+    # an option the target does not read
+    ["construct", "ts", "--from-record", "bs +;+;+;+", "--out", "t.txt"],
+    ["construct", "golay", "--length", "2", "--from-record", "bs +;+;+;+"],
+    ["construct", "ns", "--length", "2", "--allow-large"],
+    ["catalog", "records", "--order", "3"],
+    ["catalog", "cases", "--order", "4", "--format", "json"],
+    # a removed option
+    ["verify", "--record", "nn 2 01 4", "--quad", "+++;+++;++;++", "--kind", "nn"],
+    ["decode", "--order", "2", "--ab", "01", "--cd", "1"],
+    ["encode", "--quad", "+++;+--;+-;+-", "--kind", "nn"],
+    ["construct", "ts", "--quad", "+;+;+;+", "--kind", "bs"],
+    # a missing required option, and values the program refuses
+    ["catalog", "status", "--kind", "nn"],
+    ["catalog", "cases", "--order", "-3"],
+    ["verify", "--record", "nn 1 0 1"],
 ])
 def test_bad_arguments_exit_2_with_an_error_and_no_output(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("record,message", [
+    ("nn +;+;;", "codes exist only for even orders n > 0, got order 0"),
+    ("nn ++;+-;+;+", "codes exist only for even orders n > 0, got order 1"),
+    ("ns +++;+-+;++;++", "encoded records need kind nn and shape (n+1, n); got ns of shape (3, 2)"),
+])
+def test_encode_says_why_a_quadruple_has_no_codes(capsys, record, message):
+    assert run(capsys, "encode", "--record", record) == (2, "", f"error: {message}\n")
+
+
+# every command, construct target and catalog action, with the options it reads
+OPTIONS = {
+    (): set(),
+    ("verify",): {"--record", "--input", "--format"},
+    ("decode",): {"--record", "--format"},
+    ("encode",): {"--record"},
+    ("search",): {"--kind", "--order", "--mode", "--cases", "--workers", "--limit",
+                  "--checkpoint", "--resume", "--representatives", "--allow-large", "--format"},
+    ("construct",): set(),
+    ("construct", "ts"): {"--from-record"},
+    ("construct", "od"): {"--from-record", "--out"},
+    ("construct", "hadamard"): {"--from-record", "--out", "--values"},
+    ("construct", "golay"): {"--length", "--allow-large"},
+    ("construct", "ns"): {"--length", "--seeds"},
+    ("catalog",): set(),
+    ("catalog", "records"): {"--out"},
+    ("catalog", "status"): {"--kind", "--order", "--format"},
+    ("catalog", "yang"): {"--n", "--max"},
+    ("catalog", "cases"): {"--kind", "--order"},
+}
+
+
+@pytest.mark.parametrize("path", sorted(OPTIONS), ids=lambda path: " ".join(path) or "quadseq")
+def test_help_lists_exactly_the_options_each_command_reads(capsys, path):
+    code, out, _ = run(capsys, *path, "--help")
+    assert code == 0
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) - {"--help"} == OPTIONS[path]
+    # the usage line names the subcommands under this one, and the table has each of them
+    usage = re.search(r"\{([a-z,]+)\} \.\.\.", out)
+    children = {p[-1] for p in OPTIONS if p and p[:-1] == path}
+    assert set(usage[1].split(",") if usage else ()) == children
 
 
 def test_construct_ts(capsys):

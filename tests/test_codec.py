@@ -12,6 +12,7 @@ from quadseq.codec import (
     UnencodableError,
     code_length,
     decode_pair,
+    decode_quadruple,
     encode_pair,
     encode_quadruple,
     format_record,
@@ -222,3 +223,31 @@ def test_format_record_round_trips():
     assert line.startswith("nn ") and ";" in line
     again = parse_record(line)
     assert again == plain
+
+
+@settings(deadline=None)
+@given(st.integers(1, 30).map(lambda k: 2 * k), st.data())
+def test_every_encoded_line_round_trips(n, data):
+    quads, centers = st.sampled_from(sorted(QUAD_TABLE)), st.sampled_from(sorted(CENTER_TABLE))
+    ab = "".join(data.draw(st.lists(quads, min_size=n // 2, max_size=n // 2))) + data.draw(centers)
+    cd = "".join(data.draw(st.lists(quads, min_size=n // 2, max_size=n // 2)))
+    line = f"nn {n} {ab} {cd}"
+    assert format_record(parse_record(line)) == line
+
+
+@pytest.mark.parametrize("line", ["nn 1 0 1", "nn 3 01 0", "nn -2 0 1", "nn 0 0 1"])
+def test_codes_exist_only_for_even_orders_above_zero(line):
+    n, ab, cd = line.split(" ")[1:]
+    for refused in (lambda: parse_record(line), lambda: decode_quadruple(int(n), ab, cd)):
+        with pytest.raises(CodecError, match=f"codes exist only for even orders n > 0, got order {n}"):
+            refused()
+    # order 1 is written as plaintext, which parses back
+    quad = parse_record("nn ++;+-;+;+")
+    assert format_record(quad) == "nn ++;+-;+;+"
+    with pytest.raises(CodecError, match="got order 1"):
+        encode_quadruple(quad)
+
+
+def test_whitespace_inside_a_plaintext_record_is_ignored():
+    assert parse_record("nn + ++ ;+\t--;+-; + -") == parse_record("nn +++;+--;+-;+-")
+    assert parse_record("ts +0;0 0;0+;00") == parse_record("ts +0;00;0+;00")

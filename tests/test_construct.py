@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import re
 from math import isqrt
 
 import numpy as np
@@ -22,6 +23,7 @@ from quadseq.construct import (
     matrix_from_text,
     matrix_to_text,
     od_substitute,
+    parse_golay_pair,
     pm_matrix_to_text,
     ts_to_od,
     verify_od,
@@ -357,6 +359,24 @@ def test_golay_seed_file(tmp_path):
     bad.write_text("++;++\n")
     with pytest.raises(ConstructionError):
         load_golay_seeds(str(bad))
+
+
+@pytest.mark.parametrize("line,message", [
+    ("++;+x", "line 2: bad sequence character 'x'"),
+    ("++;+-;+", "line 2: expected two ';'-separated sequences"),
+    ("++;+", "line 2: pair sequences must have equal length"),
+    ("++;++", "line 2: autocorrelations do not cancel"),
+])
+def test_every_seed_file_error_names_its_line(tmp_path, line, message):
+    path = tmp_path / "seeds.txt"
+    path.write_text(f"# one bad pair\n{line}\n")
+    with pytest.raises(ConstructionError, match=re.escape(message)):
+        load_golay_seeds(str(path))
+
+
+def test_golay_pair_lines_parse_back_to_their_pairs():
+    pairs = golay_search(10)
+    assert pairs and [parse_golay_pair(pair.plaintext()) for pair in pairs] == pairs
 
 
 def test_golay_to_ns():

@@ -224,6 +224,16 @@ def test_enumerate_cases_shape():
     assert sum(1 for c in padded if not c.sums_reps) == 5
 
 
+@pytest.mark.parametrize("kind,order,message", [
+    ("nn", -3, "order must be nonnegative"),
+    ("bs", 4, "searchable kinds are ns and nn"),
+])
+def test_enumerate_cases_refuses_what_the_search_refuses(kind, order, message):
+    for refused in (lambda: enumerate_cases(kind, order), lambda: search(SearchSpec(kind, order))):
+        with pytest.raises(SearchError, match=message):
+            refused()
+
+
 def test_cases_partition_solution_set(solutions):
     full = {q.plaintext() for q in solutions("nn", 4)}
     per_case = []
@@ -593,11 +603,40 @@ def test_checkpoint_with_a_bad_field_is_refused(tmp_path, name, value, message):
 def test_checkpoint_with_a_solution_that_fails_verification_is_refused(tmp_path, bad, message):
     # a resumed run returns the checkpoint's solutions as its own
     assert verify_quadruple(parse_quad("+++;+--;+-;+-", "nn"))
-    path = _budgeted_checkpoint_file(tmp_path, SearchSpec("nn", 4, node_limit=25))
+    spec = SearchSpec("nn", 4, node_limit=25)
+    path = _budgeted_checkpoint_file(tmp_path, spec)
     solutions = load_checkpoint(path).solutions
     assert solutions
     with pytest.raises(SearchError, match=f"solution {re.escape(bad)} .*{message}"):
-        load_checkpoint(_rewritten(path, solutions=[bad] + solutions[1:]))
+        search(spec, resume=load_checkpoint(_rewritten(path, solutions=[bad] + solutions[1:])))
+
+
+def test_resume_from_memory_refuses_a_solution_that_fails_verification():
+    # the checkpoint a BudgetExhausted carries is mutable; the resumed run
+    # verifies its solutions, so a tampered one is refused, not returned
+    with pytest.raises(BudgetExhausted) as info:
+        search(SearchSpec("nn", 4, node_limit=25))
+    checkpoint = info.value.checkpoint
+    checkpoint.solutions[0] = "+++++;+++++;++++;++++"
+    with pytest.raises(SearchError, match=r"solution \+{5};\+{5};\+{4};\+{4} fails verification"):
+        search(SearchSpec("nn", 4), resume=checkpoint)
+
+
+def test_a_resumed_run_verifies_each_checkpoint_solution_once(tmp_path, monkeypatch):
+    spec = SearchSpec("nn", 4, node_limit=25)
+    path = _budgeted_checkpoint_file(tmp_path, spec)
+    verified = []
+    real = seqcore.caching_verifier
+
+    def counting_verifier():
+        verify = real()
+        return lambda quad: verified.append(quad) or verify(quad)
+
+    monkeypatch.setattr(search_module, "caching_verifier", counting_verifier)
+    checkpoint = load_checkpoint(path)
+    resumed = search(dataclasses.replace(spec, node_limit=None), resume=checkpoint)
+    assert len(verified) == len(checkpoint.solutions) > 0
+    assert resumed.solutions == search(SearchSpec("nn", 4)).solutions
 
 
 def test_resume_from_memory_refuses_an_unparsable_solution_before_searching():
