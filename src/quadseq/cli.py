@@ -169,6 +169,9 @@ def _cmd_catalog(args) -> int:
         )
     if args.action == "yang":
         if args.max is not None:
+            if args.max < 1:
+                raise catalog.CatalogError(
+                    f"Yang numbers are odd positive integers; --max {args.max} bounds none")
             for n in range(1, args.max + 1, 2):
                 value = catalog.is_yang_number(n)
                 print(f"{n} {'yes' if value else 'unknown' if value is None else 'no'}")

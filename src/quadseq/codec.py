@@ -40,8 +40,9 @@ CENTER_TABLE = {
     "3": (-1, -1),
 }
 
-_QUAD_REVERSE = {v: k for k, v in QUAD_TABLE.items()}
-_CENTER_REVERSE = {v: k for k, v in CENTER_TABLE.items()}
+# (x_k, y_k, x_mirror, y_mirror) -> digit
+_QUAD_DIGITS = {column + mirror: digit for digit, (column, mirror) in QUAD_TABLE.items()}
+_CENTER_DIGITS = {column: digit for digit, column in CENTER_TABLE.items()}
 
 
 class CodecError(QuadseqError):
@@ -98,6 +99,16 @@ def decode_pair(digits: str, pair_kind: str, n: int):
     return tuple(x), tuple(y)
 
 
+def _pair_digits(x, y) -> str | None:
+    """The digits of the equal-length pair (x, y), the central digit last
+    when the length is odd, or None when some column has no digit."""
+    half = len(x) // 2
+    digits = list(map(_QUAD_DIGITS.get, zip(x[:half], y[:half], x[::-1][:half], y[::-1][:half])))
+    if len(x) % 2:
+        digits.append(_CENTER_DIGITS.get((x[half], y[half])))
+    return None if None in digits else "".join(digits)
+
+
 def encode_pair(x, y, pair_kind: str) -> str:
     """Inverse of decode_pair; raises UnencodableError when some column quad
     is outside the nine-digit alphabet."""
@@ -107,17 +118,15 @@ def encode_pair(x, y, pair_kind: str) -> str:
     length = len(x)
     if length % 2 != _pair_length(pair_kind, 0):  # ab pairs have odd length, cd pairs even
         raise CodecError(f"{pair_kind} pairs cannot have length {length}")
-    digits = []
+    digits = _pair_digits(x, y)
+    if digits is not None:
+        return digits
     for k in range(length // 2):
         quad = ((x[k], y[k]), (x[length - 1 - k], y[length - 1 - k]))
-        digit = _QUAD_REVERSE.get(quad)
-        if digit is None:
+        if quad[0] + quad[1] not in _QUAD_DIGITS:
             raise UnencodableError(f"column pair {quad} at position {k + 1} has no digit")
-        digits.append(digit)
-    if length % 2 == 1:
-        center = (x[length // 2], y[length // 2])
-        digits.append(_CENTER_REVERSE[center])
-    return "".join(digits)
+    center = (x[length // 2], y[length // 2])
+    raise UnencodableError(f"central column {center} has no digit")
 
 
 def _require_code_order(n: int) -> None:
@@ -146,11 +155,12 @@ def decode_quadruple(n: int, ab: str, cd: str) -> SeqQuadruple:
 
 def record_codes(q: SeqQuadruple) -> tuple[str, str] | None:
     """The (ab, cd) codes of q's record line, or None when encode_quadruple
-    refuses q and the line is plaintext."""
-    try:
-        return encode_quadruple(q)
-    except CodecError:
+    refuses q and the line is plaintext; it raises nothing itself."""
+    if q.kind != KIND_NEAR_NORMAL or q.m != q.n + 1 or q.n <= 0 or q.n % 2:
         return None
+    ab = _pair_digits(q.a, q.b)
+    cd = None if ab is None else _pair_digits(q.c, q.d)
+    return None if cd is None else (ab, cd)
 
 
 def parse_record(line: str) -> SeqQuadruple:
@@ -173,7 +183,9 @@ def parse_record(line: str) -> SeqQuadruple:
         try:
             n = int(fields[1])
         except ValueError:
-            raise CodecError(f"bad order field {fields[1]!r}") from None
+            n = None
+        if n is None or str(n) != fields[1]:  # only what format_record writes: not 02, +2, 0_2
+            raise CodecError(f"bad order field {fields[1]!r}")
         return decode_quadruple(n, fields[2], fields[3])
     raise CodecError(f"malformed record line: {line.strip()!r}")
 

@@ -159,6 +159,8 @@ def _validate_spec(spec: SearchSpec) -> None:
             f"order {spec.order} above the default bound "
             f"{MAX_ORDER_WITHOUT_OVERRIDE}; set allow_large to proceed"
         )
+    if spec.node_limit is not None and spec.node_limit < 1:
+        raise SearchError(f"node limit must be at least 1, got {spec.node_limit}")
     if spec.mode not in ("all", "first", "count"):
         raise SearchError(f"unknown report mode {spec.mode!r}")
     if spec.cases is not None:
@@ -469,7 +471,11 @@ def _finish(spec, quads, found, nodes, prunes, started):
         ordered = _in_plaintext_order(quads)
         if spec.mode == "first":
             ordered = ordered[:1]
-        solutions = [SeqQuadruple(*quad, spec.kind) for quad in ordered]
+        # every raw tuple here is already a tuple of plain +-1 ints, with A, B
+        # and C, D of equal lengths: scan rows come from int8 .tolist(), C and
+        # D from ProfileIndex's product((1, -1)), and resumed solutions were
+        # parsed by parse_seq and verified in _verified_solutions
+        solutions = [SeqQuadruple._trusted(*quad, spec.kind) for quad in ordered]
     stats = SearchStats(nodes=nodes, prunes=dict(prunes), elapsed=time.perf_counter() - started)
     return SearchResult(solutions=solutions, count=found, stats=stats)
 

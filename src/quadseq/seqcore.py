@@ -15,7 +15,7 @@ that pass a power-spectral-density test.
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import product
 from math import isqrt
 from operator import sub
@@ -98,8 +98,20 @@ def parse_seq(text: str, ternary: bool = False) -> Seq:
     return as_ternary(values) if ternary else as_binary(values)
 
 
+def _seq_text(seq) -> str:
+    return "".join(map(_VALUE_TO_CHAR.__getitem__, seq))
+
+
+# a search's solutions repeat few distinct sequences: nn 12's 37,376 are 472
+_memo_seq_text = lru_cache(maxsize=4096)(_seq_text)
+
+
 def seq_str(seq: Seq) -> str:
-    return "".join(_VALUE_TO_CHAR[v] for v in seq)
+    """The '+'/'-'/'0' text of a sequence; parse_seq reads it back."""
+    try:
+        return _memo_seq_text(seq)
+    except TypeError:  # unhashable, such as a list
+        return _seq_text(seq)
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -285,6 +297,22 @@ class SeqQuadruple:
             raise ShapeError("A and B must have equal length")
         if len(self.c) != len(self.d):
             raise ShapeError("C and D must have equal length")
+
+    @classmethod
+    def _trusted(cls, a: Seq, b: Seq, c: Seq, d: Seq, kind: str) -> "SeqQuadruple":
+        """The quadruple of these fields, built without __post_init__'s
+        checks.  Only for callers that already hold tuples of plain ints in
+        the alphabet of `kind`, with A, B and C, D of equal lengths."""
+        quad = object.__new__(cls)
+        # field by field, as __init__ does: one quad.__dict__.update would be
+        # faster, but it gives each instance its own dict, twice the memory
+        set_field = object.__setattr__
+        set_field(quad, "a", a)
+        set_field(quad, "b", b)
+        set_field(quad, "c", c)
+        set_field(quad, "d", d)
+        set_field(quad, "kind", kind)
+        return quad
 
     @property
     def m(self) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -14,6 +15,9 @@ from quadseq.seqcore import verify_quadruple
 
 from old_formats import TEXT_CHECKPOINT
 from published import NN36_A, NN36_B, NN36_C, NN36_D, ROW36_RECORD, ROWS
+
+# sha256 of the stdout of `quadseq search --kind nn --order 12`
+NN12_STDOUT_SHA256 = "5f0a83a4b179ba878dd06c431693a54d68b786fa3ad482110084ac0f8f675b10"
 
 
 def run(capsys, *argv):
@@ -32,6 +36,12 @@ def test_verify_failing_record(capsys):
     code, out, _ = run(capsys, "verify", "--record", "nn 2 01 1")
     assert code == 1
     assert out.startswith("fail:")
+
+
+def test_verify_refuses_an_order_field_format_record_never_writes(capsys):
+    code, out, err = run(capsys, "verify", "--record", "nn 02 01 1")
+    assert code == 2 and out == ""
+    assert "bad order field '02'" in err
 
 
 def test_verify_plaintext_record_of_a_kind(capsys):
@@ -133,6 +143,19 @@ def test_search_budget_and_resume(tmp_path, capsys):
                          "--mode", "count", "--resume", ckpt)
     assert code == 2 and out == ""
     assert f"not a complete {CHECKPOINT_FORMAT} document" in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_search_refuses_a_node_budget_below_one(capsys, limit):
+    code, out, err = run(capsys, "search", "--kind", "nn", "--order", "4", "--limit", limit)
+    assert code == 2 and out == ""
+    assert f"node limit must be at least 1, got {limit}" in err
+
+
+def test_search_nn12_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, "search", "--kind", "nn", "--order", "12")
+    assert code == 0 and out.count("\n") == 9344
+    assert hashlib.sha256(out.encode()).hexdigest() == NN12_STDOUT_SHA256
 
 
 def test_search_resume_refuses_a_tampered_solution(tmp_path, capsys):
@@ -372,6 +395,13 @@ def test_catalog_yang(capsys):
     assert code == 1 and out.strip() == "no"
     code, out, _ = run(capsys, "catalog", "yang", "--max", "9")
     assert out.splitlines() == ["1 yes", "3 yes", "5 yes", "7 yes", "9 yes"]
+
+
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_catalog_yang_refuses_a_bound_below_one(capsys, bound):
+    code, out, err = run(capsys, "catalog", "yang", "--max", bound)
+    assert code == 2 and out == ""
+    assert "Yang numbers are odd positive integers" in err
 
 
 def test_catalog_cases(capsys):

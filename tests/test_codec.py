@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +18,9 @@ from quadseq.codec import (
     encode_quadruple,
     format_record,
     parse_record,
+    record_codes,
 )
-from quadseq.seqcore import parse_seq, seq_str, verify_quadruple
+from quadseq.seqcore import SeqQuadruple, parse_seq, seq_str, verify_quadruple
 
 from published import NN36_A, NN36_B, NN36_C, NN36_D, ROW36_RECORD, ROWS
 
@@ -101,6 +103,58 @@ def test_unencodable_pair_raises():
         encode_pair((1, 1), (-1, 1), PAIR_CD)
     with pytest.raises(CodecError):
         encode_pair((1, 1), (1, 1), PAIR_AB)  # even length cannot be an ab pair
+
+
+_REFERENCE_QUAD_REVERSE = {v: k for k, v in QUAD_TABLE.items()}
+_REFERENCE_CENTER_REVERSE = {v: k for k, v in CENTER_TABLE.items()}
+
+
+def _reference_encode_pair(x, y, pair_kind):
+    """The nested-tuple encoder that the flat digit lookup replaced."""
+    x, y = tuple(x), tuple(y)
+    if len(x) != len(y):
+        raise CodecError("sequences of a pair must have equal length")
+    length = len(x)
+    if length % 2 != {PAIR_AB: 1, PAIR_CD: 0}[pair_kind]:
+        raise CodecError(f"{pair_kind} pairs cannot have length {length}")
+    digits = []
+    for k in range(length // 2):
+        quad = ((x[k], y[k]), (x[length - 1 - k], y[length - 1 - k]))
+        digit = _REFERENCE_QUAD_REVERSE.get(quad)
+        if digit is None:
+            raise UnencodableError(f"column pair {quad} at position {k + 1} has no digit")
+        digits.append(digit)
+    if length % 2 == 1:
+        digits.append(_REFERENCE_CENTER_REVERSE[(x[length // 2], y[length // 2])])
+    return "".join(digits)
+
+
+def _outcome(encode, *args):
+    try:
+        return encode(*args)
+    except CodecError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("pair_kind", [PAIR_AB, PAIR_CD])
+def test_encoder_agrees_with_the_nested_tuple_reference(pair_kind):
+    for length in range(1, 9):
+        seqs = list(itertools.product((1, -1), repeat=length))
+        for x, y in itertools.product(seqs, repeat=2):
+            want = _outcome(_reference_encode_pair, x, y, pair_kind)
+            assert _outcome(encode_pair, x, y, pair_kind) == want, (x, y)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10), st.integers(-1, 1), st.sampled_from(["nn", "ns", "bs"]), st.data())
+def test_record_codes_are_the_codes_encode_quadruple_gives(n, skew, kind, data):
+    # skew != 0 gives shapes (n+1+skew, n) that have no codes
+    m = max(n + 1 + skew, 0)
+    seq = lambda length: tuple(data.draw(st.lists(st.sampled_from((1, -1)),
+                                                  min_size=length, max_size=length)))
+    quad = SeqQuadruple(seq(m), seq(m), seq(n), seq(n), kind)
+    want = _outcome(encode_quadruple, quad)
+    assert record_codes(quad) == (want if isinstance(want[0], str) else None)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -203,6 +257,14 @@ def test_parse_record_variants():
         parse_record("nn 2 01")
     with pytest.raises(CodecError):
         parse_record("")
+
+
+@pytest.mark.parametrize("order", ["02", "+2", "0_2", "\u0662"])
+def test_only_the_written_order_field_is_read(order):
+    # format_record writes str(n); int() would also read these spellings
+    assert parse_record("nn 2 01 1").n == 2
+    with pytest.raises(CodecError, match=re.escape(f"bad order field {order!r}")):
+        parse_record(f"nn {order} 01 1")
 
 
 def test_parse_record_does_not_verify():

@@ -173,11 +173,25 @@ def test_order_bound_refusal():
     (SearchSpec("nn", 4, cases=(3, 4, 3)), 1, "must not repeat"),
     (SearchSpec("nn", 4), 0, "at least 1"),
     (SearchSpec("nn", 4), -1, "at least 1"),
+    (SearchSpec("nn", 4, node_limit=0), 1, "node limit must be at least 1, got 0"),
+    (SearchSpec("nn", 4, node_limit=-5), 1, "node limit must be at least 1, got -5"),
 ])
 def test_repeated_case_ids_and_worker_counts_below_one_are_refused(spec, workers, message):
-    # a repeated case id would scan its pass twice and count its solutions twice
+    # a repeated case id would scan its pass twice and count its solutions
+    # twice; a node budget below 1 would stop a run after its first block
     with pytest.raises(SearchError, match=message):
         search(spec, workers=workers)
+
+
+@pytest.mark.parametrize("kind", ["nn", "ns"])
+@pytest.mark.parametrize("mode", ["all", "first"])
+def test_returned_quadruples_equal_checked_ones(kind, mode):
+    # the search builds its quadruples without re-checking them
+    for order in range(11):
+        for quad in search(SearchSpec(kind, order, mode=mode)).solutions:
+            assert quad == SeqQuadruple(*quad.seqs(), quad.kind)
+            entries = list(itertools.chain(*quad.seqs()))
+            assert all(type(v) is int and v in (1, -1) for v in entries), quad
 
 
 def _sums_rep(text, kind):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from math import isqrt
 from operator import add
@@ -205,6 +206,30 @@ def test_parse_seq_round_trip_and_whitespace():
         parse_seq("+0-")  # '0' illegal for binary
     with pytest.raises(AlphabetError):
         parse_seq("+x")
+
+
+def test_seq_str_formats_lists_and_ternary_tuples():
+    assert seq_str([1, -1, 1]) == "+-+"
+    assert seq_str((1, 0, -1, 0)) == "+0-0"
+    assert seq_str([0, -1]) == "0-"
+    assert seq_str(()) == seq_str([]) == ""
+    # the memo answers equal tuples alike, as the plain lookup would
+    assert seq_str((1, -1)) == seq_str((True, -1.0)) == "+-"
+
+
+def test_trusted_quadruple_equals_the_checked_one():
+    seqs = ((1, -1, 1), (1, 1, -1), (1, -1), (-1, -1))
+    trusted = SeqQuadruple._trusted(*seqs, "nn")
+    checked = SeqQuadruple(*seqs, "nn")
+    assert trusted == checked and hash(trusted) == hash(checked)
+    assert trusted.seqs() == seqs and trusted.shape == (3, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trusted.a = (1, 1, 1)
+    # the public constructor keeps its checks
+    with pytest.raises(AlphabetError):
+        SeqQuadruple((1, 0, 1), *seqs[1:], "nn")
+    with pytest.raises(AlphabetError):
+        SeqQuadruple((1, 1.5, 1), *seqs[1:], "nn")
 
 
 def test_quadruple_construction_checks():
