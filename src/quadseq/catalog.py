@@ -171,7 +171,16 @@ def is_yang_number(n: int):
 
 def archive_save(records: list[WitnessRecord], path: str) -> None:
     """Write records to a text archive, one record line each, preceded by a
-    '#' provenance comment; the whole file is replaced atomically."""
+    '#' provenance comment; the whole file is replaced atomically.
+
+    A provenance that archive_load would not read back unchanged, one
+    holding a line break or with whitespace at either end, is refused with
+    CatalogError before anything is written."""
+    for rec in records:
+        text = rec.provenance
+        if "\n" in text or "\r" in text or text != text.strip():
+            raise CatalogError(f"provenance {text!r} would not read back unchanged: "
+                               "it holds a line break or starts or ends with whitespace")
     lines = []
     for rec in records:
         if rec.provenance:

@@ -57,7 +57,6 @@ from .seqcore import (
     KIND_T,
     QuadseqError,
     SeqQuadruple,
-    caching_verifier,
     join_quad,
     parse_seq,
     profile_index,
@@ -306,11 +305,11 @@ def _verified_solutions(texts, kind: str, order: int) -> list:
     """Raw (A, B, C, D) tuples of checkpoint plaintexts, each verified as a
     quadruple of `kind` and `order`: a resumed run returns them as its own.
     SearchError names the first that does not parse or verify.  A checkpoint
-    repeats few distinct sequences, so each is parsed and its autocorrelations
-    computed once, and equal sequences share one tuple, as they do in a
-    search's own results."""
+    repeats few distinct sequences, so each is parsed once, and equal
+    sequences share one tuple, as they do in a search's own results.  The
+    memo here is per call and unbounded, so the sharing holds for any number
+    of distinct sequences; parse_seq's own memo keeps only 4,096."""
     parse = cache(parse_seq)
-    verify = caching_verifier()
     quads = []
     for text in texts:
         try:
@@ -319,7 +318,7 @@ def _verified_solutions(texts, kind: str, order: int) -> list:
             raise SearchError(f"checkpoint solution {text} does not parse: {exc}") from None
         try:
             quad = SeqQuadruple(*seqs, kind)
-            failure = verify(quad).failure
+            failure = verify_quadruple(quad).failure
         except QuadseqError as exc:
             failure = str(exc)
         if failure is None and quad.n != order:
@@ -579,18 +578,30 @@ def _signed_maps(m: int, n: int) -> tuple[tuple[str, tuple[int, ...], tuple[int,
     )
 
 
-def _orbit(flat: tuple[int, ...], maps) -> set[tuple[int, ...]]:
-    """Closure of the flat tuple `flat` under the signed position maps."""
-    seen = {flat}
-    frontier = [flat]
-    while frontier:
-        cur = frontier.pop()
-        for _name, source, sign in maps:
-            image = tuple([s * cur[i] for s, i in zip(sign, source)])
+@cache
+def _group(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The equivalence group of shape (m, n), closed from the generators of
+    _signed_maps, as a (|G|, L) intp source table and a (|G|, L) int8 sign
+    table over the L = 2m + 2n entries of A||B||C||D: row g maps flat to
+    sign[g] * flat[source[g]], so an orbit is one array product.
+
+    Applying (src, sign) after (s, g) gives (s[src], sign * g[src]).  The
+    closure holds each element as the bytes of one int32 row (s + 1) * g,
+    which composes as one gather and one product.
+    """
+    maps = _signed_maps(m, n)
+    gen_source = np.array([source for _name, source, _sign in maps], dtype=np.intp)
+    gen_sign = np.array([sign for _name, _source, sign in maps], dtype=np.int32)
+    length = 2 * (m + n)
+    elements = [np.arange(1, length + 1, dtype=np.int32).tobytes()]  # the identity
+    seen = set(elements)
+    for element in elements:  # breadth first: the list grows while it is read
+        for image in map(bytes, np.frombuffer(element, dtype=np.int32)[gen_source] * gen_sign):
             if image not in seen:
                 seen.add(image)
-                frontier.append(image)
-    return seen
+                elements.append(image)
+    table = np.frombuffer(b"".join(elements), dtype=np.int32).reshape(len(elements), length)
+    return np.abs(table).astype(np.intp) - 1, np.sign(table).astype(np.int8)
 
 
 def _flat(q: SeqQuadruple) -> tuple[int, ...]:
@@ -604,7 +615,10 @@ def _verified_orbit(q: SeqQuadruple) -> set[tuple[int, ...]]:
     report = verify_quadruple(q)
     if not report:
         raise SearchError(f"orbit input fails verification: {report.failure}")
-    return _orbit(_flat(q), _signed_maps(q.m, q.n))
+    source, sign = _group(q.m, q.n)
+    rows = np.array(_flat(q), dtype=np.int8)[source] * sign
+    # row by row, so that a repeated member's list and tuple are freed at once
+    return set(map(tuple, map(np.ndarray.tolist, rows)))
 
 
 def _quadruple(flat: tuple[int, ...], like: SeqQuadruple, shared: dict) -> SeqQuadruple:
@@ -615,7 +629,10 @@ def _quadruple(flat: tuple[int, ...], like: SeqQuadruple, shared: dict) -> SeqQu
     """
     m, n = like.shape
     seqs = (flat[:m], flat[m : 2 * m], flat[2 * m : 2 * m + n], flat[2 * m + n :])
-    return SeqQuadruple(*(shared.setdefault(seq, seq) for seq in seqs), like.kind)
+    # flat is a signed permutation of a verified binary quadruple's +-1
+    # entries (see _verified_orbit), cut at that quadruple's lengths: plain
+    # ints in the alphabet, A, B and C, D of equal lengths
+    return SeqQuadruple._trusted(*(shared.setdefault(seq, seq) for seq in seqs), like.kind)
 
 
 def nn_orbit(q: SeqQuadruple) -> set[SeqQuadruple]:

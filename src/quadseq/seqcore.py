@@ -15,7 +15,7 @@ that pass a power-spectral-density test.
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import product
 from math import isqrt
 from operator import sub
@@ -89,8 +89,12 @@ _CHAR_TO_VALUE = {"+": 1, "-": -1, "0": 0}
 _VALUE_TO_CHAR = {1: "+", -1: "-", 0: "0"}
 
 
+# loaded records and checkpoints repeat few distinct sequence texts; a
+# refusal raises, so it is never cached
+@lru_cache(maxsize=4096)
 def parse_seq(text: str, ternary: bool = False) -> Seq:
-    """Parse a '+'/'-'/'0' string; whitespace anywhere inside is ignored."""
+    """Parse a '+'/'-'/'0' string; whitespace anywhere inside is ignored.
+    Equal texts parse to one shared tuple while they stay in the memo."""
     try:
         values = tuple(map(_CHAR_TO_VALUE.__getitem__, "".join(text.split())))
     except KeyError as exc:
@@ -384,6 +388,17 @@ def _lag_sum_failure(seqs, npaf) -> VerificationReport | None:
     return None
 
 
+@lru_cache(maxsize=4096)
+def _memo_npaf(seq: Seq) -> np.ndarray:
+    """_npaf_array of `seq`, one read-only array per distinct sequence,
+    shared by every caller.  The key is a quadruple's own field, which
+    SeqQuadruple holds as a tuple of plain ints (see _integral), so equal
+    sequences given as lists or numpy ints share one entry."""
+    values = _npaf_array(seq)
+    values.flags.writeable = False
+    return values
+
+
 def verify_quadruple(q: SeqQuadruple) -> VerificationReport:
     """Decide membership of q in its declared kind.
 
@@ -391,16 +406,12 @@ def verify_quadruple(q: SeqQuadruple) -> VerificationReport:
     (NS/NN need m = n+1, TS needs all four lengths equal); a clean failure
     of the defining equations is reported as a non-passing verdict naming
     the first violated condition.
+
+    Each distinct sequence's autocorrelations are computed once while they
+    stay in a memo of 4,096 sequences: orbits, archives and checkpoints
+    hold many quadruples over few sequences.
     """
-    return _verify(q, _npaf_array)
-
-
-def caching_verifier() -> Callable[[SeqQuadruple], VerificationReport]:
-    """verify_quadruple, except that each distinct sequence's
-    autocorrelations are computed once for all the quadruples the returned
-    function is given: the same verdicts, cheaper for many quadruples over
-    few sequences, such as a checkpoint's solutions."""
-    return partial(_verify, npaf=cache(_npaf_array))
+    return _verify(q, _memo_npaf)
 
 
 def _verify(q: SeqQuadruple, npaf) -> VerificationReport:

@@ -192,3 +192,28 @@ def test_a_record_archives_its_own_quadruple(tmp_path):
     path = str(tmp_path / "records.txt")
     archive_save([stale, fresh] + tiny, path)
     assert [r.quad for r in archive_load(path)] == [row0.quad, row0.quad] + [r.quad for r in tiny]
+
+
+@pytest.mark.parametrize("provenance", [
+    "row one\nnn 2 01 6",  # loaded back, the second line was one more record
+    "row one\rnn 2 01 6",
+    "  #tagged  ",  # loaded back, its spaces were lost
+    "tagged\t",
+    " ",
+])
+def test_archive_save_refuses_a_provenance_it_would_not_read_back(tmp_path, provenance):
+    path = tmp_path / "records.txt"
+    path.write_text("kept\n")
+    row = witness_records()[0]
+    with pytest.raises(CatalogError, match="would not read back unchanged"):
+        archive_save([row, WitnessRecord(row.quad, provenance)], str(path))
+    assert path.read_text() == "kept\n"
+    assert not (tmp_path / "records.txt.tmp").exists()
+
+
+def test_archive_keeps_every_provenance_it_accepts(tmp_path):
+    path = str(tmp_path / "records.txt")
+    quad = witness_records()[0].quad
+    provenances = ["", "#tagged", "# twice", "a  b", "tab\tinside", "##", "row two"]
+    archive_save([WitnessRecord(quad, p) for p in provenances], path)
+    assert [r.provenance for r in archive_load(path)] == provenances

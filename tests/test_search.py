@@ -8,6 +8,7 @@ import os
 import re
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -640,13 +641,12 @@ def test_a_resumed_run_verifies_each_checkpoint_solution_once(tmp_path, monkeypa
     spec = SearchSpec("nn", 4, node_limit=25)
     path = _budgeted_checkpoint_file(tmp_path, spec)
     verified = []
-    real = seqcore.caching_verifier
 
-    def counting_verifier():
-        verify = real()
-        return lambda quad: verified.append(quad) or verify(quad)
+    def counting_verifier(quad):
+        verified.append(quad)
+        return verify_quadruple(quad)
 
-    monkeypatch.setattr(search_module, "caching_verifier", counting_verifier)
+    monkeypatch.setattr(search_module, "verify_quadruple", counting_verifier)
     checkpoint = load_checkpoint(path)
     resumed = search(dataclasses.replace(spec, node_limit=None), resume=checkpoint)
     assert len(verified) == len(checkpoint.solutions) > 0
@@ -840,6 +840,79 @@ def test_every_generator_preserves_membership(solutions):
                 seqs = (image[:m], image[m : 2 * m], image[2 * m : 2 * m + n], image[2 * m + n :])
                 assert seqs == _GENERATORS[name](*quad.seqs()), name
                 assert SeqQuadruple(*seqs, "nn").plaintext() in members, name
+
+
+def _reference_orbit(flat, maps):
+    """Closure of the flat tuple `flat` under the signed position maps, one
+    generator image at a time: the orbit the group table must reproduce."""
+    seen = {flat}
+    frontier = [flat]
+    while frontier:
+        cur = frontier.pop()
+        for _name, source, sign in maps:
+            image = tuple([s * cur[i] for s, i in zip(sign, source)])
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return seen
+
+
+def _flats(quads):
+    return {q.a + q.b + q.c + q.d for q in quads}
+
+
+def _row_bytes(rows):
+    """The rows of a 2-d int8 array, as a set of bytes."""
+    return set(rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist())
+
+
+def test_group_orbits_equal_the_generator_closure(solutions):
+    # nn_orbit against the closure once per orbit and for each witness row;
+    # the group-table orbit nn_orbit is built from against the closure for
+    # every searched solution, as bytes, since nn_orbit on each of the
+    # 4,564 solutions of orders 0-10 would take about 20 s
+    for order in range(0, 11):
+        maps = search_module._signed_maps(order + 1, order)
+        source, sign = search_module._group(order + 1, order)
+        closed = {}  # row bytes -> the closure holding it, as row bytes
+        for quad in solutions("nn", order):
+            flat = np.array(quad.a + quad.b + quad.c + quad.d, dtype=np.int8)
+            if flat.tobytes() not in closed:
+                orbit = _reference_orbit(tuple(flat.tolist()), maps)
+                assert _flats(nn_orbit(quad)) == orbit, order
+                rows = _row_bytes(np.array(sorted(orbit), dtype=np.int8))
+                closed.update(dict.fromkeys(rows, rows))
+            assert _row_bytes(flat[source] * sign) == closed[flat.tobytes()], order
+    for record in witness_records():
+        quad = record.quad
+        maps = search_module._signed_maps(*quad.shape)
+        assert _flats(nn_orbit(quad)) == _reference_orbit(quad.a + quad.b + quad.c + quad.d, maps)
+
+
+@pytest.mark.parametrize("shape,size", [((1, 0), 4), ((2, 1), 64), ((3, 2), 512), ((35, 34), 1024)])
+def test_group_table_is_a_group_of_membership_preserving_maps(shape, size):
+    m, n = shape
+    length = 2 * (m + n)
+    source, sign = search_module._group(m, n)
+    assert source.shape == sign.shape == (size, length)
+    assert source.dtype == np.intp and sign.dtype == np.int8
+    rows = {source[g].tobytes() + sign[g].tobytes() for g in range(size)}
+    assert len(rows) == size
+    # the identity is an element
+    assert np.arange(length, dtype=np.intp).tobytes() + np.ones(length, np.int8).tobytes() in rows
+    # closed: a generator applied after any element gives an element
+    for _name, src, sgn in search_module._signed_maps(m, n):
+        src, sgn = np.array(src, dtype=np.intp), np.array(sgn, dtype=np.int8)
+        for g in range(size):
+            assert source[g][src].tobytes() + (sgn * sign[g][src]).tobytes() in rows
+    if shape == (35, 34):
+        quad = witness_records()[0].quad
+    else:
+        quad = search(SearchSpec("nn", n)).solutions[0]
+    images = np.array(quad.a + quad.b + quad.c + quad.d)[source] * sign
+    for row in images.tolist():
+        seqs = (row[:m], row[m : 2 * m], row[2 * m : 2 * m + n], row[2 * m + n :])
+        assert verify_quadruple(SeqQuadruple(*seqs, "nn"))
 
 
 # sha256 of the newline-joined sorted plaintexts of each witness orbit, in

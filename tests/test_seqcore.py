@@ -14,7 +14,6 @@ from quadseq.seqcore import (
     SeqQuadruple,
     ShapeError,
     alternate,
-    caching_verifier,
     int_to_seq,
     negate,
     npaf_values,
@@ -208,6 +207,16 @@ def test_parse_seq_round_trip_and_whitespace():
         parse_seq("+x")
 
 
+def test_parse_seq_memo_keeps_alphabets_and_refusals_apart():
+    assert parse_seq("+0-", ternary=True) == (1, 0, -1)
+    with pytest.raises(AlphabetError):
+        parse_seq("+0-")
+    for _ in range(2):  # a refusal is never cached
+        with pytest.raises(AlphabetError):
+            parse_seq("+x-")
+    assert parse_seq("+ -+") is parse_seq("+ -+")
+
+
 def test_seq_str_formats_lists_and_ternary_tuples():
     assert seq_str([1, -1, 1]) == "+-+"
     assert seq_str((1, 0, -1, 0)) == "+0-0"
@@ -328,7 +337,7 @@ def test_verify_t_sequence_conditions():
     assert "support at position 2" in report.failure
 
 
-def test_caching_verifier_gives_the_verdicts_of_verify_quadruple():
+def test_memoized_verifier_gives_the_verdicts_of_the_unmemoized_one():
     row = parse_record(ROW36_RECORD)
     quads = [
         row,
@@ -341,17 +350,28 @@ def test_caching_verifier_gives_the_verdicts_of_verify_quadruple():
     for m, n in ((1, 0), (2, 1), (3, 2), (2, 2)):
         for seqs in itertools.product(*[list(all_signs(m))] * 2, *[list(all_signs(n))] * 2):
             quads.append(SeqQuadruple(*seqs, "bs"))
-    # one verifier for all of them: its cache is shared across quadruples
-    verify = caching_verifier()
-    verdicts = [verify(q) for q in quads]
-    assert verdicts == [verify_quadruple(q) for q in quads]
+    # twice over: the second pass reads every sequence from the memo
+    for _ in range(2):
+        verdicts = [verify_quadruple(q) for q in quads]
+        assert verdicts == [seqcore._verify(q, seqcore._npaf_array) for q in quads]
     assert any(v.passed for v in verdicts) and any(not v.passed for v in verdicts)
     for malformed in (
         SeqQuadruple((1, 1, 1), (1, 1, 1), (1,), (1,), "nn"),
         parse_quad("+0;0-;+;-", "ts"),
     ):
-        with pytest.raises(ShapeError):
-            verify(malformed)
+        for verify in (verify_quadruple, lambda q: seqcore._verify(q, seqcore._npaf_array)):
+            with pytest.raises(ShapeError):
+                verify(malformed)
+    # one shared array per sequence, which no caller can change
+    cached = seqcore._memo_npaf(row.c)
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0] = 0
+    # lists and numpy ints verify, and share the entry of the equal plain tuple
+    loose = SeqQuadruple(list(row.a), np.array(row.b), list(row.c), np.array(row.d, dtype=np.int8),
+                         row.kind)
+    assert verify_quadruple(loose).passed
+    assert seqcore._memo_npaf(loose.c) is cached
 
 
 def test_sum_of_squares_check_examples():
