@@ -206,12 +206,9 @@ def archive_load(path: str) -> list[WitnessRecord]:
                 quad = codec.parse_record(line)
             except QuadseqError as exc:
                 raise CatalogError(f"line {lineno}: {exc}") from exc
-            report = verify_quadruple(quad)
-            if not report:
-                raise RecordFailsVerification(
-                    f"line {lineno}: record {quad.kind} of shape {quad.shape} "
-                    f"fails verification: {report.failure}"
-                )
+            verify_quadruple(quad).require(
+                RecordFailsVerification,
+                f"line {lineno}: record {quad.kind} of shape {quad.shape} fails verification")
             records.append(WitnessRecord(quad, provenance))
             provenance = ""
     return records
@@ -219,7 +216,5 @@ def archive_load(path: str) -> list[WitnessRecord]:
 
 def record_for_quad(quad: SeqQuadruple, provenance: str = "") -> WitnessRecord:
     """Wrap a verified quadruple as a record."""
-    report = verify_quadruple(quad)
-    if not report:
-        raise CatalogError(f"refusing to record a failing quadruple: {report.failure}")
+    verify_quadruple(quad).require(CatalogError, "refusing to record a failing quadruple")
     return WitnessRecord(quad, provenance)

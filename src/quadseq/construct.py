@@ -19,7 +19,6 @@ from .seqcore import (
     SeqQuadruple,
     VerificationReport,
     as_binary,
-    npaf_values,
     parse_seq,
     profile_index,
     seq_str,
@@ -49,8 +48,8 @@ class GolayPair:
         return len(self.a)
 
     def is_valid(self) -> bool:
-        pa, pb = npaf_values(self.a), npaf_values(self.b)
-        return all(pa[j] + pb[j] == 0 for j in range(1, self.length))
+        # a Golay pair of length g is exactly a base quadruple BS(g, 0)
+        return verify_quadruple(SeqQuadruple(self.a, self.b, (), (), KIND_BASE)).passed
 
     def plaintext(self) -> str:
         """The "E;F" line of the pair; parse_golay_pair reads it."""
@@ -174,12 +173,8 @@ def golay_to_ns(pair: GolayPair) -> SeqQuadruple:
     """Normal quadruple of shape (g+1, g) from a complementary pair:
     A = E||(+), B = E||(-), C = D = F."""
     _require_valid(pair)
-    quad = SeqQuadruple(
-        pair.a + (1,), pair.a + (-1,), pair.b, pair.b, KIND_NORMAL
-    )
-    report = verify_quadruple(quad)
-    if not report:
-        raise ConstructionError(f"construction failed verification: {report.failure}")
+    quad = SeqQuadruple(pair.a + (1,), pair.a + (-1,), pair.b, pair.b, KIND_NORMAL)
+    verify_quadruple(quad).require(ConstructionError, "construction failed verification")
     return quad
 
 
@@ -192,9 +187,8 @@ def bs_to_ts(q: SeqQuadruple) -> SeqQuadruple:
     """
     if q.kind == KIND_T:
         raise ConstructionError("input quadruple must be binary, not ternary")
-    report = verify_quadruple(SeqQuadruple(q.a, q.b, q.c, q.d, KIND_BASE))
-    if not report:
-        raise ConstructionError(f"input fails base verification: {report.failure}")
+    verify_quadruple(SeqQuadruple(q.a, q.b, q.c, q.d, KIND_BASE)).require(
+        ConstructionError, "input fails base verification")
     m, n = q.shape
     zeros_m, zeros_n = (0,) * m, (0,) * n
     t1 = tuple((q.a[i] + q.b[i]) // 2 for i in range(m)) + zeros_n
@@ -202,9 +196,7 @@ def bs_to_ts(q: SeqQuadruple) -> SeqQuadruple:
     t3 = zeros_m + tuple((q.c[i] + q.d[i]) // 2 for i in range(n))
     t4 = zeros_m + tuple((q.c[i] - q.d[i]) // 2 for i in range(n))
     out = SeqQuadruple(t1, t2, t3, t4, KIND_T)
-    check = verify_quadruple(out)
-    if not check:
-        raise ConstructionError(f"halving output fails T verification: {check.failure}")
+    verify_quadruple(out).require(ConstructionError, "halving output fails T verification")
     return out
 
 
@@ -255,9 +247,7 @@ def ts_to_od(t: SeqQuadruple) -> SymbolicMatrix:
     """
     if t.kind != KIND_T:
         raise ConstructionError(f"input quadruple has kind {t.kind!r}, need ts")
-    report = verify_quadruple(t)
-    if not report:
-        raise ConstructionError(f"input fails T verification: {report.failure}")
+    verify_quadruple(t).require(ConstructionError, "input fails T verification")
     n = t.n
     # row r of a circulant is its sequence cyclically shifted right by r
     shift = (np.arange(n) - np.arange(n)[:, None]) % n
@@ -278,9 +268,7 @@ def ts_to_od(t: SeqQuadruple) -> SymbolicMatrix:
         ]
     )
     design = SymbolicMatrix(order=4 * n, nvars=4, grid=block, signature=(n, n, n, n))
-    check = verify_od(design)
-    if not check:
-        raise ConstructionError(f"assembled array fails design verification: {check.failure}")
+    verify_od(design).require(ConstructionError, "assembled array fails design verification")
     return design
 
 

@@ -13,7 +13,7 @@ and reuses its (C, D) pairs for every A that shares it.  A pass scans A in
 lex order, in blocks of isqrt(2^(n+1)) A's whatever the worker count, mode
 or budget, so its first block with a solution holds its lex-least one.  A
 block is scanned as one array: its A and B rows, the sum and case tests as
-masks, and its targets from one loop over the lags.  The scan and the pass's
+masks, and its targets from one seqcore.row_lags call.  The scan and the pass's
 one memo live in the calling process; with workers > 1 a process pool, one
 for the whole search, computes the joins of each block's new targets.
 
@@ -60,6 +60,7 @@ from .seqcore import (
     join_quad,
     parse_seq,
     profile_index,
+    row_lags,
     split_quad,
     verify_quadruple,
     write_text_atomic,
@@ -277,9 +278,8 @@ def _scan_block(plan: _PassPlan, bounds: tuple[int, int]):
         keep &= in_case
     a, b, ab = a[keep], b[keep], ab[keep]
     # target_j = -(A's plus B's autocorrelation at lag j), j = 1..n-1
-    targets = np.empty((len(a), max(n - 1, 0)), dtype=np.int64)
-    for j in range(1, n):
-        targets[:, j - 1] = -(a[:, : m - j] * a[:, j:] + b[:, : m - j] * b[:, j:]).sum(axis=1)
+    lags = row_lags(np.concatenate([a, b]), n - 1)
+    targets = -(lags[: len(a)] + lags[len(a) :])
     survivors = list(zip(
         map(tuple, a.tolist()), map(tuple, b.tolist()), map(tuple, ab.tolist()),
         map(tuple, targets.tolist()),
@@ -353,6 +353,8 @@ def search(
     if workers < 1:
         raise SearchError(f"workers must be at least 1, got {workers}")
     started = time.perf_counter()
+    passes: list[int] = list(spec.cases) if spec.cases is not None else [0]
+    lex_limit = 1 << (spec.order + 1)
     if resume is None:
         resume = Checkpoint(
             **dict(zip(_IDENTITY_FIELDS, _identity(spec))),
@@ -361,9 +363,16 @@ def search(
         )
     elif _identity(resume) != _identity(spec):
         raise SearchError("checkpoint does not match the requested search")
+    # a position off the run's passes or block grid would skip or repeat A's
+    elif not 0 <= resume.case_pos < len(passes):
+        raise SearchError(f"checkpoint case_pos {resume.case_pos} is not a pass of this run")
+    elif not 0 <= resume.lex_next <= lex_limit or (
+            resume.lex_next % isqrt(lex_limit) and resume.lex_next != lex_limit):
+        raise SearchError(f"checkpoint lex_next {resume.lex_next} is not a block boundary")
+    elif min(resume.nodes, resume.found, *resume.prunes.values()) < 0:
+        raise SearchError("checkpoint counters must not be negative")
 
     tracker = _ProgressTracker(spec, resume, checkpoint_path)
-    passes: list[int] = list(spec.cases) if spec.cases is not None else [0]
     if workers > 1:
         profile_index(spec.order)  # built before the fork: the workers inherit it
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
@@ -612,9 +621,7 @@ def _verified_orbit(q: SeqQuadruple) -> set[tuple[int, ...]]:
     """Flat tuples of the orbit of a verified binary quadruple."""
     if q.kind == KIND_T:
         raise SearchError("equivalence orbits are defined for binary quadruples")
-    report = verify_quadruple(q)
-    if not report:
-        raise SearchError(f"orbit input fails verification: {report.failure}")
+    verify_quadruple(q).require(SearchError, "orbit input fails verification")
     source, sign = _group(q.m, q.n)
     rows = np.array(_flat(q), dtype=np.int8)[source] * sign
     # row by row, so that a repeated member's list and tuple are freed at once

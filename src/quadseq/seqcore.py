@@ -6,10 +6,14 @@ and every value immutable, so they are safe to share between worker processes.
 
 The autocorrelations of a sequence come from one numpy kernel, _npaf_array,
 exact for any integer sequence: int64 under an explicit bound, Python ints
-beyond it.  ProfileIndex forms the same lag sums for every binary sequence
-of one length in one batched pass, and its join() is the one hash join on
-them, shared by the search and golay_search; it looks up only the profiles
-that pass a power-spectral-density test.
+beyond it.  row_lags forms the same lag sums for a block of +-1 rows at
+once, for ProfileIndex and the search's scan.  ProfileIndex.join is the one
+hash join on them, shared by the search and golay_search; it looks up only
+the profiles that pass a power-spectral-density test.
+
+verify_quadruple is the one verifier for every kind, a Golay pair included
+(as the base quadruple BS(g, 0)); VerificationReport.require turns a failing
+verdict into the error "<context>: <failure>".
 """
 
 import os
@@ -154,6 +158,17 @@ def int_to_seq(bits: int, length: int) -> Seq:
     return tuple(-1 if (bits >> i) & 1 else 1 for i in range(length))
 
 
+def row_lags(rows: np.ndarray, count: int) -> np.ndarray:
+    """Lags 1..count (none for count <= 0) of the autocorrelation of each +-1
+    row of the int8 array `rows`, in int64: _npaf_array's sums, row-wise."""
+    width = rows.shape[1]
+    lags = np.empty((len(rows), max(count, 0)), dtype=np.int64)
+    for j in range(1, count + 1):
+        # products stay in {-1, 1}, and np.sum accumulates int8 in int64
+        lags[:, j - 1] = (rows[:, : width - j] * rows[:, j:]).sum(axis=1)
+    return lags
+
+
 # Slack of the PSD test in ProfileIndex.join.  The PSDs there are float64
 # sums of at most `length` terms 2 * p_j * cos(j * w) with |p_j| <= 2 * length,
 # over cosines rounded to float64, so each is within about
@@ -200,12 +215,7 @@ class ProfileIndex:
         self.length = length
         # entry i of seqs[bits] is -1 exactly when bit i is set (int_to_seq)
         seqs = [seq[::-1] for seq in product((1, -1), repeat=length)]
-        signs = np.array(seqs, dtype=np.int8)
-        # lag j of every row at once, the sums _npaf_array forms for one
-        # sequence; |value| <= length, and np.sum accumulates int8 in int64
-        table = np.empty((len(seqs), max(length - 1, 0)), dtype=np.int64)
-        for j in range(1, length):
-            table[:, j - 1] = (signs[:, : length - j] * signs[:, j:]).sum(axis=1)
+        table = row_lags(np.array(seqs, dtype=np.int8), length - 1)
         # row tuples one at a time, so that only distinct profiles stay allocated
         rows = zip(*table.T.tolist()) if length > 1 else [()] * len(seqs)
         self.groups: dict[tuple[int, ...], list[Seq]] = {}
@@ -366,6 +376,11 @@ class VerificationReport:
     def __bool__(self) -> bool:
         return self.passed
 
+    def require(self, error: type[QuadseqError], context: str) -> None:
+        """Raise error(f"{context}: {failure}") unless the verdict passed."""
+        if not self.passed:
+            raise error(f"{context}: {self.failure}")
+
 
 def _fail(msg: str) -> VerificationReport:
     return VerificationReport(passed=False, failure=msg)
@@ -374,9 +389,9 @@ def _fail(msg: str) -> VerificationReport:
 _PASS = VerificationReport(passed=True)
 
 
-def _lag_sum_failure(seqs, npaf) -> VerificationReport | None:
-    """First positive lag where the four autocorrelations do not cancel;
-    npaf(seq) gives a nonempty sequence's autocorrelations (_npaf_array)."""
+def _lag_sum_verdict(seqs, npaf) -> VerificationReport:
+    """Fails at the first positive lag where the four autocorrelations do not
+    cancel; npaf(seq) gives a nonempty sequence's autocorrelations."""
     # entries are in {-1, 0, 1}: each sum is at most 4 * max length
     total = np.zeros(max(map(len, seqs)), dtype=np.int64)
     for seq in seqs:
@@ -385,7 +400,7 @@ def _lag_sum_failure(seqs, npaf) -> VerificationReport | None:
     if total[1:].any():
         j = int(np.flatnonzero(total[1:])[0]) + 1
         return _fail(f"lag {j}: autocorrelation sum = {int(total[j])}, expected 0")
-    return None
+    return _PASS
 
 
 @lru_cache(maxsize=4096)
@@ -415,37 +430,26 @@ def verify_quadruple(q: SeqQuadruple) -> VerificationReport:
 
 
 def _verify(q: SeqQuadruple, npaf) -> VerificationReport:
+    """The shape rule of q's kind, then its position rule, then the lag sums."""
+    a, b, n = q.a, q.b, q.n
     if q.kind == KIND_T:
-        return _verify_t(q, npaf)
-    if q.kind in (KIND_NORMAL, KIND_NEAR_NORMAL):
-        if q.m != q.n + 1:
-            raise ShapeError(
-                f"kind {q.kind} needs shape (n+1, n), got ({q.m}, {q.n})"
-            )
-        for i in range(q.n):
-            want = q.a[i] if (q.kind == KIND_NORMAL or i % 2 == 0) else -q.a[i]
-            if q.b[i] != want:
-                label = "normality" if q.kind == KIND_NORMAL else "near-normality"
-                return _fail(f"{label} violated at position {i + 1}")
-    bad = _lag_sum_failure(q.seqs(), npaf)
-    if bad is not None:
-        return bad
-    return _PASS
-
-
-def _verify_t(q: SeqQuadruple, npaf) -> VerificationReport:
-    if not (q.m == q.n == len(q.b) == len(q.d)):
-        raise ShapeError("T-sequence quadruple needs four sequences of equal length")
-    for i in range(q.n):
-        nonzero = sum(1 for s in q.seqs() if s[i] != 0)
-        if nonzero != 1:
-            return _fail(
-                f"support at position {i + 1}: {nonzero} nonzero entries, expected 1"
-            )
-    bad = _lag_sum_failure(q.seqs(), npaf)
-    if bad is not None:
-        return bad
-    return _PASS
+        if q.m != n:
+            raise ShapeError("T-sequence quadruple needs four sequences of equal length")
+        for i, column in enumerate(zip(*q.seqs()), start=1):
+            nonzero = 4 - column.count(0)
+            if nonzero != 1:
+                return _fail(f"support at position {i}: {nonzero} nonzero entries, expected 1")
+    elif q.kind != KIND_BASE:
+        if q.m != n + 1:
+            raise ShapeError(f"kind {q.kind} needs shape (n+1, n), got ({q.m}, {n})")
+        # B repeats A at even 0-based positions below n, and at the odd ones
+        # repeats it (ns) or negates it (nn)
+        odd = a[1:n:2] if q.kind == KIND_NORMAL else negate(a[1:n:2])
+        if b[0:n:2] != a[0:n:2] or b[1:n:2] != odd:
+            i = next(i for i in range(n) if b[i] != (odd[i // 2] if i % 2 else a[i]))
+            label = "normality" if q.kind == KIND_NORMAL else "near-normality"
+            return _fail(f"{label} violated at position {i + 1}")
+    return _lag_sum_verdict(q.seqs(), npaf)
 
 
 def sum_of_squares_check(m: int, n: int, sums: tuple[int, int, int, int]) -> bool:

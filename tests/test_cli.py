@@ -173,6 +173,27 @@ def test_search_resume_refuses_a_tampered_solution(tmp_path, capsys):
     assert "+++++;+++++;++++;++++ fails verification" in err
 
 
+@pytest.mark.parametrize("name,value,message", [
+    ("case_pos", 3, "case_pos 3 is not a pass of this run"),
+    ("lex_next", 1_000_000, "lex_next 1000000 is not a block boundary"),
+    ("lex_next", -90, "lex_next -90 is not a block boundary"),
+    ("lex_next", 133, "lex_next 133 is not a block boundary"),
+    ("nodes", -5, "counters must not be negative"),
+])
+def test_search_resume_refuses_a_position_or_counter_outside_the_run(
+        tmp_path, capsys, name, value, message):
+    ckpt = tmp_path / "run.ckpt"
+    code, _, _ = run(capsys, "search", "--kind", "nn", "--order", "8",
+                     "--limit", "2000", "--checkpoint", str(ckpt))
+    assert code == 2
+    document = json.loads(ckpt.read_text(encoding="utf-8"))
+    document[name] = value
+    ckpt.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run(capsys, "search", "--kind", "nn", "--order", "8", "--resume", str(ckpt))
+    assert code == 2 and out == ""
+    assert f"error: checkpoint {message}" in err
+
+
 @pytest.mark.parametrize("kind", ["nn", "ns"])
 @pytest.mark.parametrize("representatives", [False, True])
 def test_every_search_line_parses_back_to_its_quadruple(capsys, kind, representatives):

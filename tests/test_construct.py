@@ -30,7 +30,9 @@ from quadseq.construct import (
 )
 from quadseq.seqcore import AlphabetError, SeqQuadruple, parse_quad, verify_quadruple
 
-from naive_oracle import brute_force_golay, design_failure, substitute, substitution_failure
+from naive_oracle import (
+    brute_force_golay, design_failure, npaf_double_sum, substitute, substitution_failure,
+)
 from published import ROW36_RECORD
 
 
@@ -280,6 +282,20 @@ def test_golay_double_every_small_pair():
     for g in (1, 2, 4, 8, 10):
         for pair in golay_search(g):
             assert golay_double(pair).is_valid()
+
+
+def test_golay_validity_is_the_npaf_definition_and_golay_search_finds_every_valid_pair():
+    # is_valid checks a pair as the base quadruple BS(g, 0); the definition:
+    # the two autocorrelations cancel at every positive lag
+    for g in range(7):
+        seqs = list(itertools.product((1, -1), repeat=g))
+        valid = set()
+        for a, b in itertools.product(seqs, repeat=2):
+            cancels = all(x + y == 0 for x, y in zip(npaf_double_sum(a)[1:], npaf_double_sum(b)[1:]))
+            assert GolayPair(a, b).is_valid() == cancels, (a, b)
+            if cancels:
+                valid.add((a, b))
+        assert {(p.a, p.b) for p in golay_search(g)} == valid, g
 
 
 def test_golay_search_counts():

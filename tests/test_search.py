@@ -626,6 +626,55 @@ def test_checkpoint_with_a_solution_that_fails_verification_is_refused(tmp_path,
         search(spec, resume=load_checkpoint(_rewritten(path, solutions=[bad] + solutions[1:])))
 
 
+@pytest.mark.parametrize("mode,name,value,message", [
+    ("all", "case_pos", 3, "case_pos 3 is not a pass"),  # the run has one pass
+    ("all", "case_pos", -1, "case_pos -1 is not a pass"),
+    ("all", "lex_next", 1_000_000, "lex_next 1000000 is not a block boundary"),
+    ("all", "lex_next", -90, "lex_next -90 is not a block boundary"),
+    ("all", "lex_next", 133, "lex_next 133 is not a block boundary"),  # blocks of 22
+    ("all", "nodes", -5, "counters must not be negative"),
+    ("count", "found", -1, "counters must not be negative"),
+    ("all", "prunes", {"sum_of_squares": -1, "case": 0}, "counters must not be negative"),
+])
+def test_checkpoint_with_a_position_or_counter_outside_its_run_is_refused(
+        tmp_path, mode, name, value, message):
+    # each of these used to resume to a wrong result: solutions lost or
+    # counted twice, A's scanned twice, or counters off
+    spec = SearchSpec("nn", 8, mode=mode, node_limit=2000)
+    with pytest.raises(BudgetExhausted) as info:
+        search(spec, checkpoint_path=str(tmp_path / "run.ckpt"))
+    from_file = load_checkpoint(_rewritten(str(tmp_path / "run.ckpt"), **{name: value}))
+    in_memory = dataclasses.replace(info.value.checkpoint, **{name: value})
+    for checkpoint in (from_file, in_memory):
+        with pytest.raises(SearchError, match=message):
+            search(dataclasses.replace(spec, node_limit=None), resume=checkpoint)
+
+
+@pytest.mark.parametrize("spec", [SearchSpec("nn", 8), SearchSpec("ns", 6, cases=(3, 1, 2))],
+                         ids=["nn 8", "ns 6 cases"])
+def test_every_checkpoint_of_a_budgeted_run_resumes_to_the_full_result(tmp_path, spec):
+    # a budget of one node stops after every block, so the legs leave a
+    # checkpoint at each block boundary, the end of a non-last pass included
+    full = search(spec)
+    path = str(tmp_path / "run.ckpt")
+    checkpoints, checkpoint = [], None
+    while True:
+        try:
+            search(dataclasses.replace(spec, node_limit=1), resume=checkpoint, checkpoint_path=path)
+            break
+        except BudgetExhausted as exc:
+            checkpoint = exc.checkpoint
+            checkpoints += [copy.deepcopy(checkpoint), load_checkpoint(path)]
+    lex_limit = 1 << (spec.order + 1)
+    assert len(checkpoints) > 20
+    assert (spec.cases is None) != any(c.lex_next == lex_limit for c in checkpoints)
+    for checkpoint in checkpoints:
+        resumed = search(spec, resume=checkpoint)
+        assert plaintexts(resumed) == plaintexts(full)
+        assert (resumed.count, resumed.stats.nodes) == (full.count, full.stats.nodes)
+        assert resumed.stats.prunes == full.stats.prunes
+
+
 def test_resume_from_memory_refuses_a_solution_that_fails_verification():
     # the checkpoint a BudgetExhausted carries is mutable; the resumed run
     # verifies its solutions, so a tampered one is refused, not returned

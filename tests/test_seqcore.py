@@ -1,18 +1,23 @@
 import dataclasses
+import functools
 import itertools
 from math import isqrt
 from operator import add
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadseq import seqcore
 from quadseq.codec import parse_record
+from quadseq.construct import bs_to_ts
+from quadseq.search import SearchSpec, search
 from quadseq.seqcore import (
     AlphabetError,
+    QuadseqError,
     SeqQuadruple,
     ShapeError,
+    VerificationReport,
     alternate,
     int_to_seq,
     negate,
@@ -21,6 +26,7 @@ from quadseq.seqcore import (
     parse_seq,
     profile_index,
     reverse,
+    row_lags,
     seq_str,
     sum_of_squares_check,
     verify_quadruple,
@@ -372,6 +378,149 @@ def test_memoized_verifier_gives_the_verdicts_of_the_unmemoized_one():
                          row.kind)
     assert verify_quadruple(loose).passed
     assert seqcore._memo_npaf(loose.c) is cached
+
+
+def _reference_verify(q):
+    """The per-position loops that seqcore._verify replaced, with lag sums
+    from the defining double sum: the verdicts, failure texts and ShapeError
+    texts the one verifier must keep."""
+    if q.kind == "ts":
+        if not (q.m == q.n == len(q.b) == len(q.d)):
+            raise ShapeError("T-sequence quadruple needs four sequences of equal length")
+        for i in range(q.n):
+            nonzero = sum(1 for s in q.seqs() if s[i] != 0)
+            if nonzero != 1:
+                return VerificationReport(
+                    False, f"support at position {i + 1}: {nonzero} nonzero entries, expected 1")
+    if q.kind in ("ns", "nn"):
+        if q.m != q.n + 1:
+            raise ShapeError(f"kind {q.kind} needs shape (n+1, n), got ({q.m}, {q.n})")
+        for i in range(q.n):
+            want = q.a[i] if (q.kind == "ns" or i % 2 == 0) else -q.a[i]
+            if q.b[i] != want:
+                label = "normality" if q.kind == "ns" else "near-normality"
+                return VerificationReport(False, f"{label} violated at position {i + 1}")
+    for j in range(1, max(map(len, q.seqs()))):
+        total = sum(npaf_double_sum(s)[j] for s in q.seqs() if j < len(s))
+        if total:
+            return VerificationReport(False, f"lag {j}: autocorrelation sum = {total}, expected 0")
+    return VerificationReport(True)
+
+
+@functools.cache
+def _members():
+    """Members of every kind: the published row, searched ns and nn
+    quadruples, the same as base quadruples, and their T-sequences."""
+    quads = [parse_record(ROW36_RECORD)]
+    for kind, order in (("ns", 1), ("ns", 3), ("ns", 5), ("nn", 2), ("nn", 4), ("nn", 6)):
+        quads += search(SearchSpec(kind, order)).solutions[:8]
+    base = [SeqQuadruple(*q.seqs(), "bs") for q in quads]
+    return quads + base + [bs_to_ts(q) for q in base]
+
+
+@st.composite
+def _quadruples(draw):
+    """A member or a random quadruple of a random kind, then as it is, with
+    one entry changed, verified as another kind, or with one pair one entry
+    shorter or longer."""
+    if draw(st.booleans()):
+        member = draw(st.sampled_from(_members()))
+        kind, seqs = member.kind, [list(seq) for seq in member.seqs()]
+    else:
+        kind = draw(st.sampled_from(("bs", "ns", "nn", "ts")))
+        n = draw(st.integers(0, 6))
+        m = draw(st.sampled_from((n, n + 1, n + 2)))
+        alphabet = (1, 0, -1) if kind == "ts" else (1, -1)
+        seqs = [draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size))
+                for size in (m, m, n, n)]
+    alphabet = (1, 0, -1) if kind == "ts" else (1, -1)
+    change = draw(st.sampled_from(("none", "entry", "kind", "shape")))
+    if change == "entry" and any(seqs):
+        seq = draw(st.sampled_from([seq for seq in seqs if seq]))
+        i = draw(st.integers(0, len(seq) - 1))
+        seq[i] = draw(st.sampled_from([v for v in alphabet if v != seq[i]]))
+    elif change == "kind" and kind != "ts":
+        kind = draw(st.sampled_from(("bs", "ns", "nn")))
+    elif change == "shape":
+        pair = seqs[:2] if draw(st.booleans()) else seqs[2:]
+        if pair[0] and draw(st.booleans()):
+            for seq in pair:
+                seq.pop()
+        else:
+            for seq in pair:
+                seq.append(draw(st.sampled_from(alphabet)))
+    return SeqQuadruple(*seqs, kind)
+
+
+def _outcome(verify, q):
+    try:
+        report = verify(q)
+    except ShapeError as exc:
+        return "ShapeError", str(exc)
+    return report.passed, report.failure
+
+
+@settings(max_examples=400, deadline=None)
+@given(_quadruples())
+# the empty and one-entry shapes at each kind's boundary
+@example(SeqQuadruple((), (), (), (), "ts"))
+@example(SeqQuadruple((1,), (0,), (), (), "ts"))
+@example(SeqQuadruple((0,), (0,), (1,), (0,), "ts"))
+@example(SeqQuadruple((1,), (-1,), (), (), "nn"))
+@example(SeqQuadruple((1,), (1,), (1,), (1,), "ns"))
+@example(SeqQuadruple((), (), (1,), (1,), "bs"))
+def test_verifier_gives_the_verdicts_and_texts_of_the_per_position_reference(q):
+    assert _outcome(verify_quadruple, q) == _outcome(_reference_verify, q)
+
+
+def test_verifier_matches_the_reference_on_every_single_entry_change():
+    # every member of order <= 6 and each quadruple one entry away from it,
+    # deterministically: passes and every kind of failure text
+    quads = []
+    for member in _members():
+        if member.n > 13:
+            continue
+        alphabet = (1, 0, -1) if member.kind == "ts" else (1, -1)
+        seqs = member.seqs()
+        quads.append(member)
+        for s, seq in enumerate(seqs):
+            for i, value in enumerate(seq):
+                for other in alphabet:
+                    if other != value:
+                        changed = seq[:i] + (other,) + seq[i + 1 :]
+                        quads.append(SeqQuadruple(*seqs[:s], changed, *seqs[s + 1 :], member.kind))
+    outcomes = [_outcome(_reference_verify, q) for q in quads]
+    assert [_outcome(verify_quadruple, q) for q in quads] == outcomes
+    texts = " ".join(failure for passed, failure in outcomes if not passed)
+    assert any(passed for passed, _ in outcomes)
+    for rule in ("lag", " normality", "near-normality", "support"):
+        assert rule in texts, rule
+
+
+def test_require_passes_quietly_or_raises_the_given_error_with_its_context():
+    assert VerificationReport(True).require(QuadseqError, "context") is None
+
+    class Refused(QuadseqError):
+        pass
+
+    report = verify_quadruple(SeqQuadruple((1, 1, 1), (1, 1, -1), (1, 1), (1, 1), "nn"))
+    with pytest.raises(Refused) as info:
+        report.require(Refused, "line 3: record")
+    assert str(info.value) == "line 3: record: near-normality violated at position 2"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20).flatmap(
+    lambda width: st.lists(st.lists(st.sampled_from((1, -1)), min_size=width, max_size=width),
+                           min_size=1, max_size=6)))
+def test_row_lags_are_the_kernels_lags_of_each_row(rows):
+    width = len(rows[0])
+    block = np.array(rows, dtype=np.int8)
+    for count in range(width):
+        lags = row_lags(block, count)
+        assert lags.dtype == np.int64 and lags.shape == (len(rows), count)
+        for row, got in zip(rows, lags.tolist()):
+            assert tuple(got) == npaf_values(tuple(row))[1 : count + 1]
 
 
 def test_sum_of_squares_check_examples():
