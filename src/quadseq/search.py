@@ -372,10 +372,12 @@ def search(
     elif min(resume.nodes, resume.found, *resume.prunes.values()) < 0:
         raise SearchError("checkpoint counters must not be negative")
 
-    tracker = _ProgressTracker(spec, resume, checkpoint_path)
     if workers > 1:
         profile_index(spec.order)  # built before the fork: the workers inherit it
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        if pool:  # fork the workers now, not at the first join, for the whole search
+            pool.submit(int)
+        tracker = _ProgressTracker(spec, resume, checkpoint_path)
         for case_pos in range(resume.case_pos, len(passes)):
             plan = _PassPlan(spec, passes[case_pos])
             start = resume.lex_next if case_pos == resume.case_pos else 0
