@@ -35,9 +35,12 @@ a^2+b^2+c^2+d^2 = 2(m+n) into orbits under coordinate sign changes and the
 C<->D swap, packed into exactly 12 descriptors so long runs can be resumed
 and distributed case by case.
 
-A run's resumable state is one Checkpoint, saved as one JSON document
-tagged with CHECKPOINT_FORMAT; a file of another format, a truncated one or
-one whose fields are missing or mistyped is refused, never misread.
+A run's only state is one Checkpoint, which one loop in search() advances
+block by block and saves as one JSON document tagged with CHECKPOINT_FORMAT.
+load_checkpoint refuses a file of another format, a truncated one or one
+whose fields are missing or mistyped; every other refusal is made when the
+run starts, for a loaded checkpoint and one held in memory alike, so a
+damaged checkpoint is refused, never misread.
 """
 
 import json
@@ -61,6 +64,7 @@ from .seqcore import (
     parse_seq,
     profile_index,
     row_lags,
+    seq_str,
     split_quad,
     verify_quadruple,
     write_text_atomic,
@@ -301,32 +305,80 @@ def _in_plaintext_order(quads) -> list:
     return sorted(quads, reverse=True)
 
 
-def _verified_solutions(texts, kind: str, order: int) -> list:
-    """Raw (A, B, C, D) tuples of checkpoint plaintexts, each verified as a
-    quadruple of `kind` and `order`: a resumed run returns them as its own.
-    SearchError names the first that does not parse or verify.  A checkpoint
-    repeats few distinct sequences, so each is parsed once, and equal
-    sequences share one tuple, as they do in a search's own results.  The
-    memo here is per call and unbounded, so the sharing holds for any number
-    of distinct sequences; parse_seq's own memo keeps only 4,096."""
+def _check_counters(checkpoint: Checkpoint) -> None:
+    """Refuse counters that no run leaves, whatever search it resumes: prune
+    counters other than the run's two, a negative counter, or, outside count
+    mode, a `found` that is not the number of solutions."""
+    if checkpoint.prunes.keys() != {PRUNE_SUM, PRUNE_CASE}:
+        raise SearchError(f"checkpoint prune counters must be {PRUNE_SUM} and {PRUNE_CASE}, "
+                          f"got {sorted(checkpoint.prunes)}")
+    if min(checkpoint.nodes, checkpoint.found, *checkpoint.prunes.values()) < 0:
+        raise SearchError("checkpoint counters must not be negative")
+    if checkpoint.mode != "count" and checkpoint.found != len(checkpoint.solutions):
+        raise SearchError(f"damaged checkpoint: found {checkpoint.found} but "
+                          f"{len(checkpoint.solutions)} solutions")
+
+
+def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None):
+    """The run's state, a copy of `resume` or a fresh Checkpoint, and the raw
+    (A, B, C, D) tuples of its solutions, which the run returns as its own.
+
+    Every refusal beyond load_checkpoint's checks of the document is made
+    here, so a checkpoint loaded from a file and one held in memory
+    (BudgetExhausted's is mutable) are refused alike: another search, bad
+    counters, a position off the run's passes or block grid, and a solution
+    that fails to parse or verify, is repeated, or lies where the run has yet
+    to scan.  Each distinct sequence is parsed once, by
+    an unbounded memo, so equal ones share a tuple as in a search's results.
+    """
+    if resume is None:
+        return Checkpoint(
+            **dict(zip(_IDENTITY_FIELDS, _identity(spec))),
+            case_pos=0, lex_next=0, nodes=0, prunes={PRUNE_SUM: 0, PRUNE_CASE: 0},
+            found=0, solutions=[],
+        ), []
+    if _identity(resume) != _identity(spec):
+        raise SearchError("checkpoint does not match the requested search")
+    _check_counters(resume)
+    lex_limit = 1 << (spec.order + 1)
+    if not 0 <= resume.case_pos < len(passes):
+        raise SearchError(f"checkpoint case_pos {resume.case_pos} is not a pass of this run")
+    if not 0 <= resume.lex_next <= lex_limit or (
+            resume.lex_next % isqrt(lex_limit) and resume.lex_next != lex_limit):
+        raise SearchError(f"checkpoint lex_next {resume.lex_next} is not a block boundary")
+    # a solution is reached when its pass comes before case_pos, or is
+    # case_pos and its A lies below lex_next (without cases all share pass
+    # 0); a representatives run scans only A's that start and end with +
+    descriptors = enumerate_cases(spec.kind, spec.order)
+    pass_of = {rep: pos for pos, case in enumerate(spec.cases or ())
+               for rep in descriptors[case - 1].sums_reps}
+    unlisted = 0 if spec.cases is None else len(passes)
+    to_bits = str.maketrans("+-", "01")  # A's lex index: bit m-1 is entry 0
     parse = cache(parse_seq)
-    quads = []
-    for text in texts:
+    quads = {}  # in checkpoint order
+    for text in resume.solutions:
         try:
-            seqs = split_quad(text, parse)
+            quad = split_quad(text, parse)
         except QuadseqError as exc:
             raise SearchError(f"checkpoint solution {text} does not parse: {exc}") from None
         try:
-            quad = SeqQuadruple(*seqs, kind)
-            failure = verify_quadruple(quad).failure
+            failure = verify_quadruple(SeqQuadruple(*quad, spec.kind)).failure
         except QuadseqError as exc:
             failure = str(exc)
-        if failure is None and quad.n != order:
-            failure = f"order {quad.n}, expected {order}"
+        if failure is None and len(quad[2]) != spec.order:
+            failure = f"order {len(quad[2])}, expected {spec.order}"
         if failure is not None:
             raise SearchError(f"checkpoint solution {text} fails verification: {failure}")
-        quads.append(seqs)
-    return quads
+        if quad in quads:
+            raise SearchError(f"checkpoint solution {text} is repeated")
+        a = quad[0]
+        position = (pass_of.get(_sums_rep(*map(sum, quad)), unlisted),
+                    int(seq_str(a).translate(to_bits), 2))
+        if position >= (resume.case_pos, resume.lex_next) or (
+                spec.representatives and not a[0] == a[-1] == 1):
+            raise SearchError(f"checkpoint solution {text} lies where the run has yet to scan")
+        quads[quad] = None
+    return replace(resume, prunes=dict(resume.prunes), solutions=list(resume.solutions)), [*quads]
 
 
 def search(
@@ -354,140 +406,87 @@ def search(
         raise SearchError(f"workers must be at least 1, got {workers}")
     started = time.perf_counter()
     passes: list[int] = list(spec.cases) if spec.cases is not None else [0]
-    lex_limit = 1 << (spec.order + 1)
-    if resume is None:
-        resume = Checkpoint(
-            **dict(zip(_IDENTITY_FIELDS, _identity(spec))),
-            case_pos=0, lex_next=0, nodes=0, prunes={PRUNE_SUM: 0, PRUNE_CASE: 0},
-            found=0, solutions=[],
-        )
-    elif _identity(resume) != _identity(spec):
-        raise SearchError("checkpoint does not match the requested search")
-    # a position off the run's passes or block grid would skip or repeat A's
-    elif not 0 <= resume.case_pos < len(passes):
-        raise SearchError(f"checkpoint case_pos {resume.case_pos} is not a pass of this run")
-    elif not 0 <= resume.lex_next <= lex_limit or (
-            resume.lex_next % isqrt(lex_limit) and resume.lex_next != lex_limit):
-        raise SearchError(f"checkpoint lex_next {resume.lex_next} is not a block boundary")
-    elif min(resume.nodes, resume.found, *resume.prunes.values()) < 0:
-        raise SearchError("checkpoint counters must not be negative")
-
+    first = spec.mode == "first"
     if workers > 1:
         profile_index(spec.order)  # built before the fork: the workers inherit it
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         if pool:  # fork the workers now, not at the first join, for the whole search
             pool.submit(int)
-        tracker = _ProgressTracker(spec, resume, checkpoint_path)
-        for case_pos in range(resume.case_pos, len(passes)):
-            plan = _PassPlan(spec, passes[case_pos])
-            start = resume.lex_next if case_pos == resume.case_pos else 0
-            if _run_pass(plan, case_pos, start, case_pos == len(passes) - 1, tracker,
-                         pool, workers):
-                break  # first mode found its solution
-    state = tracker.state
-    return _finish(spec, tracker.solutions, state.found, state.nodes, state.prunes, started)
+        state, quads = _resume_state(spec, passes, resume)
+        base_nodes = saved_nodes = state.nodes  # node_limit budgets the current run only
+        # a first-mode run ends at its hit, which its checkpoint may already hold
+        blocks = () if first and state.found else _blocks(
+            spec, passes, state.case_pos, state.lex_next, pool, workers)
+        for case_pos, lex_next, sols, nodes, prunes, last in blocks:
+            hit = first and bool(sols)  # like the run's last block, no budget interrupts it
+            if hit:
+                sols = _in_plaintext_order(sols)[:1]
+            state.case_pos, state.lex_next = case_pos, lex_next
+            state.nodes += nodes
+            for key, value in prunes.items():
+                state.prunes[key] += value
+            state.found += len(sols)
+            if spec.mode != "count":
+                quads.extend(sols)
+            exhausted = (spec.node_limit is not None and not (hit or last)
+                         and state.nodes - base_nodes >= spec.node_limit)
+            if exhausted or checkpoint_path and state.nodes - saved_nodes >= CHECKPOINT_EVERY:
+                # only the solutions found since the last save become text
+                state.solutions.extend(map(join_quad, quads[len(state.solutions):]))
+                if checkpoint_path:
+                    save_checkpoint(state, checkpoint_path)
+                saved_nodes = state.nodes
+            if exhausted:
+                raise BudgetExhausted(state)
+            if hit:
+                break
+    # every raw tuple here is already a tuple of plain +-1 ints, with A, B and
+    # C, D of equal lengths: scan rows come from int8 .tolist(), C and D from
+    # ProfileIndex's product((1, -1)), and resumed solutions were parsed by
+    # parse_seq and verified in _resume_state
+    kept = _in_plaintext_order(quads)[: {"all": None, "first": 1, "count": 0}[spec.mode]]
+    solutions = [SeqQuadruple._trusted(*quad, spec.kind) for quad in kept]
+    stats = SearchStats(state.nodes, dict(state.prunes), time.perf_counter() - started)
+    return SearchResult(solutions, state.found, stats)
 
 
-class _ProgressTracker:
-    """Accumulates results and enforces budget/checkpoint bookkeeping.
+def _blocks(spec, passes, case_pos, lex_start, pool, workers):
+    """Scan the run's case passes from `case_pos` and `lex_start` on, and
+    yield each block, in lex order, as (case_pos, lex_next, solutions,
+    nodes, prunes, last); `last` marks the run's last block.
 
-    `state` is the run's checkpoint, a copy of the one it started from,
-    advanced block by block.  Solutions are kept as raw tuples in
-    `solutions`; state.solutions holds the plaintexts of a prefix of them,
-    converted once each, when the first checkpoint that holds them is made.
-    """
-
-    def __init__(self, spec, start: Checkpoint, checkpoint_path):
-        self.spec = spec
-        self.state = replace(start, prunes=dict(start.prunes), solutions=list(start.solutions))
-        self.solutions = _verified_solutions(start.solutions, spec.kind, spec.order)
-        self.checkpoint_path = checkpoint_path
-        self._base_nodes = start.nodes  # node_limit budgets the current run only
-        self._last_checkpoint_nodes = start.nodes
-
-    def commit(self, case_pos, lex_next, sols, block_nodes, block_prunes, last_block):
-        # True on a first-mode hit, which, like the search's last block, no budget interrupts
-        hit = self.spec.mode == "first" and bool(sols)
-        if hit:
-            sols = _in_plaintext_order(sols)[:1]
-        state = self.state
-        state.case_pos, state.lex_next = case_pos, lex_next
-        state.nodes += block_nodes
-        for key, value in block_prunes.items():
-            state.prunes[key] += value
-        state.found += len(sols)
-        if self.spec.mode != "count":
-            self.solutions.extend(sols)
-        exhausted = (
-            self.spec.node_limit is not None
-            and state.nodes - self._base_nodes >= self.spec.node_limit
-            and not (hit or last_block)
-        )
-        if exhausted:
-            self._save()
-            raise BudgetExhausted(state)
-        if self.checkpoint_path and state.nodes - self._last_checkpoint_nodes >= CHECKPOINT_EVERY:
-            self._save()
-            self._last_checkpoint_nodes = state.nodes
-        return hit
-
-    def _save(self):
-        texts = self.state.solutions
-        texts.extend(map(join_quad, self.solutions[len(texts):]))
-        if self.checkpoint_path:
-            save_checkpoint(self.state, self.checkpoint_path)
-
-
-def _run_pass(plan, case_pos, lex_start, last_pass, tracker, pool, workers) -> bool:
-    """Scan one case pass from `lex_start` on and commit its blocks in lex
-    order; True on a first-mode hit.
-
-    The pass joins each distinct target once, when a block first holds it,
+    A pass joins each distinct target once, when a block first holds it,
     on `pool` when one is given, and charges its probes to every surviving
-    A that has it.  A block's joins are all back before the next block is
-    scanned, so leaving early leaves at most one block's joins running.
+    A that has it.  A block's joins are all back before it is yielded, so a
+    first hit or an exhausted budget leaves no join running.
     """
-    spec = plan.spec
-    reps_filter = plan.reps_filter
     join = partial(_join, spec.order)
     lex_limit = 1 << (spec.order + 1)
     block = isqrt(lex_limit)
-    memo = {}  # join target -> (pairs by (max(|c|,|d|), min(|c|,|d|)), probes)
-    if spec.order == 0:  # no lags: the empty (C, D) completes every (A, B), unprobed
-        memo[()] = ([((0, 0), [((), ())])], 0)
-    for lo in range(lex_start, lex_limit, block):
-        hi = min(lo + block, lex_limit)
-        survivors, nodes, prunes = _scan_block(plan, (lo, hi))
-        new = list(dict.fromkeys(t for *_, t in survivors if t not in memo))
-        chunk = max(1, -(-len(new) // workers))  # one chunk per worker
-        memo.update(zip(new, pool.map(join, new, chunksize=chunk) if pool else map(join, new)))
-        solutions = []
-        for a_seq, b_seq, ab_rep, target in survivors:
-            by_cd_rep, probes = memo[target]
-            nodes += probes
-            for cd_rep, pairs in by_cd_rep:
-                if reps_filter is not None and ab_rep + cd_rep not in reps_filter:
-                    prunes[PRUNE_CASE] += len(pairs)
-                    continue
-                solutions.extend((a_seq, b_seq, c_seq, d_seq) for c_seq, d_seq in pairs)
-        if tracker.commit(case_pos, hi, solutions, nodes, prunes, last_pass and hi == lex_limit):
-            return True
-    return False
-
-
-def _finish(spec, quads, found, nodes, prunes, started):
-    solutions = []
-    if spec.mode != "count":
-        ordered = _in_plaintext_order(quads)
-        if spec.mode == "first":
-            ordered = ordered[:1]
-        # every raw tuple here is already a tuple of plain +-1 ints, with A, B
-        # and C, D of equal lengths: scan rows come from int8 .tolist(), C and
-        # D from ProfileIndex's product((1, -1)), and resumed solutions were
-        # parsed by parse_seq and verified in _verified_solutions
-        solutions = [SeqQuadruple._trusted(*quad, spec.kind) for quad in ordered]
-    stats = SearchStats(nodes=nodes, prunes=dict(prunes), elapsed=time.perf_counter() - started)
-    return SearchResult(solutions=solutions, count=found, stats=stats)
+    for case_pos in range(case_pos, len(passes)):
+        plan = _PassPlan(spec, passes[case_pos])
+        reps_filter = plan.reps_filter
+        memo = {}  # join target -> (pairs by (max(|c|,|d|), min(|c|,|d|)), probes)
+        if spec.order == 0:  # no lags: the empty (C, D) completes every (A, B), unprobed
+            memo[()] = ([((0, 0), [((), ())])], 0)
+        for lo in range(lex_start, lex_limit, block):
+            hi = min(lo + block, lex_limit)
+            survivors, nodes, prunes = _scan_block(plan, (lo, hi))
+            new = list(dict.fromkeys(t for *_, t in survivors if t not in memo))
+            chunk = max(1, -(-len(new) // workers))  # one chunk per worker
+            memo.update(zip(new, pool.map(join, new, chunksize=chunk) if pool else map(join, new)))
+            solutions = []
+            for a_seq, b_seq, ab_rep, target in survivors:
+                by_cd_rep, probes = memo[target]
+                nodes += probes
+                for cd_rep, pairs in by_cd_rep:
+                    if reps_filter is not None and ab_rep + cd_rep not in reps_filter:
+                        prunes[PRUNE_CASE] += len(pairs)
+                        continue
+                    solutions.extend((a_seq, b_seq, c_seq, d_seq) for c_seq, d_seq in pairs)
+            yield case_pos, hi, solutions, nodes, prunes, (
+                case_pos == len(passes) - 1 and hi == lex_limit)
+        lex_start = 0
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
@@ -529,18 +528,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         and type(solutions) is list and _all_of(solutions, str)
     ):
         raise SearchError("checkpoint has a field of the wrong type")
-    if prunes.keys() != {PRUNE_SUM, PRUNE_CASE}:
-        raise SearchError(
-            f"checkpoint prune counters must be {PRUNE_SUM} and {PRUNE_CASE}, got {sorted(prunes)}"
-        )
     if cases is not None:
         data["cases"] = tuple(cases)
     checkpoint = Checkpoint(**data)
-    if checkpoint.mode != "count" and checkpoint.found != len(checkpoint.solutions):
-        raise SearchError(
-            f"damaged checkpoint: found {checkpoint.found} but "
-            f"{len(checkpoint.solutions)} solutions"
-        )
+    _check_counters(checkpoint)
     return checkpoint
 
 
@@ -625,9 +616,11 @@ def _verified_orbit(q: SeqQuadruple) -> set[tuple[int, ...]]:
         raise SearchError("equivalence orbits are defined for binary quadruples")
     verify_quadruple(q).require(SearchError, "orbit input fails verification")
     source, sign = _group(q.m, q.n)
-    rows = np.array(_flat(q), dtype=np.int8)[source] * sign
-    # row by row, so that a repeated member's list and tuple are freed at once
-    return set(map(tuple, map(np.ndarray.tolist, rows)))
+    # a product repeats members (1,024 rows for at most 512 near-normal ones):
+    # drop the repeats as row bytes, before the costlier tuple conversion
+    members = set(map(bytes, np.array(_flat(q), dtype=np.int8)[source] * sign))
+    table = np.frombuffer(b"".join(members), dtype=np.int8).reshape(len(members), source.shape[1])
+    return set(map(tuple, table.tolist()))
 
 
 def _quadruple(flat: tuple[int, ...], like: SeqQuadruple, shared: dict) -> SeqQuadruple:

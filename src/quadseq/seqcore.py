@@ -392,12 +392,14 @@ _PASS = VerificationReport(passed=True)
 def _lag_sum_verdict(seqs, npaf) -> VerificationReport:
     """Fails at the first positive lag where the four autocorrelations do not
     cancel; npaf(seq) gives a nonempty sequence's autocorrelations."""
-    # entries are in {-1, 0, 1}: each sum is at most 4 * max length
-    total = np.zeros(max(map(len, seqs)), dtype=np.int64)
-    for seq in seqs:
-        if seq:
-            total[: len(seq)] += npaf(seq)
-    if total[1:].any():
+    a, b, c, d = seqs if len(seqs[0]) >= len(seqs[2]) else seqs[2:] + seqs[:2]
+    if not a:
+        return _PASS
+    # A, B and C, D have equal lengths (see SeqQuadruple), so each pair adds with +
+    total = npaf(a) + npaf(b)
+    if c:
+        total[: len(c)] += npaf(c) + npaf(d)
+    if np.count_nonzero(total[1:]):
         j = int(np.flatnonzero(total[1:])[0]) + 1
         return _fail(f"lag {j}: autocorrelation sum = {int(total[j])}, expected 0")
     return _PASS

@@ -478,6 +478,13 @@ def test_nn_counts_and_nodes_are_pinned(order, count, nodes):
     assert (result.count, result.stats.nodes) == (count, nodes)
 
 
+@pytest.mark.slow
+def test_nn18_count_nodes_and_prunes_are_pinned():
+    result = search(SearchSpec("nn", 18, mode="count"))
+    assert (result.count, result.stats.nodes) == (15_232, 5_365_187_984)
+    assert result.stats.prunes == {"sum_of_squares": 241_544, "case": 0}
+
+
 def test_checkpoint_file_round_trip(tmp_path):
     spec = SearchSpec("nn", 4, node_limit=10, cases=(3, 1, 2))
     path = str(tmp_path / "ck.json")
@@ -569,14 +576,29 @@ def _rewritten(path, **changes):
     return path
 
 
+def _refused_from_file_and_from_memory(tmp_path, spec, damage, message):
+    """Damage the checkpoint of a budgeted run of `spec` (`damage` maps it to
+    the fields to change) and resume the run from it twice, through the file
+    and from the Checkpoint object: both must be refused alike."""
+    path = str(tmp_path / "run.ckpt")
+    with pytest.raises(BudgetExhausted) as info:
+        search(spec, checkpoint_path=path)
+    changes = damage(info.value.checkpoint)
+    in_memory = dataclasses.replace(info.value.checkpoint, **changes)
+    for resume in (lambda: load_checkpoint(_rewritten(path, **changes)), lambda: in_memory):
+        with pytest.raises(SearchError, match=message):
+            search(dataclasses.replace(spec, node_limit=None), resume=resume())
+
+
 def test_torn_checkpoint_is_rejected(tmp_path):
-    # a file that lost a solution must not resume to a run that counts it but
-    # no longer returns it
-    path = _budgeted_checkpoint_file(tmp_path, SearchSpec("nn", 8, node_limit=6000))
-    solutions = load_checkpoint(path).solutions
-    assert len(solutions) > 3
-    with pytest.raises(SearchError, match="damaged checkpoint"):
-        load_checkpoint(_rewritten(path, solutions=solutions[:-1]))
+    # a checkpoint that lost a solution must not resume to a run that counts
+    # it but no longer returns it
+    def torn(checkpoint):
+        assert len(checkpoint.solutions) > 3
+        return {"solutions": checkpoint.solutions[:-1]}
+
+    _refused_from_file_and_from_memory(
+        tmp_path, SearchSpec("nn", 8, node_limit=6000), torn, "damaged checkpoint")
 
 
 @pytest.mark.parametrize("prunes", [
@@ -585,9 +607,9 @@ def test_torn_checkpoint_is_rejected(tmp_path):
     {"sum_of_squares": 3},
 ], ids=["retired", "unknown", "missing"])
 def test_checkpoint_with_an_unknown_or_retired_prune_counter_is_refused(tmp_path, prunes):
-    path = _budgeted_checkpoint_file(tmp_path, SearchSpec("nn", 6, node_limit=40))
-    with pytest.raises(SearchError, match="prune counters must be"):
-        load_checkpoint(_rewritten(path, prunes=prunes))
+    _refused_from_file_and_from_memory(
+        tmp_path, SearchSpec("nn", 6, node_limit=40), lambda _: {"prunes": prunes},
+        "prune counters must be")
 
 
 @pytest.mark.parametrize("name,value,message", [
@@ -618,12 +640,14 @@ def test_checkpoint_with_a_bad_field_is_refused(tmp_path, name, value, message):
 def test_checkpoint_with_a_solution_that_fails_verification_is_refused(tmp_path, bad, message):
     # a resumed run returns the checkpoint's solutions as its own
     assert verify_quadruple(parse_quad("+++;+--;+-;+-", "nn"))
-    spec = SearchSpec("nn", 4, node_limit=25)
-    path = _budgeted_checkpoint_file(tmp_path, spec)
-    solutions = load_checkpoint(path).solutions
-    assert solutions
-    with pytest.raises(SearchError, match=f"solution {re.escape(bad)} .*{message}"):
-        search(spec, resume=load_checkpoint(_rewritten(path, solutions=[bad] + solutions[1:])))
+
+    def replaced(checkpoint):
+        assert checkpoint.solutions
+        return {"solutions": [bad] + checkpoint.solutions[1:]}
+
+    _refused_from_file_and_from_memory(
+        tmp_path, SearchSpec("nn", 4, node_limit=25), replaced,
+        f"solution {re.escape(bad)} .*{message}")
 
 
 @pytest.mark.parametrize("mode,name,value,message", [
@@ -640,14 +664,78 @@ def test_checkpoint_with_a_position_or_counter_outside_its_run_is_refused(
         tmp_path, mode, name, value, message):
     # each of these used to resume to a wrong result: solutions lost or
     # counted twice, A's scanned twice, or counters off
-    spec = SearchSpec("nn", 8, mode=mode, node_limit=2000)
-    with pytest.raises(BudgetExhausted) as info:
-        search(spec, checkpoint_path=str(tmp_path / "run.ckpt"))
-    from_file = load_checkpoint(_rewritten(str(tmp_path / "run.ckpt"), **{name: value}))
-    in_memory = dataclasses.replace(info.value.checkpoint, **{name: value})
-    for checkpoint in (from_file, in_memory):
-        with pytest.raises(SearchError, match=message):
-            search(dataclasses.replace(spec, node_limit=None), resume=checkpoint)
+    _refused_from_file_and_from_memory(
+        tmp_path, SearchSpec("nn", 8, mode=mode, node_limit=2000), lambda _: {name: value},
+        message)
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda ck, _: {"found": ck.found + 7}, "damaged checkpoint: found 551 but 544 solutions"),
+    (lambda ck, _: {"prunes": {"sum_of_squares": ck.prunes["sum_of_squares"]}},
+     "prune counters must be"),
+    (lambda ck, _: {"found": ck.found + 1, "solutions": ck.solutions + ck.solutions[:1]},
+     "is repeated"),
+    (lambda ck, unscanned: {"found": ck.found + 1, "solutions": ck.solutions + unscanned[-1:]},
+     "yet to scan"),
+], ids=["found raised", "case counter missing", "solution repeated", "solution unscanned"])
+def test_checkpoint_that_resumed_to_a_wrong_result_is_refused(tmp_path, solutions, damage,
+                                                               message):
+    # nn 8 has 640 solutions; these checkpoints used to resume to count 647,
+    # to a KeyError, and twice to 641 solutions of which 640 were distinct
+    everything = [q.plaintext() for q in solutions("nn", 8)]
+    assert len(everything) == 640
+
+    def damaged(checkpoint):
+        assert (checkpoint.found, checkpoint.lex_next) == (544, 396)
+        unscanned = [text for text in everything if text not in checkpoint.solutions]
+        return damage(checkpoint, unscanned)
+
+    _refused_from_file_and_from_memory(
+        tmp_path, SearchSpec("nn", 8, node_limit=6000), damaged, message)
+
+
+@pytest.mark.parametrize("spec", [
+    SearchSpec("nn", 6, node_limit=1),
+    SearchSpec("nn", 6, cases=(5, 2), node_limit=1),  # case 4 holds 48 more
+    SearchSpec("nn", 6, representatives=True, node_limit=1),
+], ids=["one pass", "cases", "representatives"])
+def test_a_checkpoint_may_hold_only_the_solutions_its_run_has_reached(spec, solutions):
+    # at every block boundary, each nn 6 solution the checkpoint does not
+    # hold is one the run has yet to scan, or never scans: adding it is refused
+    everything = [q.plaintext() for q in solutions("nn", 6)]
+    unbudgeted = dataclasses.replace(spec, node_limit=None)
+    checkpoint, refused = None, 0
+    while True:
+        try:
+            search(spec, resume=checkpoint)
+            break
+        except BudgetExhausted as exc:
+            checkpoint = exc.checkpoint
+        for text in everything:
+            if text not in checkpoint.solutions:
+                damaged = dataclasses.replace(checkpoint, found=checkpoint.found + 1,
+                                              solutions=checkpoint.solutions + [text])
+                with pytest.raises(SearchError, match="yet to scan"):
+                    search(unbudgeted, resume=damaged)
+                refused += 1
+    assert refused > len(everything)
+
+
+@pytest.mark.parametrize("cases", [None, (3, 1, 2)])
+def test_first_mode_resumed_from_its_last_checkpoint_reproduces_the_run(tmp_path, monkeypatch,
+                                                                         cases):
+    # the periodic checkpoint of a first-mode hit block already holds the
+    # solution; resuming it used to scan on and count a second one
+    monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 1)
+    spec = SearchSpec("nn", 8, mode="first", cases=cases)
+    path = str(tmp_path / "run.ckpt")
+    full = search(spec, checkpoint_path=path)
+    checkpoint = load_checkpoint(path)
+    assert checkpoint.found == full.count == 1
+    resumed = search(spec, resume=checkpoint)
+    assert plaintexts(resumed) == plaintexts(full)
+    assert (resumed.count, resumed.stats.nodes) == (full.count, full.stats.nodes)
+    assert resumed.stats.prunes == full.stats.prunes
 
 
 @pytest.mark.parametrize("spec", [SearchSpec("nn", 8), SearchSpec("ns", 6, cases=(3, 1, 2))],
