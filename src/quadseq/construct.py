@@ -87,7 +87,7 @@ def golay_search(g: int, allow_large: bool = False) -> list[GolayPair]:
     if g > 12 and not allow_large:
         raise ConstructionError(f"length {g} over search budget (pass allow_large to force)")
     joined, _probes = profile_index(g).join((0,) * (g - 1))
-    pairs = [pair for _rep, group in joined for pair in group]
+    pairs = [pair for _c2, group in joined for pair in group]
     # bits order is descending order of the reversed sequence ('+' is 1)
     pairs.sort(key=lambda p: (p[0][::-1], p[1][::-1]), reverse=True)
     return [GolayPair(first, second) for first, second in pairs]
@@ -249,6 +249,8 @@ def ts_to_od(t: SeqQuadruple) -> SymbolicMatrix:
         raise ConstructionError(f"input quadruple has kind {t.kind!r}, need ts")
     verify_quadruple(t).require(ConstructionError, "input fails T verification")
     n = t.n
+    if n == 0:
+        raise ConstructionError("T-sequences of length 0 give no design")
     # row r of a circulant is its sequence cyclically shifted right by r
     shift = (np.arange(n) - np.arange(n)[:, None]) % n
     c1, c2, c3, c4 = np.array(t.seqs(), dtype=np.int64)[:, shift]

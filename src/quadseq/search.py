@@ -12,10 +12,11 @@ Surviving A's share few targets, so a pass joins each distinct target once
 and reuses its (C, D) pairs for every A that shares it.  A pass scans A in
 lex order, in blocks of isqrt(2^(n+1)) A's whatever the worker count, mode
 or budget, so its first block with a solution holds its lex-least one.  A
-block is scanned as one array: its A and B rows, the sum and case tests as
-masks, and its targets from one seqcore.row_lags call.  The scan and the pass's
-one memo live in the calling process; with workers > 1 a process pool, one
-for the whole search, computes the joins of each block's new targets.
+block is one array pass: its A and B rows, their verdicts from the pass's
+(|a|, |b|) table and their targets from one seqcore.row_lags call; only the
+survivors whose target has pairs become tuples.  The scan and the pass's one
+memo live in the calling process; with workers > 1 a process pool, one for
+the whole search, computes the joins of each block's new targets.
 
 The sum-of-squares prune is the only test before the join.  It only saves
 work: the join's sum index finds no (C, D) for an A it rejects.  Inside the
@@ -168,6 +169,8 @@ def _validate_spec(spec: SearchSpec) -> None:
     if spec.mode not in ("all", "first", "count"):
         raise SearchError(f"unknown report mode {spec.mode!r}")
     if spec.cases is not None:
+        if not spec.cases:
+            raise SearchError("cases must name at least one case id")
         bad = [c for c in spec.cases if not 1 <= c <= NUM_CASES]
         if bad:
             raise SearchError(f"case ids must be in 1..{NUM_CASES}, got {bad}")
@@ -231,30 +234,29 @@ def enumerate_cases(kind: str, order: int) -> list[CaseDescriptor]:
     return cases
 
 
-class _PassPlan:
-    """What one case pass needs beyond the A range, built once per pass."""
+def _pass_verdicts(spec: SearchSpec, pass_case: int):
+    """The table verdict[|a|, |b|] of one case pass, with the case's sums reps
+    (None without cases).  0 sends an A to the join; 1 is the sum prune, for
+    no admissible c^2 + d^2 left to C and D; 2 is the case prune, for no sums
+    rep of the case that starts with (|a|, |b|)."""
+    m, n = spec.order + 1, spec.order
+    squares = np.array(_admissible_values(n)) ** 2
+    rest = 2 * (m + n) - np.add.outer(np.arange(m + 1) ** 2, np.arange(m + 1) ** 2)
+    verdict = np.isin(rest, np.add.outer(squares, squares), invert=True).astype(np.int8)
+    if pass_case == 0:
+        return verdict, None
+    reps = frozenset(enumerate_cases(spec.kind, spec.order)[pass_case - 1].sums_reps)
+    verdict[verdict == 0] = 2  # every rep's (|a|, |b|) passes the sum prune
+    for rep in reps:
+        verdict[rep[:2]] = 0
+    return verdict, reps
 
-    def __init__(self, spec: SearchSpec, pass_case: int):
-        self.spec = spec
-        # admissible c^2 + d^2
-        squares = [v * v for v in _admissible_values(spec.order)]
-        self.sum_targets = frozenset(c2 + d2 for c2 in squares for d2 in squares)
-        # sums reps of the case and their (|a|, |b|) parts; None when unfiltered
-        self.reps_filter = self.ab_filter = None
-        if pass_case != 0:
-            descriptor = enumerate_cases(spec.kind, spec.order)[pass_case - 1]
-            self.reps_filter = frozenset(descriptor.sums_reps)
-            self.ab_filter = frozenset((r[0], r[1]) for r in self.reps_filter)
 
-
-def _scan_block(plan: _PassPlan, bounds: tuple[int, int]):
-    """Scan the long sequences of lex indices lo <= k < hi; returns the
-    surviving A's, each as (A, B, (|a|, |b|), join target), and the block's
-    node and prune counters so far (the joins are charged by the caller).
-
-    The block is one array pass: row i holds A_k for the i-th scanned k
-    and B is derived column-wise, as ProfileIndex builds its table."""
-    spec = plan.spec
+def _scan_block(spec: SearchSpec, verdict: np.ndarray, bounds: tuple[int, int]):
+    """Scan the long sequences of lex indices lo <= k < hi under a pass's
+    verdict table; returns the survivors' (A, B, (|a|, |b|), join target)
+    rows in lex order, and the block's counters before its joins, which the
+    caller charges.  B is derived from A column-wise, as in ProfileIndex."""
     n = spec.order
     m = n + 1
     ks = np.arange(*bounds, dtype=np.int64)
@@ -269,26 +271,15 @@ def _scan_block(plan: _PassPlan, bounds: tuple[int, int]):
     b[:, n] *= -1  # top-lag cancellation: a_1 * a_m + b_1 * b_m = 0
     if n == 0 and not spec.representatives:  # no lag at all, so B is free
         a, b = np.concatenate([a, a]), np.concatenate([b, a])
-    a_sum, b_sum = a.sum(axis=1), b.sum(axis=1)
-    rest = 2 * (m + n) - a_sum * a_sum - b_sum * b_sum  # c^2 + d^2 left for C and D
-    # sum_targets is only asked `in`, once per distinct value of the block
-    keep = np.isin(rest, [r for r in np.unique(rest).tolist() if r in plan.sum_targets])
-    nodes = len(a)
-    prunes = {PRUNE_SUM: nodes - int(keep.sum()), PRUNE_CASE: 0}
-    ab = np.stack([np.abs(a_sum), np.abs(b_sum)], axis=1)
-    if plan.ab_filter is not None:
-        in_case = np.array([tuple(row) in plan.ab_filter for row in ab.tolist()], dtype=bool)
-        prunes[PRUNE_CASE] = int((keep & ~in_case).sum())
-        keep &= in_case
+    ab = np.abs(np.stack([a.sum(axis=1), b.sum(axis=1)], axis=1))
+    row_verdicts = verdict[ab[:, 0], ab[:, 1]]
+    _join_count, sum_pruned, case_pruned = np.bincount(row_verdicts, minlength=3).tolist()
+    keep = row_verdicts == 0
     a, b, ab = a[keep], b[keep], ab[keep]
     # target_j = -(A's plus B's autocorrelation at lag j), j = 1..n-1
     lags = row_lags(np.concatenate([a, b]), n - 1)
     targets = -(lags[: len(a)] + lags[len(a) :])
-    survivors = list(zip(
-        map(tuple, a.tolist()), map(tuple, b.tolist()), map(tuple, ab.tolist()),
-        map(tuple, targets.tolist()),
-    ))
-    return survivors, nodes, prunes
+    return (a, b, ab, targets), len(row_verdicts), {PRUNE_SUM: sum_pruned, PRUNE_CASE: case_pruned}
 
 
 def _join(order: int, target: tuple[int, ...]):
@@ -307,16 +298,17 @@ def _in_plaintext_order(quads) -> list:
 
 def _check_counters(checkpoint: Checkpoint) -> None:
     """Refuse counters that no run leaves, whatever search it resumes: prune
-    counters other than the run's two, a negative counter, or, outside count
-    mode, a `found` that is not the number of solutions."""
+    counters other than the run's two, a negative counter, or solutions other
+    than the `found` ones (none in count mode)."""
     if checkpoint.prunes.keys() != {PRUNE_SUM, PRUNE_CASE}:
         raise SearchError(f"checkpoint prune counters must be {PRUNE_SUM} and {PRUNE_CASE}, "
                           f"got {sorted(checkpoint.prunes)}")
     if min(checkpoint.nodes, checkpoint.found, *checkpoint.prunes.values()) < 0:
         raise SearchError("checkpoint counters must not be negative")
-    if checkpoint.mode != "count" and checkpoint.found != len(checkpoint.solutions):
+    held = 0 if checkpoint.mode == "count" else checkpoint.found  # a count run keeps none
+    if len(checkpoint.solutions) != held:
         raise SearchError(f"damaged checkpoint: found {checkpoint.found} but "
-                          f"{len(checkpoint.solutions)} solutions")
+                          f"{len(checkpoint.solutions)} solutions in {checkpoint.mode} mode")
 
 
 def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None):
@@ -463,24 +455,37 @@ def _blocks(spec, passes, case_pos, lex_start, pool, workers):
     join = partial(_join, spec.order)
     lex_limit = 1 << (spec.order + 1)
     block = isqrt(lex_limit)
+    total = 2 * (2 * spec.order + 1)  # a^2 + b^2 + c^2 + d^2
+    row_bytes = 8 * max(spec.order - 1, 0)  # of an int64 join target
     for case_pos in range(case_pos, len(passes)):
-        plan = _PassPlan(spec, passes[case_pos])
-        reps_filter = plan.reps_filter
-        memo = {}  # join target -> (pairs by (max(|c|,|d|), min(|c|,|d|)), probes)
+        verdict, reps = _pass_verdicts(spec, passes[case_pos])
+        memo = {}  # join target -> (pairs by c^2, probes)
         if spec.order == 0:  # no lags: the empty (C, D) completes every (A, B), unprobed
-            memo[()] = ([((0, 0), [((), ())])], 0)
+            memo[()] = ([(0, [((), ())])], 0)
         for lo in range(lex_start, lex_limit, block):
             hi = min(lo + block, lex_limit)
-            survivors, nodes, prunes = _scan_block(plan, (lo, hi))
-            new = list(dict.fromkeys(t for *_, t in survivors if t not in memo))
+            (a, b, ab, targets), nodes, prunes = _scan_block(spec, verdict, (lo, hi))
+            # distinct targets by the bytes of their rows (np.unique's axis=0 costs
+            # several times more per block); without lags all rows are equal
+            keys = targets.view(f"V{row_bytes}").ravel() if row_bytes else np.zeros(len(targets))
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            distinct = list(map(tuple, targets[first].tolist()))
+            new = [target for target in distinct if target not in memo]
             chunk = max(1, -(-len(new) // workers))  # one chunk per worker
             memo.update(zip(new, pool.map(join, new, chunksize=chunk) if pool else map(join, new)))
+            joins = [memo[target] for target in distinct]
+            probes = np.array([count for _groups, count in joins], dtype=np.int64)
+            nodes += int(probes[inverse].sum())
+            has_pairs = np.array([bool(groups) for groups, _count in joins], dtype=bool)
+            rows = np.flatnonzero(has_pairs[inverse])  # only these become tuples, in lex order
             solutions = []
-            for a_seq, b_seq, ab_rep, target in survivors:
-                by_cd_rep, probes = memo[target]
-                nodes += probes
-                for cd_rep, pairs in by_cd_rep:
-                    if reps_filter is not None and ab_rep + cd_rep not in reps_filter:
+            for a_seq, b_seq, (a_abs, b_abs), i in zip(
+                    map(tuple, a[rows].tolist()), map(tuple, b[rows].tolist()),
+                    ab[rows].tolist(), inverse[rows].tolist()):
+                for c2, pairs in joins[i][0]:
+                    d2 = total - a_abs * a_abs - b_abs * b_abs - c2
+                    if reps is not None and _sums_rep(
+                            a_abs, b_abs, isqrt(c2), isqrt(d2)) not in reps:
                         prunes[PRUNE_CASE] += len(pairs)
                         continue
                     solutions.extend((a_seq, b_seq, c_seq, d_seq) for c_seq, d_seq in pairs)

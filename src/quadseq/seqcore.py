@@ -19,9 +19,8 @@ verdict into the error "<context>: <failure>".
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import product
-from math import isqrt
 from operator import sub
 
 import numpy as np
@@ -241,9 +240,9 @@ class ProfileIndex:
         R < 0 at a sample has no pairs, and a C-profile with PSD_C > R at a
         sample has no D.  Only the other C-profiles are looked up (within
         _PSD_MARGIN), but every probed one is counted, whatever the PSD
-        test decides.  Returns the pairs grouped by (max(|c|,|d|),
-        min(|c|,|d|)), the part of a sums rep they share, and the number of
-        C-profiles probed.
+        test decides.  Returns the pairs as (c^2, pairs) groups, one per
+        by_square_sum bucket of C that has pairs, in the index's bucket
+        order, and the number of C-profiles probed.
         """
         residual = 2 * self.length + 2 * sum(target)
         groups, by_square_sum = self.groups, self.by_square_sum
@@ -267,21 +266,15 @@ class ProfileIndex:
                 if d_seqs:
                     pairs.extend(product(c_seqs, d_seqs))
             if pairs:
-                c_abs, d_abs = isqrt(c2), isqrt(d2)
-                joined.append(((max(c_abs, d_abs), min(c_abs, d_abs)), pairs))
+                joined.append((c2, pairs))
         return joined, probes
 
 
-_PROFILE_INDEXES: dict[int, ProfileIndex] = {}
-
-
+@cache
 def profile_index(length: int) -> ProfileIndex:
     """The ProfileIndex of `length`, built on first use and then shared
     (read-only) for the life of the process."""
-    index = _PROFILE_INDEXES.get(length)
-    if index is None:
-        index = _PROFILE_INDEXES[length] = ProfileIndex(length)
-    return index
+    return ProfileIndex(length)
 
 
 @dataclass(frozen=True)

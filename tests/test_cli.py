@@ -256,6 +256,9 @@ def test_construct_and_catalog_lines_parse_back_to_their_quadruples(capsys):
     ["catalog", "status", "--kind", "nn"],
     ["catalog", "cases", "--order", "-3"],
     ["verify", "--record", "nn 1 0 1"],
+    # the empty base quadruple gives length-0 T-sequences, which give no design
+    ["construct", "od", "--from-record", "bs ;;;"],
+    ["construct", "hadamard", "--from-record", "bs ;;;"],
 ])
 def test_bad_arguments_exit_2_with_an_error_and_no_output(capsys, argv):
     code, out, err = run(capsys, *argv)

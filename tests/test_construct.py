@@ -216,6 +216,9 @@ def test_design_rejects_non_t_input():
         ts_to_od(parse_quad("+;+;+;+", "bs"))
     with pytest.raises(ConstructionError):
         ts_to_od(parse_quad("++;00;0+;00", "ts"))
+    # length-0 T-sequences pass the verifier but give no design
+    with pytest.raises(ConstructionError, match="length 0"):
+        ts_to_od(bs_to_ts(parse_quad(";;;", "bs")))
 
 
 def test_substitution_yields_hadamard():

@@ -16,6 +16,7 @@ import quadseq.search as search_module
 from quadseq.catalog import witness_records
 from quadseq.search import (
     CHECKPOINT_FORMAT,
+    NUM_CASES,
     BudgetExhausted,
     Checkpoint,
     SearchError,
@@ -74,23 +75,21 @@ def test_odd_orders_are_searched_honestly():
     assert search(SearchSpec("nn", 5)).count == 0
 
 
-class _EverySum:
-    """Stands in for _PassPlan.sum_targets: admits every sum, so no A is
-    stopped by the sum prune and each one reaches the join."""
-
-    def __contains__(self, value):
-        return True
+def _without_sum_prune(verdict):
+    """A pass's verdict table with every sum-pruned entry sent to the join
+    instead, so no A is stopped by the sum prune and each one reaches it."""
+    return np.where(verdict == 1, 0, verdict)
 
 
 @pytest.fixture
 def sum_prune_off(monkeypatch):
-    plan_init = search_module._PassPlan.__init__
+    pass_verdicts = search_module._pass_verdicts
 
-    def init_without_sum_prune(self, spec, pass_case):
-        plan_init(self, spec, pass_case)
-        self.sum_targets = _EverySum()
+    def verdicts_without_sum_prune(spec, pass_case):
+        verdict, reps = pass_verdicts(spec, pass_case)
+        return _without_sum_prune(verdict), reps
 
-    monkeypatch.setattr(search_module._PassPlan, "__init__", init_without_sum_prune)
+    monkeypatch.setattr(search_module, "_pass_verdicts", verdicts_without_sum_prune)
 
 
 @pytest.mark.parametrize("kind,order", [("nn", 4), ("nn", 6), ("ns", 4), ("ns", 6)])
@@ -176,6 +175,7 @@ def test_order_bound_refusal():
     (SearchSpec("nn", 4), -1, "at least 1"),
     (SearchSpec("nn", 4, node_limit=0), 1, "node limit must be at least 1, got 0"),
     (SearchSpec("nn", 4, node_limit=-5), 1, "node limit must be at least 1, got -5"),
+    (SearchSpec("nn", 4, cases=()), 1, "at least one case"),  # it used to scan nothing
 ])
 def test_repeated_case_ids_and_worker_counts_below_one_are_refused(spec, workers, message):
     # a repeated case id would scan its pass twice and count its solutions
@@ -312,32 +312,86 @@ def test_counters_do_not_depend_on_workers_budget_or_resume(kind, tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["nn", "ns"])
+def test_pass_verdicts_agree_with_their_definition(kind):
+    # by brute force over (|a|, |b|) and the admissible (c, d): an A goes to
+    # the join when some (c, d) completes its sums, and, in a case pass, the
+    # sums rep of one such completion is the case's
+    for order in range(21):
+        m, n = order + 1, order
+        for pass_case in range(NUM_CASES + 1):
+            case_reps = None if pass_case == 0 else set(
+                enumerate_cases(kind, order)[pass_case - 1].sums_reps)
+            verdict, reps = search_module._pass_verdicts(SearchSpec(kind, order), pass_case)
+            assert reps == case_reps
+            assert verdict.shape == (m + 1, m + 1)
+            for a, b in itertools.product(range(m + 1), repeat=2):
+                completions = [
+                    (c, d) for c in range(n % 2, n + 1, 2) for d in range(n % 2, n + 1, 2)
+                    if a * a + b * b + c * c + d * d == 2 * (m + n)
+                ]
+                if not completions:
+                    want = 1
+                elif case_reps is None or any(
+                        search_module._sums_rep(a, b, c, d) in case_reps for c, d in completions):
+                    want = 0
+                else:
+                    want = 2
+                assert verdict[a, b] == want, (order, pass_case, a, b)
+
+
+def test_case_filter_keeps_only_the_case_s_pairs_of_a_shared_target(monkeypatch):
+    # at ns 13 the sums reps (0, 2, 5, 5) of case 1 and (0, 2, 7, 1) of case 2
+    # share (|a|, |b|): the verdict table sends the same A's to the join in
+    # both passes, and only c^2 tells their pairs apart.  No searched order up
+    # to 20 has such a pair, so a stand-in join gives each target one marked
+    # pair per c^2 bucket
+    groups = [(c2, [((c2,), (c2,))]) for c2 in (1, 25, 49)]
+    monkeypatch.setattr(search_module, "_join", lambda order, target: (groups, 0))
+    kept = {}
+    for case in (1, 2):
+        blocks = search_module._blocks(SearchSpec("ns", 13, cases=(case,)), [case], 0, 0, None, 1)
+        kept[case] = {quad[2] for block in blocks for quad in block[2]}
+    assert kept == {1: {(25,)}, 2: {(1,), (49,)}}
+
+
+def _scan_all(spec):
+    """_scan_block over every long sequence of spec's order, in an unfiltered pass."""
+    verdict, _reps = search_module._pass_verdicts(spec, 0)
+    return search_module._scan_block(spec, verdict, (0, 1 << (spec.order + 1)))
+
+
+@pytest.mark.parametrize("kind", ["nn", "ns"])
 def test_join_finds_nothing_for_an_a_the_sum_prune_rejects(kind):
     # the prune only saves work: for every A it rejects, the join's own sum
     # index probes no C-profile and returns no (C, D)
     for order in range(1, 9):
-        plan = search_module._PassPlan(SearchSpec(kind, order), 0)
-        unpruned = copy.copy(plan)
-        unpruned.sum_targets = _EverySum()
-        survivors, nodes, prunes = search_module._scan_block(unpruned, (0, 1 << (order + 1)))
-        assert len(survivors) == nodes == 1 << (order + 1)
+        spec = SearchSpec(kind, order)
+        verdict, _reps = search_module._pass_verdicts(spec, 0)
+        (a, _b, ab, targets), nodes, prunes = search_module._scan_block(
+            spec, _without_sum_prune(verdict), (0, 1 << (order + 1)))
+        assert len(a) == nodes == 1 << (order + 1)
         assert prunes == {"sum_of_squares": 0, "case": 0}
         index = profile_index(order)
-        total = 2 * (2 * order + 1)
         rejected = 0
-        for a_seq, b_seq, _ab_rep, target in survivors:
-            if total - sum(a_seq) ** 2 - sum(b_seq) ** 2 in plan.sum_targets:
+        for a_row, (a_abs, b_abs), target in zip(a.tolist(), ab.tolist(), targets.tolist()):
+            if verdict[a_abs, b_abs] != 1:  # not sum-pruned
                 continue
             rejected += 1
-            assert index.join(target) == ([], 0), (order, a_seq)
+            assert index.join(tuple(target)) == ([], 0), (order, a_row)
         assert rejected or order < 3, order
 
 
-def _reference_scan(plan, bounds):
-    """The per-A loop that _scan_block batches: same survivors, same counters."""
-    spec = plan.spec
+def _reference_scan(spec, pass_case, bounds):
+    """The per-A loop that _scan_block batches: same survivors, same counters.
+    Its sum test and case filter are its own, from the admissible sums and
+    the case's sums reps."""
     n = spec.order
     m = n + 1
+    squares = [v * v for v in range(n % 2, n + 1, 2)]
+    sum_targets = {c2 + d2 for c2 in squares for d2 in squares}
+    ab_filter = None
+    if pass_case:
+        ab_filter = {rep[:2] for rep in enumerate_cases(spec.kind, n)[pass_case - 1].sums_reps}
     nodes = 0
     prunes = {"sum_of_squares": 0, "case": 0}
     survivors = []
@@ -352,11 +406,11 @@ def _reference_scan(plan, bounds):
         b_seq = body + (-a_seq[n],)
         nodes += 1
         a_sum, b_sum = sum(a_seq), sum(b_seq)
-        if 2 * (m + n) - a_sum * a_sum - b_sum * b_sum not in plan.sum_targets:
+        if 2 * (m + n) - a_sum * a_sum - b_sum * b_sum not in sum_targets:
             prunes["sum_of_squares"] += 1
             continue
         ab_rep = (abs(a_sum), abs(b_sum))
-        if plan.ab_filter is not None and ab_rep not in plan.ab_filter:
+        if ab_filter is not None and ab_rep not in ab_filter:
             prunes["case"] += 1
             continue
         pa, pb = npaf_values(a_seq), npaf_values(b_seq)
@@ -371,10 +425,13 @@ def test_batched_scan_matches_the_per_a_reference(kind, representatives):
         spec = SearchSpec(kind, order, representatives=representatives)
         lex_limit = 1 << (order + 1)
         for pass_case in (0, 1, 3):
-            plan = search_module._PassPlan(spec, pass_case)
+            verdict, _reps = search_module._pass_verdicts(spec, pass_case)
             for bounds in ((0, lex_limit), (lex_limit // 3, lex_limit // 3 + 7), (5, 5)):
-                got = search_module._scan_block(plan, bounds)
-                assert got == _reference_scan(plan, bounds), (order, pass_case, bounds)
+                rows, nodes, prunes = search_module._scan_block(spec, verdict, bounds)
+                assert [row.dtype for row in rows] == [np.int8, np.int8, np.int64, np.int64]
+                survivors = list(zip(*(map(tuple, row.tolist()) for row in rows)))
+                got = survivors, nodes, prunes
+                assert got == _reference_scan(spec, pass_case, bounds), (order, pass_case, bounds)
 
 
 @pytest.mark.parametrize("kind,order", [("nn", 4), ("ns", 4)])
@@ -400,12 +457,13 @@ def test_join_probes_only_sum_compatible_profiles():
         (c_seq, d_seq) for p in index.groups for c_seq in index.groups[p]
         for d_seq in index.groups.get(tuple(t - v for t, v in zip(target, p)), ())
     }
-    got = [pair for _rep, pairs in groups for pair in pairs]
+    got = [pair for _c2, pairs in groups for pair in pairs]
     assert (c, d) in expected and len(got) == len(expected) and set(got) == expected
-    for (high, low), pairs in groups:
-        for c_seq, d_seq in pairs:
-            c_abs, d_abs = abs(sum(c_seq)), abs(sum(d_seq))
-            assert (high, low) == (max(c_abs, d_abs), min(c_abs, d_abs))
+    # one group per C bucket that has pairs, keyed by its c^2, in bucket order
+    keys = [c2 for c2, _pairs in groups]
+    assert keys == [c2 for c2 in index.by_square_sum if c2 in keys]
+    for c2, pairs in groups:
+        assert all(sum(c_seq) ** 2 == c2 for c_seq, _d_seq in pairs)
 
 
 @pytest.fixture
@@ -447,9 +505,8 @@ def test_psd_filter_skips_lookups_but_counts_every_probe(monkeypatch):
     # a C-profile the PSD test rejects, or one of a PSD-dead target, is not
     # looked up but still counts as a probe, and so as a node
     order = 10
-    plan = search_module._PassPlan(SearchSpec("nn", order), 0)
-    survivors, _nodes, _prunes = search_module._scan_block(plan, (0, 1 << (order + 1)))
-    targets = sorted({target for *_, target in survivors})
+    (_a, _b, _ab, rows), _nodes, _prunes = _scan_all(SearchSpec("nn", order))
+    targets = sorted(set(map(tuple, rows.tolist())))
     index = profile_index(order)
     groups = _CountingDict(index.groups)
     monkeypatch.setattr(index, "groups", groups)
@@ -588,6 +645,16 @@ def _refused_from_file_and_from_memory(tmp_path, spec, damage, message):
     for resume in (lambda: load_checkpoint(_rewritten(path, **changes)), lambda: in_memory):
         with pytest.raises(SearchError, match=message):
             search(dataclasses.replace(spec, node_limit=None), resume=resume())
+
+
+def test_count_mode_checkpoint_holding_solutions_is_refused(tmp_path, solutions):
+    # a count run writes no solutions; with 5 added, nn 8 used to resume to
+    # count 640 after parsing and verifying solutions it then dropped
+    added = [q.plaintext() for q in solutions("nn", 8)[:5]]
+    _refused_from_file_and_from_memory(
+        tmp_path, SearchSpec("nn", 8, mode="count", node_limit=6000),
+        lambda ck: {"found": ck.found + 5, "solutions": ck.solutions + added},
+        r"damaged checkpoint: found \d+ but 5 solutions in count mode")
 
 
 def test_torn_checkpoint_is_rejected(tmp_path):
@@ -838,10 +905,10 @@ def test_budget_stops_every_worker_count_at_the_same_block(tmp_path, monkeypatch
     log = tmp_path / "blocks.log"
     scan = search_module._scan_block
 
-    def logged_scan(plan, bounds):
+    def logged_scan(spec, verdict, bounds):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{bounds[0]}\n")
-        return scan(plan, bounds)
+        return scan(spec, verdict, bounds)
 
     monkeypatch.setattr(search_module, "_scan_block", logged_scan)
     spec = SearchSpec("nn", 12, node_limit=1000)
@@ -861,10 +928,9 @@ def test_each_distinct_target_is_joined_once_per_pass(tmp_path, monkeypatch):
     # one memo per pass, in the parent: a pool joins each new target once,
     # where per-worker memos used to join nearly every target in each worker
     order = 10
-    plan = search_module._PassPlan(SearchSpec("nn", order), 0)
-    survivors, _nodes, _prunes = search_module._scan_block(plan, (0, 1 << (order + 1)))
-    targets = {target for *_, target in survivors}
-    assert len(survivors) > len(targets) > 1
+    (a, _b, _ab, rows), _nodes, _prunes = _scan_all(SearchSpec("nn", order))
+    targets = set(map(tuple, rows.tolist()))
+    assert len(a) > len(targets) > 1
     log = tmp_path / "joins.log"
     join = ProfileIndex.join
 
@@ -1117,8 +1183,9 @@ def test_search_stats_populated():
     assert result.stats.elapsed >= 0.0
 
 
-def test_pool_workers_inherit_the_parents_profile_index(monkeypatch):
+def test_pool_workers_inherit_the_parents_profile_index():
     # the parent builds the index before the pool forks, so no worker builds its own
-    monkeypatch.setattr(seqcore, "_PROFILE_INDEXES", {})
+    profile_index.cache_clear()
     search(SearchSpec("nn", 6), workers=2)
-    assert 6 in seqcore._PROFILE_INDEXES
+    info = profile_index.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
