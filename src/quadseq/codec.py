@@ -8,12 +8,15 @@ pairs whose two columns are each internally constant or internally opposite,
 plus the one boundary quad '0'; other column pairs are not encodable.
 """
 
+from functools import lru_cache
+
 from .seqcore import (
     KIND_NEAR_NORMAL,
     ALL_KINDS,
     QuadseqError,
     SeqQuadruple,
     parse_quad,
+    seq_str,
 )
 
 PAIR_AB = "ab"
@@ -153,13 +156,29 @@ def decode_quadruple(n: int, ab: str, cd: str) -> SeqQuadruple:
                         KIND_NEAR_NORMAL)
 
 
+# a search's solutions repeat few distinct pairs: nn 12's 9,344 hold 184
+# (A, B) and 1,296 (C, D) pairs
+@lru_cache(maxsize=4096)
+def _pair_forms(x, y) -> tuple[str | None, str]:
+    """The digits of the pair (x, y), or None (see _pair_digits), and its
+    "X;Y" plaintext, computed once per distinct pair while it stays in the
+    memo.  Whether the digits may be written depends on the quadruple, not
+    on the pair (see _has_codes)."""
+    return _pair_digits(x, y), f"{seq_str(x)};{seq_str(y)}"
+
+
+def _has_codes(q: SeqQuadruple) -> bool:
+    """Whether q's kind and shape admit an encoded record line."""
+    return q.kind == KIND_NEAR_NORMAL and q.m == q.n + 1 and q.n > 0 and not q.n % 2
+
+
 def record_codes(q: SeqQuadruple) -> tuple[str, str] | None:
     """The (ab, cd) codes of q's record line, or None when encode_quadruple
     refuses q and the line is plaintext; it raises nothing itself."""
-    if q.kind != KIND_NEAR_NORMAL or q.m != q.n + 1 or q.n <= 0 or q.n % 2:
+    if not _has_codes(q):
         return None
-    ab = _pair_digits(q.a, q.b)
-    cd = None if ab is None else _pair_digits(q.c, q.d)
+    ab = _pair_forms(q.a, q.b)[0]
+    cd = None if ab is None else _pair_forms(q.c, q.d)[0]
     return None if cd is None else (ab, cd)
 
 
@@ -193,7 +212,8 @@ def parse_record(line: str) -> SeqQuadruple:
 def format_record(q: SeqQuadruple) -> str:
     """The record line of a quadruple, which parse_record reads back: encoded
     when record_codes gives codes, plaintext otherwise."""
-    codes = record_codes(q)
-    if codes is None:
-        return f"{q.kind} {q.plaintext()}"
-    return f"{q.kind} {q.n} {codes[0]} {codes[1]}"
+    ab, ab_text = _pair_forms(q.a, q.b)
+    cd, cd_text = _pair_forms(q.c, q.d)
+    if ab is None or cd is None or not _has_codes(q):
+        return f"{q.kind} {ab_text};{cd_text}"
+    return f"{q.kind} {q.n} {ab} {cd}"

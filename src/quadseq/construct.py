@@ -86,7 +86,7 @@ def golay_search(g: int, allow_large: bool = False) -> list[GolayPair]:
         raise ConstructionError("length must be nonnegative")
     if g > 12 and not allow_large:
         raise ConstructionError(f"length {g} over search budget (pass allow_large to force)")
-    joined, _probes = profile_index(g).join((0,) * (g - 1))
+    [(joined, _probes)] = profile_index(g).join(np.zeros((1, max(g - 1, 0)), dtype=np.int64))
     pairs = [pair for _c2, group in joined for pair in group]
     # bits order is descending order of the reversed sequence ('+' is 1)
     pairs.sort(key=lambda p: (p[0][::-1], p[1][::-1]), reverse=True)

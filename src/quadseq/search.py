@@ -14,9 +14,10 @@ lex order, in blocks of isqrt(2^(n+1)) A's whatever the worker count, mode
 or budget, so its first block with a solution holds its lex-least one.  A
 block is one array pass: its A and B rows, their verdicts from the pass's
 (|a|, |b|) table and their targets from one seqcore.row_lags call; only the
-survivors whose target has pairs become tuples.  The scan and the pass's one
-memo live in the calling process; with workers > 1 a process pool, one for
-the whole search, computes the joins of each block's new targets.
+survivors whose target has pairs become tuples.  A block's new targets go
+to the join as one array, so their PSD test is one product.  The scan and
+the pass's one memo live in the calling process; with workers > 1 a process
+pool, one for the whole search, joins them in one array chunk per worker.
 
 The sum-of-squares prune is the only test before the join.  It only saves
 work: the join's sum index finds no (C, D) for an A it rejects.  Inside the
@@ -79,7 +80,7 @@ PRUNE_SUM = "sum_of_squares"
 PRUNE_CASE = "case"
 
 # bump when a checkpoint's fields or their meaning change: older files are refused
-CHECKPOINT_FORMAT = "quadseq-search-checkpoint/2"
+CHECKPOINT_FORMAT = "quadseq-search-checkpoint/3"
 
 
 class SearchError(QuadseqError):
@@ -139,6 +140,7 @@ class Checkpoint:
     prunes: dict[str, int]
     found: int
     solutions: list[str]  # plaintext quadruples
+    solutions_sha256: str  # of the solutions in order, joined by "\n"
 
 
 # the fields a checkpoint shares with the SearchSpec it resumes; every other
@@ -148,6 +150,14 @@ _IDENTITY_FIELDS = ("kind", "order", "mode", "representatives", "cases")
 
 def _identity(spec_or_checkpoint) -> tuple:
     return tuple(getattr(spec_or_checkpoint, name) for name in _IDENTITY_FIELDS)
+
+
+def _solutions_sha256(solutions: list[str]) -> str:
+    # imported here, not with the module: hashlib's OpenSSL binding takes
+    # about 5 ms and 3 MB to load, which only a search should pay
+    import hashlib
+
+    return hashlib.sha256("\n".join(solutions).encode()).hexdigest()
 
 
 def _validate_kind_and_order(kind: str, order: int) -> None:
@@ -282,9 +292,9 @@ def _scan_block(spec: SearchSpec, verdict: np.ndarray, bounds: tuple[int, int]):
     return (a, b, ab, targets), len(row_verdicts), {PRUNE_SUM: sum_pruned, PRUNE_CASE: case_pruned}
 
 
-def _join(order: int, target: tuple[int, ...]):
+def _join(order: int, targets: np.ndarray):
     # module level, so that a process pool can run it
-    return profile_index(order).join(target)
+    return profile_index(order).join(targets)
 
 
 def _in_plaintext_order(quads) -> list:
@@ -318,16 +328,18 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
     Every refusal beyond load_checkpoint's checks of the document is made
     here, so a checkpoint loaded from a file and one held in memory
     (BudgetExhausted's is mutable) are refused alike: another search, bad
-    counters, a position off the run's passes or block grid, and a solution
+    counters, a position off the run's passes or block grid, a solution
     that fails to parse or verify, is repeated, or lies where the run has yet
-    to scan.  Each distinct sequence is parsed once, by
-    an unbounded memo, so equal ones share a tuple as in a search's results.
+    to scan, and last solutions that do not match their sha256, such as a
+    consistent deletion (a solution removed and `found` lowered to match).
+    Each distinct sequence is parsed once, by an unbounded memo, so equal
+    ones share a tuple as in a search's results.
     """
     if resume is None:
         return Checkpoint(
             **dict(zip(_IDENTITY_FIELDS, _identity(spec))),
             case_pos=0, lex_next=0, nodes=0, prunes={PRUNE_SUM: 0, PRUNE_CASE: 0},
-            found=0, solutions=[],
+            found=0, solutions=[], solutions_sha256=_solutions_sha256([]),
         ), []
     if _identity(resume) != _identity(spec):
         raise SearchError("checkpoint does not match the requested search")
@@ -370,6 +382,8 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
                 spec.representatives and not a[0] == a[-1] == 1):
             raise SearchError(f"checkpoint solution {text} lies where the run has yet to scan")
         quads[quad] = None
+    if resume.solutions_sha256 != _solutions_sha256(resume.solutions):
+        raise SearchError("damaged checkpoint: its solutions do not match their sha256")
     return replace(resume, prunes=dict(resume.prunes), solutions=list(resume.solutions)), [*quads]
 
 
@@ -425,6 +439,7 @@ def search(
             if exhausted or checkpoint_path and state.nodes - saved_nodes >= CHECKPOINT_EVERY:
                 # only the solutions found since the last save become text
                 state.solutions.extend(map(join_quad, quads[len(state.solutions):]))
+                state.solutions_sha256 = _solutions_sha256(state.solutions)
                 if checkpoint_path:
                     save_checkpoint(state, checkpoint_path)
                 saved_nodes = state.nodes
@@ -469,10 +484,13 @@ def _blocks(spec, passes, case_pos, lex_start, pool, workers):
             # several times more per block); without lags all rows are equal
             keys = targets.view(f"V{row_bytes}").ravel() if row_bytes else np.zeros(len(targets))
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            distinct = list(map(tuple, targets[first].tolist()))
-            new = [target for target in distinct if target not in memo]
-            chunk = max(1, -(-len(new) // workers))  # one chunk per worker
-            memo.update(zip(new, pool.map(join, new, chunksize=chunk) if pool else map(join, new)))
+            distinct_rows = targets[first]
+            distinct = list(map(tuple, distinct_rows.tolist()))
+            new = [i for i, target in enumerate(distinct) if target not in memo]
+            # the new targets as one array, or one chunk per worker
+            chunks = np.array_split(distinct_rows[new], min(workers, len(new))) if new else []
+            joined = pool.map(join, chunks) if pool else map(join, chunks)
+            memo.update(zip([distinct[i] for i in new], chain.from_iterable(joined)))
             joins = [memo[target] for target in distinct]
             probes = np.array([count for _groups, count in joins], dtype=np.int64)
             nodes += int(probes[inverse].sum())
@@ -502,7 +520,7 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
 _CHECKPOINT_KEYS = {"format"} | {field.name for field in fields(Checkpoint)}
 _SCALAR_TYPES = {
     "kind": str, "order": int, "mode": str, "representatives": bool,
-    "case_pos": int, "lex_next": int, "nodes": int, "found": int,
+    "case_pos": int, "lex_next": int, "nodes": int, "found": int, "solutions_sha256": str,
 }
 
 

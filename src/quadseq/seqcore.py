@@ -8,8 +8,9 @@ The autocorrelations of a sequence come from one numpy kernel, _npaf_array,
 exact for any integer sequence: int64 under an explicit bound, Python ints
 beyond it.  row_lags forms the same lag sums for a block of +-1 rows at
 once, for ProfileIndex and the search's scan.  ProfileIndex.join is the one
-hash join on them, shared by the search and golay_search; it looks up only
-the profiles that pass a power-spectral-density test.
+hash join on them, over an array of targets at a time, shared by the search
+and golay_search; it looks up only the profiles that pass a
+power-spectral-density test.
 
 verify_quadruple is the one verifier for every kind, a Golay pair included
 (as the base quadruple BS(g, 0)); VerificationReport.require turns a failing
@@ -200,7 +201,9 @@ class ProfileIndex:
     first sequences.  A profile p fixes the squared sum of its sequences,
     sum^2 = length + 2 * sum(p), so `by_square_sum` maps each squared sum to
     the (profile, sequences) groups that have it; its keys are exactly the
-    admissible squared sums.  join() is the one hash join over the index.
+    admissible squared sums.  `probes_by_residual` maps each admissible
+    c^2 + d^2 to the number of C-profiles whose c^2 leaves an admissible
+    d^2.  join() is the one hash join over the index.
 
     A profile also fixes the power spectral density of its sequences,
     PSD(w) = |X(e^{iw})|^2 = length + 2 * sum_j p_j * cos(j * w).
@@ -224,50 +227,56 @@ class ProfileIndex:
         for profile, group in self.groups.items():
             square = length + 2 * sum(profile)
             self.by_square_sum.setdefault(square, []).append((profile, group))
+        squares = self.by_square_sum
+        self.probes_by_residual = {
+            residual: sum(len(squares[c2]) for c2 in squares if residual - c2 in squares)
+            for residual in {c2 + d2 for c2 in squares for d2 in squares}
+        }
         self.cosines = _psd_cosines(length)
         self.psd_by_square_sum = {
             square: _psd(length, [p for p, _ in bucket], self.cosines)
             for square, bucket in self.by_square_sum.items()
         }
 
-    def join(self, target: tuple[int, ...]):
-        """Every (C, D) whose positive-lag profiles add up to `target`.
+    def join(self, targets: np.ndarray) -> list[tuple[list, int]]:
+        """Every (C, D) whose positive-lag profiles add up to a target, for
+        each row of the int64 array `targets` of shape (k, length - 1).
 
-        The target fixes c^2 + d^2 = 2 * length + 2 * sum(target), so only
-        the C-profiles whose c^2 leaves an admissible d^2 are probed.  It
-        also fixes PSD_C(w) + PSD_D(w) = R(w) = 2 * length + 2 * sum_j
-        target_j * cos(j * w), and a PSD is never negative: a target with
-        R < 0 at a sample has no pairs, and a C-profile with PSD_C > R at a
-        sample has no D.  Only the other C-profiles are looked up (within
+        A target fixes c^2 + d^2 = 2 * length + 2 * sum(target), its
+        residual, so only the C-profiles whose c^2 leaves an admissible d^2
+        are probed, probes_by_residual[residual] of them.  It also fixes
+        PSD_C(w) + PSD_D(w) = R(w) = 2 * length + 2 * sum_j target_j *
+        cos(j * w), one product for all the rows, and a PSD is never
+        negative: a target with R < 0 at a sample has no pairs, and a
+        C-profile with PSD_C > R at a sample has no D.  Of the other
+        targets, only the C-profiles that pass are looked up (within
         _PSD_MARGIN), but every probed one is counted, whatever the PSD
-        test decides.  Returns the pairs as (c^2, pairs) groups, one per
-        by_square_sum bucket of C that has pairs, in the index's bucket
-        order, and the number of C-profiles probed.
+        test decides.
+
+        Returns one (groups, probes) per row, in row order: its pairs as
+        (c^2, pairs) groups, one per by_square_sum bucket of C that has
+        pairs, in the index's bucket order, and its C-profiles probed.
         """
-        residual = 2 * self.length + 2 * sum(target)
-        groups, by_square_sum = self.groups, self.by_square_sum
+        residuals = (2 * self.length + 2 * targets.sum(axis=1)).tolist()
+        joined = [([], self.probes_by_residual.get(residual, 0)) for residual in residuals]
         # R + margin, the most PSD_C may be at each sample
-        bound = _psd(2 * self.length, target, self.cosines) + _PSD_MARGIN
-        dead = bool(bound.min() < 0)
-        joined = []
-        probes = 0
-        for c2, c_groups in by_square_sum.items():
-            d2 = residual - c2
-            if d2 not in by_square_sum:
-                continue
-            probes += len(c_groups)
-            if dead:
-                continue
-            pairs = []
-            live = (self.psd_by_square_sum[c2] <= bound).all(axis=1)
-            for i in np.flatnonzero(live).tolist():
-                c_profile, c_seqs = c_groups[i]
-                d_seqs = groups.get(tuple(map(sub, target, c_profile)))
-                if d_seqs:
-                    pairs.extend(product(c_seqs, d_seqs))
-            if pairs:
-                joined.append((c2, pairs))
-        return joined, probes
+        bounds = _psd(2 * self.length, targets, self.cosines) + _PSD_MARGIN
+        groups, by_square_sum = self.groups, self.by_square_sum
+        for row in np.flatnonzero(bounds.min(axis=1) >= 0).tolist():
+            target, residual, bound = tuple(targets[row].tolist()), residuals[row], bounds[row]
+            for c2, c_groups in by_square_sum.items():
+                if residual - c2 not in by_square_sum:
+                    continue
+                pairs = []
+                fits = (self.psd_by_square_sum[c2] <= bound).all(axis=1)
+                for i in np.flatnonzero(fits).tolist():
+                    c_profile, c_seqs = c_groups[i]
+                    d_seqs = groups.get(tuple(map(sub, target, c_profile)))
+                    if d_seqs:
+                        pairs.extend(product(c_seqs, d_seqs))
+                if pairs:
+                    joined[row][0].append((c2, pairs))
+        return joined
 
 
 @cache

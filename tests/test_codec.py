@@ -11,6 +11,7 @@ from quadseq.codec import (
     QUAD_TABLE,
     CodecError,
     UnencodableError,
+    _pair_forms,
     code_length,
     decode_pair,
     decode_quadruple,
@@ -20,7 +21,15 @@ from quadseq.codec import (
     parse_record,
     record_codes,
 )
-from quadseq.seqcore import SeqQuadruple, parse_seq, seq_str, verify_quadruple
+from quadseq.construct import bs_to_ts
+from quadseq.seqcore import (
+    SeqQuadruple,
+    join_quad,
+    parse_quad,
+    parse_seq,
+    seq_str,
+    verify_quadruple,
+)
 
 from published import NN36_A, NN36_B, NN36_C, NN36_D, ROW36_RECORD, ROWS
 
@@ -313,3 +322,76 @@ def test_codes_exist_only_for_even_orders_above_zero(line):
 def test_whitespace_inside_a_plaintext_record_is_ignored():
     assert parse_record("nn + ++ ;+\t--;+-; + -") == parse_record("nn +++;+--;+-;+-")
     assert parse_record("ts +0;0 0;0+;00") == parse_record("ts +0;00;0+;00")
+
+
+def _reference_digits(x, y):
+    """The digits of the pair (x, y) by search of QUAD_TABLE and
+    CENTER_TABLE, or None when a column pair has none."""
+    length = len(x)
+    digits = []
+    for k in range(length // 2):
+        quad = ((x[k], y[k]), (x[length - 1 - k], y[length - 1 - k]))
+        digits += [digit for digit, entry in QUAD_TABLE.items() if entry == quad][:1] or [None]
+    if length % 2:
+        center = (x[length // 2], y[length // 2])
+        digits += [digit for digit, entry in CENTER_TABLE.items() if entry == center][:1] or [None]
+    return None if None in digits else "".join(digits)
+
+
+def _reference_codes(q):
+    if q.kind != "nn" or q.m != q.n + 1 or q.n <= 0 or q.n % 2:
+        return None
+    ab, cd = _reference_digits(q.a, q.b), _reference_digits(q.c, q.d)
+    return None if ab is None or cd is None else (ab, cd)
+
+
+def _reference_line(q):
+    codes = _reference_codes(q)
+    if codes is None:
+        return f"{q.kind} {join_quad(q.seqs())}"
+    return f"nn {q.n} {codes[0]} {codes[1]}"
+
+
+def _assert_memo_agrees_with_the_reference(quads):
+    for q in quads:
+        assert format_record(q) == _reference_line(q), q.plaintext()
+        assert record_codes(q) == _reference_codes(q), q.plaintext()
+
+
+def test_record_forms_equal_the_table_reference_on_search_results(solutions):
+    _pair_forms.cache_clear()
+    nn = [q for n in range(2, 13) for q in solutions("nn", n)]
+    ns = [q for n in range(9) for q in solutions("ns", n)]
+    assert len(nn) > 9344 and ns
+    encoded = sum(_reference_codes(q) is not None for q in nn)
+    assert 0 < encoded < len(nn)  # encoded and plaintext nn lines both occur
+    _assert_memo_agrees_with_the_reference(nn + ns)
+
+
+def test_record_forms_equal_the_table_reference_on_other_kinds():
+    _pair_forms.cache_clear()
+    ts = bs_to_ts(parse_record(ROW36_RECORD))
+    assert ts.kind == "ts" and 0 in ts.a + ts.b + ts.c + ts.d
+    bs = parse_quad("+-++;+++-;-++;+-+", "bs")
+    unencodable = parse_quad("+++;+--;+-;++", "nn")  # column pair ((+, +), (-, +)) of C, D
+    assert _reference_digits(unencodable.a, unencodable.b) == "01"
+    assert _reference_digits(unencodable.c, unencodable.d) is None
+    for q in (ts, bs, unencodable):
+        _assert_memo_agrees_with_the_reference([q])
+        assert format_record(q) == f"{q.kind} {q.plaintext()}"
+
+
+@pytest.mark.parametrize("nn_first", [True, False])
+def test_a_pair_shared_by_records_of_other_kinds_keeps_their_lines_apart(nn_first):
+    # the memo is keyed by the pair alone: an nn record's digits must not
+    # reach a record of another kind or shape over the same pairs, nor the
+    # other way round
+    _pair_forms.cache_clear()
+    nn = parse_record(ROW36_RECORD)
+    others = [SeqQuadruple(*nn.seqs(), kind) for kind in ("bs", "ns", "ts")]
+    others.append(SeqQuadruple(nn.c, nn.d, nn.a, nn.b, "nn"))  # shape (n, n + 1)
+    quads = [nn] + others if nn_first else others + [nn]
+    _assert_memo_agrees_with_the_reference(quads)
+    assert format_record(nn) == ROW36_RECORD
+    for q in others:
+        assert format_record(q) == f"{q.kind} {q.plaintext()}" and record_codes(q) is None

@@ -346,7 +346,7 @@ def test_case_filter_keeps_only_the_case_s_pairs_of_a_shared_target(monkeypatch)
     # to 20 has such a pair, so a stand-in join gives each target one marked
     # pair per c^2 bucket
     groups = [(c2, [((c2,), (c2,))]) for c2 in (1, 25, 49)]
-    monkeypatch.setattr(search_module, "_join", lambda order, target: (groups, 0))
+    monkeypatch.setattr(search_module, "_join", lambda order, targets: [(groups, 0)] * len(targets))
     kept = {}
     for case in (1, 2):
         blocks = search_module._blocks(SearchSpec("ns", 13, cases=(case,)), [case], 0, 0, None, 1)
@@ -371,14 +371,10 @@ def test_join_finds_nothing_for_an_a_the_sum_prune_rejects(kind):
             spec, _without_sum_prune(verdict), (0, 1 << (order + 1)))
         assert len(a) == nodes == 1 << (order + 1)
         assert prunes == {"sum_of_squares": 0, "case": 0}
-        index = profile_index(order)
-        rejected = 0
-        for a_row, (a_abs, b_abs), target in zip(a.tolist(), ab.tolist(), targets.tolist()):
-            if verdict[a_abs, b_abs] != 1:  # not sum-pruned
-                continue
-            rejected += 1
-            assert index.join(tuple(target)) == ([], 0), (order, a_row)
-        assert rejected or order < 3, order
+        rejected = verdict[ab[:, 0], ab[:, 1]] == 1  # sum-pruned
+        joined = profile_index(order).join(targets[rejected])
+        assert joined == [([], 0)] * len(joined), order
+        assert rejected.any() or order < 3, order
 
 
 def _reference_scan(spec, pass_case, bounds):
@@ -450,7 +446,7 @@ def test_join_probes_only_sum_compatible_profiles():
     c, d = (1, 1, -1, 1, 1, 1, -1, -1), (1, -1, -1, -1, 1, 1, 1, 1)
     target = tuple(u + v for u, v in zip(npaf_values(c)[1:], npaf_values(d)[1:]))
     residual = 2 * n + 2 * sum(target)
-    groups, probes = index.join(target)
+    [(groups, probes)] = index.join(np.array([target], dtype=np.int64))
     compatible = [p for p in index.groups if residual - (n + 2 * sum(p)) in squares]
     assert probes == len(compatible) < len(index.groups)
     expected = {
@@ -464,6 +460,44 @@ def test_join_probes_only_sum_compatible_profiles():
     assert keys == [c2 for c2 in index.by_square_sum if c2 in keys]
     for c2, pairs in groups:
         assert all(sum(c_seq) ** 2 == c2 for c_seq, _d_seq in pairs)
+
+
+def _reference_join(index, target):
+    """The join of one target, without the PSD test, straight from the
+    index's groups: the (c^2, pairs) groups, in bucket order, and the probes
+    that ProfileIndex.join must return for it."""
+    residual = 2 * index.length + 2 * sum(target)
+    groups, probes = [], 0
+    for c2, c_groups in index.by_square_sum.items():
+        if residual - c2 not in index.by_square_sum:
+            continue
+        probes += len(c_groups)
+        pairs = []
+        for profile, c_seqs in c_groups:
+            d_seqs = index.groups.get(tuple(t - v for t, v in zip(target, profile)), [])
+            pairs += [(c_seq, d_seq) for c_seq in c_seqs for d_seq in d_seqs]
+        if pairs:
+            groups.append((c2, pairs))
+    return groups, probes
+
+
+@pytest.mark.parametrize("kind,order", [("nn", 12), ("ns", 10)])
+def test_batched_join_matches_the_per_row_reference(kind, order):
+    # every distinct target of the scan, PSD-dead ones included, in one array
+    (_a, _b, _ab, rows), _nodes, _prunes = _scan_all(SearchSpec(kind, order))
+    targets = np.unique(rows, axis=0)
+    index = profile_index(order)
+    expected = [_reference_join(index, target) for target in targets.tolist()]
+    assert index.join(targets) == expected
+    bound = seqcore._psd(2 * order, targets, index.cosines) + seqcore._PSD_MARGIN
+    probed = np.array([probes for _groups, probes in expected]) > 0
+    dead = np.flatnonzero((bound.min(axis=1) < 0) & probed)
+    live = np.flatnonzero([bool(groups) for groups, _probes in expected])
+    assert len(dead) >= 10 and len(live) >= 10
+    # dead and live rows interleaved, some repeated, join row by row
+    picks = [i for pair in zip(dead[:10], live[:10]) for i in pair] + [live[0], dead[0], live[0]]
+    assert index.join(targets[picks]) == [expected[i] for i in picks]
+    assert index.join(targets[:0]) == []
 
 
 @pytest.fixture
@@ -491,6 +525,16 @@ def test_psd_filter_never_changes_golay_search(request):
     assert [golay_search(g) for g in range(13)] == on
 
 
+def test_golay_search_is_pinned():
+    # pair counts and the sha256 of the pairs' newline-joined plaintexts,
+    # lengths 0..12 in order
+    pairs = [golay_search(g) for g in range(13)]
+    assert [len(found) for found in pairs] == [1, 4, 8, 0, 32, 0, 0, 0, 192, 0, 128, 0, 0]
+    text = "\n".join(pair.plaintext() for found in pairs for pair in found)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bef0b492750d279687ba1e8d1370d9cb8378804f1e3123b7b993ba4e4abd0529")
+
+
 class _CountingDict(dict):
     """A profile -> sequences dict that counts its get() lookups."""
 
@@ -516,7 +560,8 @@ def test_psd_filter_skips_lookups_but_counts_every_probe(monkeypatch):
         runs[margin] = []
         for target in targets:
             before = groups.lookups
-            runs[margin].append((index.join(target), groups.lookups - before))
+            [joined] = index.join(np.array([target], dtype=np.int64))
+            runs[margin].append((joined, groups.lookups - before))
     on, off = runs.values()
     assert [joined for joined, _ in on] == [joined for joined, _ in off]
     assert all(lookups == probes for (_pairs, probes), lookups in off)
@@ -550,6 +595,8 @@ def test_checkpoint_file_round_trip(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded == info.value.checkpoint and loaded.cases == (3, 1, 2)
     assert loaded.found == len(loaded.solutions) > 0
+    text = "\n".join(loaded.solutions)
+    assert loaded.solutions_sha256 == hashlib.sha256(text.encode()).hexdigest()
     with open(path, encoding="utf-8") as fh:
         document = json.load(fh)
     assert document.pop("format") == CHECKPOINT_FORMAT
@@ -585,6 +632,7 @@ def test_checkpoint_identity_covers_every_counter_changing_spec_field():
     "",
     "[]",
     json.dumps({"format": "quadseq-search-checkpoint/1"}),
+    json.dumps({"format": "quadseq-search-checkpoint/2"}),  # before the solutions' sha256
 ])
 def test_checkpoint_of_another_format_is_refused(tmp_path, text):
     path = tmp_path / "old.ckpt"
@@ -666,6 +714,21 @@ def test_torn_checkpoint_is_rejected(tmp_path):
 
     _refused_from_file_and_from_memory(
         tmp_path, SearchSpec("nn", 8, node_limit=6000), torn, "damaged checkpoint")
+
+
+@pytest.mark.parametrize("position", [0, 200, -1])
+def test_checkpoint_with_a_consistent_deletion_is_refused(tmp_path, position):
+    # a solution removed and `found` lowered to match passes every other
+    # check; nn 8 used to resume to 639 of its 640 solutions
+    def deleted(checkpoint):
+        assert len(checkpoint.solutions) > 200
+        kept = list(checkpoint.solutions)
+        del kept[position]
+        return {"found": checkpoint.found - 1, "solutions": kept}
+
+    _refused_from_file_and_from_memory(
+        tmp_path, SearchSpec("nn", 8, node_limit=6000), deleted,
+        "damaged checkpoint: its solutions do not match their sha256")
 
 
 @pytest.mark.parametrize("prunes", [
@@ -934,17 +997,22 @@ def test_each_distinct_target_is_joined_once_per_pass(tmp_path, monkeypatch):
     log = tmp_path / "joins.log"
     join = ProfileIndex.join
 
-    def logged_join(index, target):
+    def logged_join(index, rows):
         with open(log, "a", encoding="utf-8") as fh:  # forked workers log too
-            fh.write(f"{target}\n")
-        return join(index, target)
+            fh.writelines(["join\n"] + [f"{tuple(target)}\n" for target in rows.tolist()])
+        return join(index, rows)
 
     monkeypatch.setattr(ProfileIndex, "join", logged_join)
+    blocks = -(-(1 << (order + 1)) // math.isqrt(1 << (order + 1)))
     for workers in (1, 2):
         log.write_text("")
         search(SearchSpec("nn", order, mode="count"), workers=workers)
         joined = log.read_text().splitlines()
-        assert sorted(joined) == sorted(map(str, targets)), workers
+        calls = joined.count("join")
+        rows = [line for line in joined if line != "join"]
+        assert sorted(rows) == sorted(map(str, targets)), workers
+        # one array per block with new targets, or one chunk per worker
+        assert calls <= workers * blocks < len(targets), workers
 
 
 def test_orbit_contains_input_and_preserves_membership(solutions):
