@@ -18,6 +18,7 @@ from .seqcore import (
     KIND_NORMAL,
     QuadseqError,
     SeqQuadruple,
+    read_text,
     verify_quadruple,
     write_text_atomic,
 )
@@ -191,26 +192,26 @@ def archive_save(records: list[WitnessRecord], path: str) -> None:
 
 def archive_load(path: str) -> list[WitnessRecord]:
     """Read an archive, re-verifying every record; corrupt records are
-    rejected with their line number and identity."""
+    rejected with their line number and identity, and a file that is not
+    UTF-8 is refused."""
     records = []
     provenance = ""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                provenance = line.lstrip("#").strip()
-                continue
-            try:
-                quad = codec.parse_record(line)
-            except QuadseqError as exc:
-                raise CatalogError(f"line {lineno}: {exc}") from exc
-            verify_quadruple(quad).require(
-                RecordFailsVerification,
-                f"line {lineno}: record {quad.kind} of shape {quad.shape} fails verification")
-            records.append(WitnessRecord(quad, provenance))
-            provenance = ""
+    for lineno, raw in enumerate(read_text(path, CatalogError).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            provenance = line.lstrip("#").strip()
+            continue
+        try:
+            quad = codec.parse_record(line)
+        except QuadseqError as exc:
+            raise CatalogError(f"line {lineno}: {exc}") from exc
+        verify_quadruple(quad).require(
+            RecordFailsVerification,
+            f"line {lineno}: record {quad.kind} of shape {quad.shape} fails verification")
+        records.append(WitnessRecord(quad, provenance))
+        provenance = ""
     return records
 
 

@@ -21,6 +21,7 @@ from .seqcore import (
     as_binary,
     parse_seq,
     profile_index,
+    read_text,
     seq_str,
     verify_quadruple,
 )
@@ -47,9 +48,13 @@ class GolayPair:
     def length(self) -> int:
         return len(self.a)
 
+    def report(self) -> VerificationReport:
+        """The verdict on the pair: a Golay pair of length g is exactly a
+        base quadruple BS(g, 0)."""
+        return verify_quadruple(SeqQuadruple(self.a, self.b, (), (), KIND_BASE))
+
     def is_valid(self) -> bool:
-        # a Golay pair of length g is exactly a base quadruple BS(g, 0)
-        return verify_quadruple(SeqQuadruple(self.a, self.b, (), (), KIND_BASE)).passed
+        return self.report().passed
 
     def plaintext(self) -> str:
         """The "E;F" line of the pair; parse_golay_pair reads it."""
@@ -64,14 +69,9 @@ def parse_golay_pair(text: str) -> GolayPair:
     return GolayPair(parse_seq(parts[0]), parse_seq(parts[1]))
 
 
-def _require_valid(pair: GolayPair) -> None:
-    if not pair.is_valid():
-        raise ConstructionError("autocorrelations do not cancel at positive lags")
-
-
 def golay_double(pair: GolayPair) -> GolayPair:
     """Length-doubling step: (E, F) -> (E||F, E||-F)."""
-    _require_valid(pair)
+    pair.report().require(ConstructionError, "input pair's autocorrelations do not cancel")
     return GolayPair(pair.a + pair.b, pair.a + tuple(-v for v in pair.b))
 
 
@@ -85,9 +85,9 @@ def golay_search(g: int, allow_large: bool = False) -> list[GolayPair]:
     if g < 0:
         raise ConstructionError("length must be nonnegative")
     if g > 12 and not allow_large:
-        raise ConstructionError(f"length {g} over search budget (pass allow_large to force)")
-    [(joined, _probes)] = profile_index(g).join(np.zeros((1, max(g - 1, 0)), dtype=np.int64))
-    pairs = [pair for _c2, group in joined for pair in group]
+        raise ConstructionError(
+            f"length {g} over search budget (pass allow_large, or --allow-large, to force)")
+    [(pairs, _probes)] = profile_index(g).join(np.zeros((1, max(g - 1, 0)), dtype=np.int64))
     # bits order is descending order of the reversed sequence ('+' is 1)
     pairs.sort(key=lambda p: (p[0][::-1], p[1][::-1]), reverse=True)
     return [GolayPair(first, second) for first, second in pairs]
@@ -143,7 +143,8 @@ def golay_pair(g: int, seeds: list[GolayPair] | None = None) -> GolayPair:
 def _seed_of_length(length: int, seeds: list[GolayPair] | None) -> GolayPair:
     for pair in seeds or ():
         if pair.length == length:
-            _require_valid(pair)
+            pair.report().require(
+                ConstructionError, f"length-{length} seed pair's autocorrelations do not cancel")
             return pair
     if length == 10:
         # cheap enough to derive on demand; avoids trusting a transcribed pair
@@ -153,26 +154,25 @@ def _seed_of_length(length: int, seeds: list[GolayPair] | None) -> GolayPair:
 
 def load_golay_seeds(path: str) -> list[GolayPair]:
     """Read "E;F" pair lines (see parse_golay_pair), verifying each on load;
-    every error names its line."""
+    every error names its line, and a file that is not UTF-8 is refused."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                pair = parse_golay_pair(line)
-                _require_valid(pair)
-            except QuadseqError as exc:
-                raise ConstructionError(f"line {lineno}: {exc}") from None
-            pairs.append(pair)
+    for lineno, raw in enumerate(read_text(path, ConstructionError).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            pair = parse_golay_pair(line)
+            pair.report().require(ConstructionError, "autocorrelations do not cancel")
+        except QuadseqError as exc:
+            raise ConstructionError(f"line {lineno}: {exc}") from None
+        pairs.append(pair)
     return pairs
 
 
 def golay_to_ns(pair: GolayPair) -> SeqQuadruple:
     """Normal quadruple of shape (g+1, g) from a complementary pair:
     A = E||(+), B = E||(-), C = D = F."""
-    _require_valid(pair)
+    pair.report().require(ConstructionError, "input pair's autocorrelations do not cancel")
     quad = SeqQuadruple(pair.a + (1,), pair.a + (-1,), pair.b, pair.b, KIND_NORMAL)
     verify_quadruple(quad).require(ConstructionError, "construction failed verification")
     return quad

@@ -35,7 +35,10 @@ worker count, how often the memo hits or what the PSD test rejects.
 Case splitting partitions the admissible sums vectors (a, b, c, d) with
 a^2+b^2+c^2+d^2 = 2(m+n) into orbits under coordinate sign changes and the
 C<->D swap, packed into exactly 12 descriptors so long runs can be resumed
-and distributed case by case.
+and distributed case by case.  One cached map, _case_of, gives each orbit's
+rep its case; the descriptors, a pass's verdict table, the filter that
+keeps a pass's (C, D) pairs by the sums of all four sequences, and the
+resume check all read it.
 
 A run's only state is one Checkpoint, which one loop in search() advances
 block by block and saves as one JSON document tagged with CHECKPOINT_FORMAT.
@@ -51,7 +54,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, product
 from math import isqrt
 
 import numpy as np
@@ -172,7 +175,7 @@ def _validate_spec(spec: SearchSpec) -> None:
     if spec.order > MAX_ORDER_WITHOUT_OVERRIDE and not spec.allow_large:
         raise SearchError(
             f"order {spec.order} above the default bound "
-            f"{MAX_ORDER_WITHOUT_OVERRIDE}; set allow_large to proceed"
+            f"{MAX_ORDER_WITHOUT_OVERRIDE}; set allow_large (--allow-large) to proceed"
         )
     if spec.node_limit is not None and spec.node_limit < 1:
         raise SearchError(f"node limit must be at least 1, got {spec.node_limit}")
@@ -193,9 +196,19 @@ def _sums_rep(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
     return (abs(a), abs(b), max(abs(c), abs(d)), min(abs(c), abs(d)))
 
 
-def _admissible_values(length: int) -> list[int]:
-    # possible sums of `length` entries from {-1, +1}, nonnegative side
-    return list(range(length % 2, length + 1, 2))
+@cache
+def _case_of(kind: str, order: int) -> dict[tuple[int, int, int, int], int]:
+    """Each admissible sums rep of the order, in sorted order, mapped to its
+    case id: the sorted reps are cases 1, 2, ..., and every rep from the
+    12th on is case 12.  The one place that enumerates sums reps."""
+    _validate_kind_and_order(kind, order)
+    m, n = order + 1, order
+    # the nonnegative sums of m and of n entries from {-1, +1}
+    long, short = range(m % 2, m + 1, 2), range(n % 2, n + 1, 2)
+    root = {d * d: d for d in short}
+    reps = sorted({_sums_rep(a, b, c, root[d2]) for a, b, c in product(long, long, short)
+                   if (d2 := 2 * (m + n) - a * a - b * b - c * c) in root})
+    return {rep: min(i, NUM_CASES - 1) + 1 for i, rep in enumerate(reps)}
 
 
 def enumerate_cases(kind: str, order: int) -> list[CaseDescriptor]:
@@ -206,60 +219,29 @@ def enumerate_cases(kind: str, order: int) -> list[CaseDescriptor]:
     orbits the tail is merged into case 12, and when there are fewer the
     remaining descriptors are empty, with the spill noted on the descriptor.
     """
-    _validate_kind_and_order(kind, order)
-    m, n = order + 1, order
-    total = 2 * (m + n)
-    reps = set()
-    for a in _admissible_values(m):
-        for b in _admissible_values(m):
-            rest = total - a * a - b * b
-            if rest < 0:
-                continue
-            for c in _admissible_values(n):
-                leftover = rest - c * c
-                if leftover < 0:
-                    continue
-                for d in _admissible_values(n):
-                    if d * d == leftover:
-                        reps.add(_sums_rep(a, b, c, d))
-    ordered = sorted(reps)
+    reps = [[] for _ in range(NUM_CASES)]
+    for rep, case in _case_of(kind, order).items():
+        reps[case - 1].append(rep)
     cases = []
-    if len(ordered) > NUM_CASES:
-        spill = len(ordered) - NUM_CASES + 1
-        for i in range(NUM_CASES - 1):
-            cases.append(CaseDescriptor(i + 1, (ordered[i],), ""))
-        cases.append(
-            CaseDescriptor(
-                NUM_CASES,
-                tuple(ordered[NUM_CASES - 1 :]),
-                f"merged {spill} residual sums orbits",
-            )
-        )
-    else:
-        for i in range(NUM_CASES):
-            if i < len(ordered):
-                cases.append(CaseDescriptor(i + 1, (ordered[i],), ""))
-            else:
-                cases.append(CaseDescriptor(i + 1, (), "empty padding"))
+    for case, group in enumerate(reps, start=1):
+        note = f"merged {len(group)} residual sums orbits" if len(group) > 1 else ""
+        cases.append(CaseDescriptor(case, tuple(group), note if group else "empty padding"))
     return cases
 
 
-def _pass_verdicts(spec: SearchSpec, pass_case: int):
-    """The table verdict[|a|, |b|] of one case pass, with the case's sums reps
-    (None without cases).  0 sends an A to the join; 1 is the sum prune, for
-    no admissible c^2 + d^2 left to C and D; 2 is the case prune, for no sums
-    rep of the case that starts with (|a|, |b|)."""
-    m, n = spec.order + 1, spec.order
-    squares = np.array(_admissible_values(n)) ** 2
-    rest = 2 * (m + n) - np.add.outer(np.arange(m + 1) ** 2, np.arange(m + 1) ** 2)
-    verdict = np.isin(rest, np.add.outer(squares, squares), invert=True).astype(np.int8)
-    if pass_case == 0:
-        return verdict, None
-    reps = frozenset(enumerate_cases(spec.kind, spec.order)[pass_case - 1].sums_reps)
-    verdict[verdict == 0] = 2  # every rep's (|a|, |b|) passes the sum prune
-    for rep in reps:
-        verdict[rep[:2]] = 0
-    return verdict, reps
+def _pass_verdicts(spec: SearchSpec, pass_case: int) -> np.ndarray:
+    """The table verdict[|a|, |b|] of one case pass (0 without cases), from
+    the case map.  0 sends an A to the join; 1 is the sum prune, for no sums
+    rep that starts with (|a|, |b|): no admissible c^2 + d^2 is left to C
+    and D; 2 is the case prune, for no such rep of the pass's case."""
+    m = spec.order + 1
+    verdict = np.ones((m + 1, m + 1), dtype=np.int8)
+    for (a, b, _c, _d), case in _case_of(spec.kind, spec.order).items():
+        if pass_case in (0, case):
+            verdict[a, b] = 0
+        elif verdict[a, b] == 1:
+            verdict[a, b] = 2
+    return verdict
 
 
 def _scan_block(spec: SearchSpec, verdict: np.ndarray, bounds: tuple[int, int]):
@@ -353,9 +335,8 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
     # a solution is reached when its pass comes before case_pos, or is
     # case_pos and its A lies below lex_next (without cases all share pass
     # 0); a representatives run scans only A's that start and end with +
-    descriptors = enumerate_cases(spec.kind, spec.order)
-    pass_of = {rep: pos for pos, case in enumerate(spec.cases or ())
-               for rep in descriptors[case - 1].sums_reps}
+    case_of = _case_of(spec.kind, spec.order)
+    pass_of = {case: pos for pos, case in enumerate(spec.cases or ())}
     unlisted = 0 if spec.cases is None else len(passes)
     to_bits = str.maketrans("+-", "01")  # A's lex index: bit m-1 is entry 0
     parse = cache(parse_seq)
@@ -376,7 +357,7 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
         if quad in quads:
             raise SearchError(f"checkpoint solution {text} is repeated")
         a = quad[0]
-        position = (pass_of.get(_sums_rep(*map(sum, quad)), unlisted),
+        position = (pass_of.get(case_of[_sums_rep(*map(sum, quad))], unlisted),
                     int(seq_str(a).translate(to_bits), 2))
         if position >= (resume.case_pos, resume.lex_next) or (
                 spec.representatives and not a[0] == a[-1] == 1):
@@ -468,15 +449,16 @@ def _blocks(spec, passes, case_pos, lex_start, pool, workers):
     first hit or an exhausted budget leaves no join running.
     """
     join = partial(_join, spec.order)
+    case_of = _case_of(spec.kind, spec.order)
     lex_limit = 1 << (spec.order + 1)
     block = isqrt(lex_limit)
-    total = 2 * (2 * spec.order + 1)  # a^2 + b^2 + c^2 + d^2
     row_bytes = 8 * max(spec.order - 1, 0)  # of an int64 join target
     for case_pos in range(case_pos, len(passes)):
-        verdict, reps = _pass_verdicts(spec, passes[case_pos])
-        memo = {}  # join target -> (pairs by c^2, probes)
+        pass_case = passes[case_pos]
+        verdict = _pass_verdicts(spec, pass_case)
+        memo = {}  # join target -> (pairs, probes)
         if spec.order == 0:  # no lags: the empty (C, D) completes every (A, B), unprobed
-            memo[()] = ([(0, [((), ())])], 0)
+            memo[()] = ([((), ())], 0)
         for lo in range(lex_start, lex_limit, block):
             hi = min(lo + block, lex_limit)
             (a, b, ab, targets), nodes, prunes = _scan_block(spec, verdict, (lo, hi))
@@ -492,21 +474,21 @@ def _blocks(spec, passes, case_pos, lex_start, pool, workers):
             joined = pool.map(join, chunks) if pool else map(join, chunks)
             memo.update(zip([distinct[i] for i in new], chain.from_iterable(joined)))
             joins = [memo[target] for target in distinct]
-            probes = np.array([count for _groups, count in joins], dtype=np.int64)
+            probes = np.array([count for _pairs, count in joins], dtype=np.int64)
             nodes += int(probes[inverse].sum())
-            has_pairs = np.array([bool(groups) for groups, _count in joins], dtype=bool)
+            has_pairs = np.array([bool(pairs) for pairs, _count in joins], dtype=bool)
             rows = np.flatnonzero(has_pairs[inverse])  # only these become tuples, in lex order
             solutions = []
             for a_seq, b_seq, (a_abs, b_abs), i in zip(
                     map(tuple, a[rows].tolist()), map(tuple, b[rows].tolist()),
                     ab[rows].tolist(), inverse[rows].tolist()):
-                for c2, pairs in joins[i][0]:
-                    d2 = total - a_abs * a_abs - b_abs * b_abs - c2
-                    if reps is not None and _sums_rep(
-                            a_abs, b_abs, isqrt(c2), isqrt(d2)) not in reps:
-                        prunes[PRUNE_CASE] += len(pairs)
-                        continue
-                    solutions.extend((a_seq, b_seq, c_seq, d_seq) for c_seq, d_seq in pairs)
+                pairs = joins[i][0]
+                if pass_case:  # a pair whose sums rep is another case's is a case prune
+                    kept = [(c_seq, d_seq) for c_seq, d_seq in pairs if case_of[
+                        _sums_rep(a_abs, b_abs, sum(c_seq), sum(d_seq))] == pass_case]
+                    prunes[PRUNE_CASE] += len(pairs) - len(kept)
+                    pairs = kept
+                solutions.extend((a_seq, b_seq, c_seq, d_seq) for c_seq, d_seq in pairs)
             yield case_pos, hi, solutions, nodes, prunes, (
                 case_pos == len(passes) - 1 and hi == lex_limit)
         lex_start = 0

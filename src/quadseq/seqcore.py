@@ -1,8 +1,9 @@
 """Exact sequence algebra: autocorrelation profiles, sums, and quadruple verifiers.
 
 All sequences are tuples of machine integers over {+1,-1} (binary) or
-{-1,0,+1} (ternary).  Every function here except write_text_atomic is pure
-and every value immutable, so they are safe to share between worker processes.
+{-1,0,+1} (ternary).  Every function here except read_text and
+write_text_atomic is pure and every value immutable, so they are safe to
+share between worker processes.
 
 The autocorrelations of a sequence come from one numpy kernel, _npaf_array,
 exact for any integer sequence: int64 under an explicit bound, Python ints
@@ -131,6 +132,15 @@ def write_text_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def read_text(path: str, error: type[QuadseqError]) -> str:
+    """The text of the UTF-8 file at `path`; any other file raises error, naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 _INT64_LIMIT = 1 << 63
 
 
@@ -203,7 +213,8 @@ class ProfileIndex:
     the (profile, sequences) groups that have it; its keys are exactly the
     admissible squared sums.  `probes_by_residual` maps each admissible
     c^2 + d^2 to the number of C-profiles whose c^2 leaves an admissible
-    d^2.  join() is the one hash join over the index.
+    d^2.  join() is the one hash join over the index and the only reader of
+    this layout; it returns flat (C, D) pairs, whose sums its callers read.
 
     A profile also fixes the power spectral density of its sequences,
     PSD(w) = |X(e^{iw})|^2 = length + 2 * sum_j p_j * cos(j * w).
@@ -253,9 +264,9 @@ class ProfileIndex:
         _PSD_MARGIN), but every probed one is counted, whatever the PSD
         test decides.
 
-        Returns one (groups, probes) per row, in row order: its pairs as
-        (c^2, pairs) groups, one per by_square_sum bucket of C that has
-        pairs, in the index's bucket order, and its C-profiles probed.
+        Returns one (pairs, probes) per row, in row order: its (C, D) pairs
+        as one flat list, C's by_square_sum buckets in the index's order and
+        each bucket's profiles in order, and its C-profiles probed.
         """
         residuals = (2 * self.length + 2 * targets.sum(axis=1)).tolist()
         joined = [([], self.probes_by_residual.get(residual, 0)) for residual in residuals]
@@ -264,18 +275,16 @@ class ProfileIndex:
         groups, by_square_sum = self.groups, self.by_square_sum
         for row in np.flatnonzero(bounds.min(axis=1) >= 0).tolist():
             target, residual, bound = tuple(targets[row].tolist()), residuals[row], bounds[row]
+            pairs = joined[row][0]
             for c2, c_groups in by_square_sum.items():
                 if residual - c2 not in by_square_sum:
                     continue
-                pairs = []
                 fits = (self.psd_by_square_sum[c2] <= bound).all(axis=1)
                 for i in np.flatnonzero(fits).tolist():
                     c_profile, c_seqs = c_groups[i]
                     d_seqs = groups.get(tuple(map(sub, target, c_profile)))
                     if d_seqs:
                         pairs.extend(product(c_seqs, d_seqs))
-                if pairs:
-                    joined[row][0].append((c2, pairs))
         return joined
 
 

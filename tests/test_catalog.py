@@ -147,6 +147,20 @@ def test_archive_rejects_corrupt_record(tmp_path):
         archive_load(path)
 
 
+def test_archive_that_is_not_utf8_is_refused(tmp_path):
+    path = tmp_path / "garbage.txt"
+    path.write_bytes(b"\xff\xfe\x00garbage\n")
+    with pytest.raises(CatalogError, match=f"{path} is not UTF-8 text"):
+        archive_load(str(path))
+
+
+def test_archive_line_numbers_count_every_newline_convention(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_bytes(b"# crlf\r\n\r# cr\rnn 34 xyz\n")
+    with pytest.raises(CatalogError, match="line 4"):
+        archive_load(str(path))
+
+
 def test_archive_edge_cases(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("")

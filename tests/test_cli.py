@@ -435,6 +435,46 @@ def test_catalog_cases(capsys):
     assert lines[-1].startswith("case 12:") and "merged" in lines[-1]
 
 
+# sha256 of the concatenated stdout of `quadseq catalog cases --kind K --order N`
+# for K = nn, then ns, and N = 0..60 in order: merged tables (over 12 sums
+# reps) and padded ones (under 12) alike
+CATALOG_CASES_SHA256 = "12dac9be366e72d67197e98f10ed2b67a4ad7e48b013efb4e6ed77a60c18bed8"
+
+
+def test_catalog_cases_are_pinned(capsys):
+    outs = []
+    for kind in ("nn", "ns"):
+        for order in range(61):
+            code, out, _ = run(capsys, "catalog", "cases", "--kind", kind, "--order", str(order))
+            assert code == 0
+            outs.append(out)
+    text = "".join(outs)
+    assert "merged" in text and "empty padding" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_CASES_SHA256
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--input"],
+    ["construct", "ns", "--length", "20", "--seeds"],
+])
+def test_an_input_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "garbage.txt"
+    path.write_bytes(b"\xff\xfe\x00garbage\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {path} is not UTF-8 text: invalid start byte at byte 0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--kind", "nn", "--order", "21"],
+    ["construct", "golay", "--length", "13"],
+])
+def test_over_bound_refusals_name_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--allow-large" in err
+
+
 def test_help_exits_zero(capsys):
     code, _, _ = run(capsys, "--help")
     assert code == 0

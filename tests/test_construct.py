@@ -384,13 +384,34 @@ def test_golay_seed_file(tmp_path):
     ("++;+x", "line 2: bad sequence character 'x'"),
     ("++;+-;+", "line 2: expected two ';'-separated sequences"),
     ("++;+", "line 2: pair sequences must have equal length"),
-    ("++;++", "line 2: autocorrelations do not cancel"),
+    ("++;++", "line 2: autocorrelations do not cancel: lag 1: autocorrelation sum = 2, expected 0"),
 ])
 def test_every_seed_file_error_names_its_line(tmp_path, line, message):
     path = tmp_path / "seeds.txt"
     path.write_text(f"# one bad pair\n{line}\n")
     with pytest.raises(ConstructionError, match=re.escape(message)):
         load_golay_seeds(str(path))
+
+
+def test_a_seed_file_that_is_not_utf8_is_refused(tmp_path):
+    path = tmp_path / "seeds.txt"
+    path.write_bytes(b"\xff\xfe\x00garbage\n")
+    with pytest.raises(ConstructionError, match=re.escape(f"{path} is not UTF-8 text")):
+        load_golay_seeds(str(path))
+
+
+@pytest.mark.parametrize("refuse,pair,context", [
+    (golay_double, GolayPair((1, 1), (1, 1)), "input pair's autocorrelations do not cancel"),
+    (golay_to_ns, GolayPair((1, 1), (1, 1)), "input pair's autocorrelations do not cancel"),
+    (lambda seed: golay_pair(20, [seed]), GolayPair((1,) * 10, (1,) * 10),
+     "length-10 seed pair's autocorrelations do not cancel"),
+])
+def test_golay_refusals_name_the_failing_lag(refuse, pair, context):
+    # through VerificationReport.require, on the pair's BS(g, 0) verdict
+    with pytest.raises(ConstructionError) as info:
+        refuse(pair)
+    assert pair.report().failure.startswith("lag 1: ")
+    assert str(info.value) == f"{context}: {pair.report().failure}"
 
 
 def test_golay_pair_lines_parse_back_to_their_pairs():

@@ -86,8 +86,7 @@ def sum_prune_off(monkeypatch):
     pass_verdicts = search_module._pass_verdicts
 
     def verdicts_without_sum_prune(spec, pass_case):
-        verdict, reps = pass_verdicts(spec, pass_case)
-        return _without_sum_prune(verdict), reps
+        return _without_sum_prune(pass_verdicts(spec, pass_case))
 
     monkeypatch.setattr(search_module, "_pass_verdicts", verdicts_without_sum_prune)
 
@@ -315,20 +314,26 @@ def test_counters_do_not_depend_on_workers_budget_or_resume(kind, tmp_path):
 def test_pass_verdicts_agree_with_their_definition(kind):
     # by brute force over (|a|, |b|) and the admissible (c, d): an A goes to
     # the join when some (c, d) completes its sums, and, in a case pass, the
-    # sums rep of one such completion is the case's
+    # sums rep of one such completion is the case's.  The case map the
+    # verdicts and the pair filter read holds exactly the reps of the
+    # completions, each with its descriptor's case
     for order in range(21):
         m, n = order + 1, order
+        case_of = search_module._case_of(kind, order)
+        all_reps = set()
         for pass_case in range(NUM_CASES + 1):
             case_reps = None if pass_case == 0 else set(
                 enumerate_cases(kind, order)[pass_case - 1].sums_reps)
-            verdict, reps = search_module._pass_verdicts(SearchSpec(kind, order), pass_case)
-            assert reps == case_reps
+            if case_reps is not None:
+                assert case_reps == {rep for rep, case in case_of.items() if case == pass_case}
+            verdict = search_module._pass_verdicts(SearchSpec(kind, order), pass_case)
             assert verdict.shape == (m + 1, m + 1)
             for a, b in itertools.product(range(m + 1), repeat=2):
                 completions = [
                     (c, d) for c in range(n % 2, n + 1, 2) for d in range(n % 2, n + 1, 2)
                     if a * a + b * b + c * c + d * d == 2 * (m + n)
                 ]
+                all_reps.update(search_module._sums_rep(a, b, c, d) for c, d in completions)
                 if not completions:
                     want = 1
                 elif case_reps is None or any(
@@ -337,26 +342,39 @@ def test_pass_verdicts_agree_with_their_definition(kind):
                 else:
                     want = 2
                 assert verdict[a, b] == want, (order, pass_case, a, b)
+        assert list(case_of) == sorted(all_reps), order
 
 
 def test_case_filter_keeps_only_the_case_s_pairs_of_a_shared_target(monkeypatch):
     # at ns 13 the sums reps (0, 2, 5, 5) of case 1 and (0, 2, 7, 1) of case 2
     # share (|a|, |b|): the verdict table sends the same A's to the join in
-    # both passes, and only c^2 tells their pairs apart.  No searched order up
-    # to 20 has such a pair, so a stand-in join gives each target one marked
-    # pair per c^2 bucket
-    groups = [(c2, [((c2,), (c2,))]) for c2 in (1, 25, 49)]
-    monkeypatch.setattr(search_module, "_join", lambda order, targets: [(groups, 0)] * len(targets))
+    # both passes, and only the sums of C and D tell their pairs apart.  No
+    # searched order up to 20 has such a pair, so a stand-in join gives each
+    # target, in both passes, the same flat pairs of both cases
+    assert [search_module._case_of("ns", 13)[rep] for rep in ((0, 2, 5, 5), (0, 2, 7, 1))] == [1, 2]
+
+    def seq(total):  # a +-1 sequence of length 13 and sum `total`
+        return (1,) * ((13 + total) // 2) + (-1,) * ((13 - total) // 2)
+
+    pairs = [(seq(c), seq(d)) for c, d in ((1, 7), (5, -5), (-7, 1), (5, 5))]
+    monkeypatch.setattr(search_module, "_join", lambda order, targets: [(pairs, 0)] * len(targets))
     kept = {}
     for case in (1, 2):
-        blocks = search_module._blocks(SearchSpec("ns", 13, cases=(case,)), [case], 0, 0, None, 1)
-        kept[case] = {quad[2] for block in blocks for quad in block[2]}
-    assert kept == {1: {(25,)}, 2: {(1,), (49,)}}
+        spec = SearchSpec("ns", 13, cases=(case,))
+        blocks = list(search_module._blocks(spec, [case], 0, 0, None, 1))
+        quads = [quad for block in blocks for quad in block[2]]
+        kept[case] = {tuple(map(sum, quad[2:])) for quad in quads}
+        # each A that reaches the join keeps two of its four pairs, and each
+        # pair it drops is a case prune on top of the scan's
+        _rows, _nodes, scan_prunes = search_module._scan_block(
+            spec, search_module._pass_verdicts(spec, case), (0, 1 << 14))
+        assert sum(block[4]["case"] for block in blocks) == scan_prunes["case"] + len(quads) > 0
+    assert kept == {1: {(5, -5), (5, 5)}, 2: {(1, 7), (-7, 1)}}
 
 
 def _scan_all(spec):
     """_scan_block over every long sequence of spec's order, in an unfiltered pass."""
-    verdict, _reps = search_module._pass_verdicts(spec, 0)
+    verdict = search_module._pass_verdicts(spec, 0)
     return search_module._scan_block(spec, verdict, (0, 1 << (spec.order + 1)))
 
 
@@ -366,7 +384,7 @@ def test_join_finds_nothing_for_an_a_the_sum_prune_rejects(kind):
     # index probes no C-profile and returns no (C, D)
     for order in range(1, 9):
         spec = SearchSpec(kind, order)
-        verdict, _reps = search_module._pass_verdicts(spec, 0)
+        verdict = search_module._pass_verdicts(spec, 0)
         (a, _b, ab, targets), nodes, prunes = search_module._scan_block(
             spec, _without_sum_prune(verdict), (0, 1 << (order + 1)))
         assert len(a) == nodes == 1 << (order + 1)
@@ -421,7 +439,7 @@ def test_batched_scan_matches_the_per_a_reference(kind, representatives):
         spec = SearchSpec(kind, order, representatives=representatives)
         lex_limit = 1 << (order + 1)
         for pass_case in (0, 1, 3):
-            verdict, _reps = search_module._pass_verdicts(spec, pass_case)
+            verdict = search_module._pass_verdicts(spec, pass_case)
             for bounds in ((0, lex_limit), (lex_limit // 3, lex_limit // 3 + 7), (5, 5)):
                 rows, nodes, prunes = search_module._scan_block(spec, verdict, bounds)
                 assert [row.dtype for row in rows] == [np.int8, np.int8, np.int64, np.int64]
@@ -446,39 +464,34 @@ def test_join_probes_only_sum_compatible_profiles():
     c, d = (1, 1, -1, 1, 1, 1, -1, -1), (1, -1, -1, -1, 1, 1, 1, 1)
     target = tuple(u + v for u, v in zip(npaf_values(c)[1:], npaf_values(d)[1:]))
     residual = 2 * n + 2 * sum(target)
-    [(groups, probes)] = index.join(np.array([target], dtype=np.int64))
+    [(got, probes)] = index.join(np.array([target], dtype=np.int64))
     compatible = [p for p in index.groups if residual - (n + 2 * sum(p)) in squares]
     assert probes == len(compatible) < len(index.groups)
     expected = {
         (c_seq, d_seq) for p in index.groups for c_seq in index.groups[p]
         for d_seq in index.groups.get(tuple(t - v for t, v in zip(target, p)), ())
     }
-    got = [pair for _c2, pairs in groups for pair in pairs]
     assert (c, d) in expected and len(got) == len(expected) and set(got) == expected
-    # one group per C bucket that has pairs, keyed by its c^2, in bucket order
-    keys = [c2 for c2, _pairs in groups]
-    assert keys == [c2 for c2 in index.by_square_sum if c2 in keys]
-    for c2, pairs in groups:
-        assert all(sum(c_seq) ** 2 == c2 for c_seq, _d_seq in pairs)
+    # the flat pairs come in the order of C's by_square_sum buckets
+    bucket = {c2: i for i, c2 in enumerate(index.by_square_sum)}
+    buckets = [bucket[sum(c_seq) ** 2] for c_seq, _d_seq in got]
+    assert buckets == sorted(buckets)
 
 
 def _reference_join(index, target):
     """The join of one target, without the PSD test, straight from the
-    index's groups: the (c^2, pairs) groups, in bucket order, and the probes
+    index's groups: the flat (C, D) pairs, in bucket order, and the probes
     that ProfileIndex.join must return for it."""
     residual = 2 * index.length + 2 * sum(target)
-    groups, probes = [], 0
+    pairs, probes = [], 0
     for c2, c_groups in index.by_square_sum.items():
         if residual - c2 not in index.by_square_sum:
             continue
         probes += len(c_groups)
-        pairs = []
         for profile, c_seqs in c_groups:
             d_seqs = index.groups.get(tuple(t - v for t, v in zip(target, profile)), [])
             pairs += [(c_seq, d_seq) for c_seq in c_seqs for d_seq in d_seqs]
-        if pairs:
-            groups.append((c2, pairs))
-    return groups, probes
+    return pairs, probes
 
 
 @pytest.mark.parametrize("kind,order", [("nn", 12), ("ns", 10)])
@@ -490,9 +503,9 @@ def test_batched_join_matches_the_per_row_reference(kind, order):
     expected = [_reference_join(index, target) for target in targets.tolist()]
     assert index.join(targets) == expected
     bound = seqcore._psd(2 * order, targets, index.cosines) + seqcore._PSD_MARGIN
-    probed = np.array([probes for _groups, probes in expected]) > 0
+    probed = np.array([probes for _pairs, probes in expected]) > 0
     dead = np.flatnonzero((bound.min(axis=1) < 0) & probed)
-    live = np.flatnonzero([bool(groups) for groups, _probes in expected])
+    live = np.flatnonzero([bool(pairs) for pairs, _probes in expected])
     assert len(dead) >= 10 and len(live) >= 10
     # dead and live rows interleaved, some repeated, join row by row
     picks = [i for pair in zip(dead[:10], live[:10]) for i in pair] + [live[0], dead[0], live[0]]
