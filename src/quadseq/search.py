@@ -161,12 +161,14 @@ def _identity(spec_or_checkpoint) -> tuple:
     return tuple(getattr(spec_or_checkpoint, name) for name in _IDENTITY_FIELDS)
 
 
-def _solutions_sha256(solutions: list[str]) -> str:
+def _solutions_digest(solutions: list[str]):
+    """A running sha256 of the solutions in order, joined by "\n": a save
+    feeds it only the solutions added since the last (see search)."""
     # imported here, not with the module: hashlib's OpenSSL binding takes
     # about 5 ms and 3 MB to load, which only a search should pay
     import hashlib
 
-    return hashlib.sha256("\n".join(solutions).encode()).hexdigest()
+    return hashlib.sha256("\n".join(solutions).encode())
 
 
 def _validate_kind_and_order(kind: str, order: int) -> None:
@@ -275,8 +277,12 @@ def _scan_block(spec: SearchSpec, verdict: np.ndarray, bounds: tuple[int, int]):
     free_b = n == 0 and not spec.representatives  # no lag at all, so B is free
     if free_b:  # each A twice: with its derived B, then with B = A
         ks = ks.repeat(2)
-    # bit m-1 is entry 0, so k counts in lex order ('+' before '-')
-    a = (1 - 2 * (ks[:, None] >> np.arange(m - 1, -1, -1) & 1)).astype(np.int8)
+    # bit m-1 is entry 0, so k counts in lex order ('+' before '-'): the low
+    # bytes of each k, most significant first, unpack to one uint8 bit per
+    # column, of which the last m are bits m-1..0
+    width = -(-m // 8)
+    bits = np.unpackbits(ks.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width :], axis=1)
+    a = 1 - 2 * bits[:, 8 * width - m :].view(np.int8)
     b = a.copy()
     if spec.kind == KIND_NEAR_NORMAL:
         b[:, 1:n:2] *= -1
@@ -326,8 +332,9 @@ def _check_counters(checkpoint: Checkpoint) -> None:
 
 
 def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None):
-    """The run's state, a copy of `resume` or a fresh Checkpoint, and the raw
-    (A, B, C, D) tuples of its solutions, which the run returns as its own.
+    """The run's state, a copy of `resume` or a fresh Checkpoint, the raw
+    (A, B, C, D) tuples of its solutions, which the run returns as its own,
+    and the running sha256 of their texts (see _solutions_digest).
 
     Every refusal beyond load_checkpoint's checks of the document is made
     here, so a checkpoint loaded from a file and one held in memory
@@ -337,14 +344,18 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
     to scan, and last solutions that do not match their sha256, such as a
     consistent deletion (a solution removed and `found` lowered to match).
     Each distinct sequence is parsed once, by an unbounded memo, so equal
-    ones share a tuple as in a search's results.
+    ones share a tuple as in a search's results; each distinct sums vector
+    and A is placed once, and the verifier's memo sums each distinct (A, B)
+    and (C, D) pair's autocorrelations once, so a resume costs about its
+    distinct sequences and pairs plus a few lookups per solution.
     """
     if resume is None:
+        digest = _solutions_digest([])
         return Checkpoint(
             **dict(zip(_IDENTITY_FIELDS, _identity(spec))),
             case_pos=0, lex_next=0, nodes=0, prunes={PRUNE_SUM: 0, PRUNE_CASE: 0},
-            found=0, solutions=[], solutions_sha256=_solutions_sha256([]),
-        ), []
+            found=0, solutions=[], solutions_sha256=digest.hexdigest(),
+        ), [], digest
     if _identity(resume) != _identity(spec):
         raise SearchError("checkpoint does not match the requested search")
     _check_counters(resume)
@@ -360,7 +371,12 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
     case_of = _case_of(spec.kind, spec.order)
     pass_of = {case: pos for pos, case in enumerate(spec.cases or ())}
     unlisted = 0 if spec.cases is None else len(passes)
-    to_bits = str.maketrans("+-", "01")  # A's lex index: bit m-1 is entry 0
+    # a solution's pass, from its four sums, and its A's lex index (bit m-1
+    # is entry 0), each worked out once per distinct argument
+    pass_of_sums = cache(lambda *sums: pass_of.get(case_of[_sums_rep(*sums)], unlisted))
+    to_bits = str.maketrans("+-", "01")
+    lex_index = cache(lambda a: int(seq_str(a).translate(to_bits), 2))
+    shape = (spec.order + 1,) * 2 + (spec.order,) * 2
     parse = cache(parse_seq)
     quads = {}  # in checkpoint order
     for text in resume.solutions:
@@ -369,7 +385,11 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
         except QuadseqError as exc:
             raise SearchError(f"checkpoint solution {text} does not parse: {exc}") from None
         try:
-            failure = verify_quadruple(SeqQuadruple(*quad, spec.kind)).failure
+            # parse_seq returns checked tuples of plain +-1 ints, so a quadruple
+            # of the run's shape needs no constructor check; any other shape
+            # takes the checked path, which words its refusal
+            build = SeqQuadruple._trusted if tuple(map(len, quad)) == shape else SeqQuadruple
+            failure = verify_quadruple(build(*quad, spec.kind)).failure
         except QuadseqError as exc:
             failure = str(exc)
         if failure is None and len(quad[2]) != spec.order:
@@ -379,15 +399,16 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
         if quad in quads:
             raise SearchError(f"checkpoint solution {text} is repeated")
         a = quad[0]
-        position = (pass_of.get(case_of[_sums_rep(*map(sum, quad))], unlisted),
-                    int(seq_str(a).translate(to_bits), 2))
+        position = (pass_of_sums(*map(sum, quad)), lex_index(a))
         if position >= (resume.case_pos, resume.lex_next) or (
                 spec.representatives and not a[0] == a[-1] == 1):
             raise SearchError(f"checkpoint solution {text} lies where the run has yet to scan")
         quads[quad] = None
-    if resume.solutions_sha256 != _solutions_sha256(resume.solutions):
+    digest = _solutions_digest(resume.solutions)
+    if resume.solutions_sha256 != digest.hexdigest():
         raise SearchError("damaged checkpoint: its solutions do not match their sha256")
-    return replace(resume, prunes=dict(resume.prunes), solutions=list(resume.solutions)), [*quads]
+    state = replace(resume, prunes=dict(resume.prunes), solutions=list(resume.solutions))
+    return state, [*quads], digest
 
 
 def search(
@@ -423,7 +444,7 @@ def search(
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         if pool:  # fork the workers now, not at the first join, for the whole search
             pool.submit(int)
-        state, quads = _resume_state(spec, passes, resume)
+        state, quads, digest = _resume_state(spec, passes, resume)
         base_nodes = saved_nodes = state.nodes  # node_limit budgets the current run only
         # a first-mode run ends at its hit, which its checkpoint may already hold
         blocks = () if first and state.found else _blocks(
@@ -443,8 +464,12 @@ def search(
                          and state.nodes - base_nodes >= spec.node_limit)
             if exhausted or checkpoint_path and state.nodes - saved_nodes >= CHECKPOINT_EVERY:
                 # only the solutions found since the last save become text
-                state.solutions.extend(map(join_quad, quads[len(state.solutions):]))
-                state.solutions_sha256 = _solutions_sha256(state.solutions)
+                # and are hashed, after the "\n" that joins them to the rest
+                new = [*map(join_quad, quads[len(state.solutions):])]
+                if new:
+                    digest.update(("\n" * bool(state.solutions) + "\n".join(new)).encode())
+                    state.solutions.extend(new)
+                state.solutions_sha256 = digest.hexdigest()
                 if checkpoint_path:
                     save_checkpoint(state, checkpoint_path)
                 saved_nodes = state.nodes

@@ -23,7 +23,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import cache, lru_cache, partial
 from itertools import product
-from operator import sub
+from operator import add, neg, sub
 
 import numpy as np
 
@@ -403,31 +403,33 @@ def _fail(msg: str) -> VerificationReport:
 _PASS = VerificationReport(passed=True)
 
 
-def _lag_sum_verdict(seqs, npaf) -> VerificationReport:
+def _lag_sum_verdict(seqs, pair_lags) -> VerificationReport:
     """Fails at the first positive lag where the four autocorrelations do not
-    cancel; npaf(seq) gives a nonempty sequence's autocorrelations."""
+    cancel; pair_lags(x, y) gives the summed positive-lag autocorrelations
+    of two sequences of equal length."""
     a, b, c, d = seqs if len(seqs[0]) >= len(seqs[2]) else seqs[2:] + seqs[:2]
-    if not a:
-        return _PASS
-    # A, B and C, D have equal lengths (see SeqQuadruple), so each pair adds with +
-    total = npaf(a) + npaf(b)
-    if c:
-        total[: len(c)] += npaf(c) + npaf(d)
-    if np.count_nonzero(total[1:]):
-        j = int(np.flatnonzero(total[1:])[0]) + 1
-        return _fail(f"lag {j}: autocorrelation sum = {int(total[j])}, expected 0")
+    long, short = pair_lags(a, b), pair_lags(c, d)  # A, B and C, D have equal lengths
+    total = [*map(add, long, short), *long[len(short) :]]
+    if any(total):
+        j = next(j for j, value in enumerate(total, start=1) if value)
+        return _fail(f"lag {j}: autocorrelation sum = {total[j - 1]}, expected 0")
     return _PASS
 
 
-@lru_cache(maxsize=4096)
-def _memo_npaf(seq: Seq) -> np.ndarray:
-    """_npaf_array of `seq`, one read-only array per distinct sequence,
-    shared by every caller.  The key is a quadruple's own field, which
-    SeqQuadruple holds as a tuple of plain ints (see _integral), so equal
-    sequences given as lists or numpy ints share one entry."""
-    values = _npaf_array(seq)
-    values.flags.writeable = False
-    return values
+def _pair_lags(x: Seq, y: Seq) -> tuple[int, ...]:
+    """Lags 1..len-1 of the autocorrelations of x plus those of y, two
+    tuples of plain ints of equal length, as plain ints: summed after
+    _npaf_array's .tolist(), so exact whatever its dtype."""
+    if len(x) < 2:
+        return ()
+    return tuple(map(add, _npaf_array(x)[1:].tolist(), _npaf_array(y)[1:].tolist()))
+
+
+# a verdict's lag sums, one immutable tuple per distinct (X, Y) pair: the key
+# is a pair of a quadruple's own fields, which SeqQuadruple holds as tuples
+# of plain ints (see _integral), so equal pairs given as lists or numpy ints
+# share one entry
+_memo_pair_lags = lru_cache(maxsize=4096)(_pair_lags)
 
 
 def verify_quadruple(q: SeqQuadruple) -> VerificationReport:
@@ -438,14 +440,14 @@ def verify_quadruple(q: SeqQuadruple) -> VerificationReport:
     of the defining equations is reported as a non-passing verdict naming
     the first violated condition.
 
-    Each distinct sequence's autocorrelations are computed once while they
-    stay in a memo of 4,096 sequences: orbits, archives and checkpoints
-    hold many quadruples over few sequences.
+    Each distinct (A, B) or (C, D) pair's summed autocorrelations are
+    computed once while they stay in a memo of 4,096 pairs: orbits,
+    archives and checkpoints hold many quadruples over few pairs.
     """
-    return _verify(q, _memo_npaf)
+    return _verify(q, _memo_pair_lags)
 
 
-def _verify(q: SeqQuadruple, npaf) -> VerificationReport:
+def _verify(q: SeqQuadruple, pair_lags) -> VerificationReport:
     """The shape rule of q's kind, then its position rule, then the lag sums."""
     a, b, n = q.a, q.b, q.n
     if q.kind == KIND_T:
@@ -465,7 +467,7 @@ def _verify(q: SeqQuadruple, npaf) -> VerificationReport:
             i = next(i for i in range(n) if b[i] != (odd[i // 2] if i % 2 else a[i]))
             label = "normality" if q.kind == KIND_NORMAL else "near-normality"
             return _fail(f"{label} violated at position {i + 1}")
-    return _lag_sum_verdict(q.seqs(), npaf)
+    return _lag_sum_verdict(q.seqs(), pair_lags)
 
 
 def sum_of_squares_check(m: int, n: int, sums: tuple[int, int, int, int]) -> bool:
@@ -476,7 +478,7 @@ def sum_of_squares_check(m: int, n: int, sums: tuple[int, int, int, int]) -> boo
 
 
 def negate(seq: Seq) -> Seq:
-    return tuple(-v for v in seq)
+    return tuple(map(neg, seq))
 
 
 def reverse(seq: Seq) -> Seq:

@@ -379,6 +379,27 @@ def _scan_all(spec):
 
 
 @pytest.mark.parametrize("kind", ["nn", "ns"])
+def test_scan_rows_are_the_long_sequences_in_lex_order(kind):
+    # every A of order 4 in lex order, '+' before '-', and the last A's of
+    # order 20, whose lex indices need three bytes; each B is derived from
+    # its A column-wise: the odd positions below n negated (nn) or kept
+    # (ns), the top entry negated
+    for order, bounds in ((4, (0, 32)), (20, ((1 << 21) - 40, 1 << 21))):
+        spec = SearchSpec(kind, order)
+        verdict = np.zeros((order + 2, order + 2), dtype=np.int8)  # every A is joined
+        (a, b, _ab, _targets), lex, _tallies = search_module._scan_block(spec, verdict, bounds)
+        assert a.dtype == b.dtype == np.int8 and a.flags.c_contiguous and b.flags.c_contiguous
+        assert lex.tolist() == list(range(*bounds))
+        if order == 4:
+            assert list(map(tuple, a.tolist())) == list(itertools.product((1, -1), repeat=5))
+        assert list(map(tuple, a.tolist())) == [int_to_seq(k, order + 1)[::-1]
+                                                for k in range(*bounds)]
+        for a_row, b_row in zip(a.tolist(), b.tolist()):
+            body = [v if kind == "ns" or i % 2 == 0 else -v for i, v in enumerate(a_row[:order])]
+            assert b_row == body + [-a_row[order]]
+
+
+@pytest.mark.parametrize("kind", ["nn", "ns"])
 def test_join_finds_nothing_for_an_a_the_sum_prune_rejects(kind):
     # the prune only saves work: for every A it rejects, the join's own sum
     # index probes no C-profile and returns no (C, D)
@@ -958,6 +979,82 @@ def test_a_resumed_run_verifies_each_checkpoint_solution_once(tmp_path, monkeypa
     resumed = search(dataclasses.replace(spec, node_limit=None), resume=checkpoint)
     assert len(verified) == len(checkpoint.solutions) > 0
     assert resumed.solutions == search(SearchSpec("nn", 4)).solutions
+
+
+@pytest.mark.parametrize("bad,refusal", [
+    ("+++++;++++;++++;++++", "fails verification: A and B must have equal length"),
+    ("+++++;+++++;++++;+++", "fails verification: C and D must have equal length"),
+    ("+++++;+++++;+++;+++", "fails verification: kind nn needs shape (n+1, n), got (5, 3)"),
+    ("++++++;++++++;+++++;+++++", "fails verification: near-normality violated at position 2"),
+    ("+++++;+++++;++++;++++", "fails verification: near-normality violated at position 2"),
+    ("+++0+;+++++;++++;++++", "does not parse: binary entry must be +1 or -1, got 0"),
+    ("+++;+--;+-;+-", "fails verification: order 2, expected 4"),
+])
+def test_refusal_of_a_checkpoint_solution_names_it_and_its_fault(tmp_path, bad, refusal):
+    # the whole message, from a file and from memory: a solution of the
+    # run's shape skips the constructor's checks, any other is refused in
+    # the constructor's words
+    def replaced(checkpoint):
+        assert checkpoint.solutions
+        return {"solutions": [bad] + checkpoint.solutions[1:]}
+
+    _refused_from_file_and_from_memory(
+        tmp_path, SearchSpec("nn", 4, node_limit=25), replaced,
+        "^" + re.escape(f"checkpoint solution {bad} {refusal}") + "$")
+
+
+# sha256 of the checkpoint files that `quadseq search --kind nn --order 10
+# --limit 20000 --checkpoint run.ckpt` and its resumed legs write
+NN10_FIRST_LEG_SHA256 = "f569dc16e69dc420663ab65829c7ca8f2dd5d8d7bf37c257579ea514350d08c9"
+NN10_LAST_LEG_SHA256 = "b33c4a22ecca63901c21197414fba8e23a0dd433544f9f5cef309c6ec92a384b"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_checkpoint_bytes_of_a_budgeted_run_are_pinned(tmp_path, workers):
+    path = str(tmp_path / "run.ckpt")
+    spec = SearchSpec("nn", 10, node_limit=20_000)
+    digests, checkpoint = [], None
+    while len(digests) < 30:
+        try:
+            search(spec, workers=workers, resume=checkpoint, checkpoint_path=path)
+            break
+        except BudgetExhausted:
+            with open(path, "rb") as fh:
+                digests.append(hashlib.sha256(fh.read()).hexdigest())
+            checkpoint = load_checkpoint(path)
+    assert len(digests) == 7
+    assert (digests[0], digests[-1]) == (NN10_FIRST_LEG_SHA256, NN10_LAST_LEG_SHA256)
+
+
+def test_each_save_hashes_only_the_solutions_added_since_the_last(tmp_path, monkeypatch):
+    # the checkpoint's sha256 runs on across saves, so a run hashes each
+    # solution's text once, and every save still holds the sha256 of all
+    # its solutions
+    real_sha256, hashed, saved = hashlib.sha256, [], []
+
+    class CountingSha256:
+        def __init__(self, data=b""):
+            self.inner = real_sha256(data)
+            hashed.append(len(data))
+
+        def update(self, data):
+            self.inner.update(data)
+            hashed.append(len(data))
+
+        def hexdigest(self):
+            return self.inner.hexdigest()
+
+    monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 1)
+    monkeypatch.setattr(hashlib, "sha256", CountingSha256)
+    monkeypatch.setattr(search_module, "save_checkpoint",
+                        lambda checkpoint, path: saved.append(copy.deepcopy(checkpoint)))
+    result = search(SearchSpec("nn", 8), checkpoint_path=str(tmp_path / "run.ckpt"))
+    monkeypatch.undo()
+    assert len(saved) > 20 and sorted(saved[-1].solutions) == plaintexts(result)
+    for checkpoint in saved:
+        text = "\n".join(checkpoint.solutions).encode()
+        assert checkpoint.solutions_sha256 == hashlib.sha256(text).hexdigest()
+    assert sum(hashed) == len(text)
 
 
 def test_resume_from_memory_refuses_an_unparsable_solution_before_searching():

@@ -381,28 +381,29 @@ def test_memoized_verifier_gives_the_verdicts_of_the_unmemoized_one():
     for m, n in ((1, 0), (2, 1), (3, 2), (2, 2)):
         for seqs in itertools.product(*[list(all_signs(m))] * 2, *[list(all_signs(n))] * 2):
             quads.append(SeqQuadruple(*seqs, "bs"))
-    # twice over: the second pass reads every sequence from the memo
+    # twice over: the second pass reads every pair from the memo
     for _ in range(2):
         verdicts = [verify_quadruple(q) for q in quads]
-        assert verdicts == [seqcore._verify(q, seqcore._npaf_array) for q in quads]
+        assert verdicts == [seqcore._verify(q, seqcore._pair_lags) for q in quads]
     assert any(v.passed for v in verdicts) and any(not v.passed for v in verdicts)
     for malformed in (
         SeqQuadruple((1, 1, 1), (1, 1, 1), (1,), (1,), "nn"),
         parse_quad("+0;0-;+;-", "ts"),
     ):
-        for verify in (verify_quadruple, lambda q: seqcore._verify(q, seqcore._npaf_array)):
+        for verify in (verify_quadruple, lambda q: seqcore._verify(q, seqcore._pair_lags)):
             with pytest.raises(ShapeError):
                 verify(malformed)
-    # one shared array per sequence, which no caller can change
-    cached = seqcore._memo_npaf(row.c)
-    assert not cached.flags.writeable
-    with pytest.raises(ValueError):
+    # one shared tuple of plain ints per pair, which no caller can change
+    cached = seqcore._memo_pair_lags(row.c, row.d)
+    assert type(cached) is tuple and {type(v) for v in cached} == {int}
+    assert cached == tuple(map(add, npaf_values(row.c)[1:], npaf_values(row.d)[1:]))
+    with pytest.raises(TypeError):
         cached[0] = 0
-    # lists and numpy ints verify, and share the entry of the equal plain tuple
+    # lists and numpy ints verify, and share the entry of the equal plain pair
     loose = SeqQuadruple(list(row.a), np.array(row.b), list(row.c), np.array(row.d, dtype=np.int8),
                          row.kind)
     assert verify_quadruple(loose).passed
-    assert seqcore._memo_npaf(loose.c) is cached
+    assert seqcore._memo_pair_lags(loose.c, loose.d) is cached
 
 
 def _reference_verify(q):
