@@ -20,8 +20,9 @@ and B rows, their verdicts from the pass's (|a|, |b|) table and their
 targets from one seqcore.row_lags call; its new targets go to the join as
 one array, so their PSD test is one product, and only the survivors whose
 target has pairs become tuples.  The scan and the pass's one memo live in
-the calling process; with workers > 1 a process pool, one for the whole
-search, joins a batch's new targets in one array chunk per worker.
+the calling process.  With workers > 1 the calling process and workers - 1
+children, forked for the whole search (_JoinPool), each join one array
+chunk of a batch's new targets.
 
 The sum-of-squares prune is the only test before the join.  It only saves
 work: the join's sum index finds no (C, D) for an A it rejects.  Inside the
@@ -54,10 +55,8 @@ in memory alike, so a damaged checkpoint is refused, never misread.
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
-from functools import cache, partial
+from functools import cache
 from itertools import chain, islice, product
 from math import isqrt
 
@@ -302,9 +301,107 @@ def _scan_block(spec: SearchSpec, verdict: np.ndarray, bounds: tuple[int, int]):
     return (a, b, ab, targets), ks[keep], tallies
 
 
-def _join(order: int, targets: np.ndarray):
-    # module level, so that a process pool can run it
-    return profile_index(order).join(targets)
+class _JoinPool:
+    """The profile join of one search over `workers` processes: the caller
+    and workers - 1 children, each child forked with one pipe to the caller.
+
+    The children are forked after the caller has built the profile index,
+    so they inherit it rather than build their own; fork is named, because
+    it is no longer the default start method from Python 3.14.
+    multiprocessing is imported only here, so only a pooled search loads
+    it.  Leaving the `with` block closes every pipe, which is a child's EOF,
+    and joins every child; leaving it by an exception (an error, an
+    exhausted budget, Ctrl-C) first terminates them, as one may be in the
+    middle of a chunk."""
+
+    def __init__(self, order: int, workers: int):
+        self.order = order
+        self.pipes, self.children = [], []
+        if workers == 1:
+            return
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        index = profile_index(order)
+        try:
+            for _ in range(workers - 1):
+                ours, theirs = context.Pipe()
+                self.pipes.append(ours)
+                # the child inherits the caller's ends of its own pipe and of
+                # its older siblings', and must close them, or no child sees
+                # EOF when the caller closes its ends
+                child = context.Process(target=_serve, args=(index, theirs, [*self.pipes]))
+                child.start()
+                self.children.append(child)
+                theirs.close()
+        except BaseException:
+            self.__exit__(BaseException)
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_exc):
+        for pipe in self.pipes:
+            pipe.close()
+        for child in self.children:
+            if exc_type is not None:
+                child.terminate()
+            child.join()
+
+    def join(self, targets: np.ndarray) -> list[tuple[list, int]]:
+        """ProfileIndex.join(targets), in one array chunk per process: the
+        children are sent chunks 1, 2, ... and the caller joins chunk 0, then
+        takes their replies in chunk order.  A child that fails or ends
+        without a reply is a SearchError, never a wait."""
+        chunks = np.array_split(targets, min(len(self.pipes) + 1, len(targets)))
+        busy = list(zip(self.pipes, self.children, chunks[1:]))
+        for pipe, child, chunk in busy:
+            try:
+                pipe.send(chunk)
+            except OSError:  # the child is gone
+                raise self._lost(child) from None
+        joined = profile_index(self.order).join(chunks[0])
+        for pipe, child, _chunk in busy:
+            try:
+                failure, part = pipe.recv()
+            except (EOFError, OSError):
+                raise self._lost(child) from None
+            if failure is not None:
+                raise SearchError(f"join worker {child.pid} failed: {failure}")
+            joined += part
+        return joined
+
+    @staticmethod
+    def _lost(child) -> SearchError:
+        child.join(timeout=1)
+        return SearchError(f"join worker {child.pid} ended without a reply "
+                           f"(exit code {child.exitcode})")
+
+
+def _serve(index, pipe, inherited) -> None:
+    """A _JoinPool child: join each array of targets the caller sends and
+    send back (None, joins), or (failure, None) when the join raises, until
+    the caller closes its end of the pipe."""
+    import signal
+
+    for end in inherited:
+        end.close()
+    # Ctrl-C reaches the whole process group; the caller alone handles it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            targets = pipe.recv()
+        except EOFError:
+            return
+        try:
+            reply = None, index.join(targets)
+        except Exception as exc:  # reported to the caller, which raises it
+            reply = f"{type(exc).__name__}: {exc}", None
+        try:
+            pipe.send(reply)
+        except OSError:  # the caller has closed its end
+            return
 
 
 def _in_plaintext_order(quads) -> list:
@@ -439,16 +536,14 @@ def search(
     started = time.perf_counter()
     passes: list[int] = list(spec.cases) if spec.cases is not None else [0]
     first = spec.mode == "first"
-    if workers > 1:
-        profile_index(spec.order)  # built before the fork: the workers inherit it
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        if pool:  # fork the workers now, not at the first join, for the whole search
-            pool.submit(int)
-        state, quads, digest = _resume_state(spec, passes, resume)
-        base_nodes = saved_nodes = state.nodes  # node_limit budgets the current run only
-        # a first-mode run ends at its hit, which its checkpoint may already hold
-        blocks = () if first and state.found else _blocks(
-            spec, passes, state.case_pos, state.lex_next, pool, workers)
+    state, quads, digest = _resume_state(spec, passes, resume)
+    base_nodes = saved_nodes = state.nodes  # node_limit budgets the current run only
+    # a first-mode run ends at its hit, which its checkpoint may already hold
+    done = first and state.found
+    # after _resume_state, so that a refused checkpoint forks nothing
+    with _JoinPool(spec.order, 1 if done else workers) as pool:
+        blocks = () if done else _blocks(
+            spec, passes, state.case_pos, state.lex_next, pool.join)
         for case_pos, lex_next, sols, nodes, prunes, last in blocks:
             hit = first and bool(sols)  # like the run's last block, no budget interrupts it
             if hit:
@@ -487,7 +582,7 @@ def search(
     return SearchResult(solutions, state.found, stats)
 
 
-def _blocks(spec, passes, case_pos, lex_start, pool, workers):
+def _blocks(spec, passes, case_pos, lex_start, join):
     """Scan the run's case passes from `case_pos` and `lex_start` on, and
     yield each block, in lex order, as (case_pos, lex_next, solutions,
     nodes, prunes, last); `last` marks the run's last block.
@@ -498,16 +593,15 @@ def _blocks(spec, passes, case_pos, lex_start, pool, workers):
     least one block).  So the work done past a first hit or an exhausted
     budget is at most one batch, which holds at most one block more than
     all the batches before it in the pass.  A batch is one
-    _scan_block call, one np.unique of its targets and one join of the new
-    ones (one pool.map, one array chunk per worker, when `pool` is given),
-    and is then cut at its block boundaries.
+    _scan_block call, one np.unique of its targets and one `join` call on
+    the new ones (a _JoinPool's, which splits them into one array chunk per
+    process), and is then cut at its block boundaries.
 
     A pass joins each distinct target once, when a batch first holds it,
     and charges its probes to every surviving A that has it.  A batch's
     joins are all back before its first block is yielded, so a first hit or
     an exhausted budget leaves no join running.
     """
-    join = partial(_join, spec.order)
     case_of = _case_of(spec.kind, spec.order)
     lex_limit = 1 << (spec.order + 1)
     block = _block_size(spec.order)
@@ -531,10 +625,8 @@ def _blocks(spec, passes, case_pos, lex_start, pool, workers):
             distinct_rows = targets[first]
             distinct = list(map(tuple, distinct_rows.tolist()))
             new = [i for i, target in enumerate(distinct) if target not in memo]
-            # the new targets as one array, or one chunk per worker
-            chunks = np.array_split(distinct_rows[new], min(workers, len(new))) if new else []
-            joined = pool.map(join, chunks) if pool else map(join, chunks)
-            memo.update(zip([distinct[i] for i in new], chain.from_iterable(joined)))
+            if new:
+                memo.update(zip([distinct[i] for i in new], join(distinct_rows[new])))
             joins = [memo[target] for target in distinct]
             probes = np.array([count for _pairs, count in joins], dtype=np.int64)
             has_pairs = np.array([bool(pairs) for pairs, _count in joins], dtype=bool)

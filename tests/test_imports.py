@@ -1,12 +1,16 @@
 """Every module of the package uses each name it imports and each private
-name it defines, and no name the package exports hides one of its modules.
+name it defines, no name the package exports hides one of its modules, and
+importing the command line loads no process machinery.
 
 `__init__.py` is exempt: it imports names only to re-export them.
 """
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -82,3 +86,14 @@ def test_no_package_attribute_shadows_a_submodule(module):
     # `import quadseq.search as S` binds whatever the package's `search` attribute is
     submodule = importlib.import_module(f"quadseq.{module.stem}")
     assert getattr(importlib.import_module("quadseq"), module.stem) is submodule
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # only a search with workers > 1 imports multiprocessing (search._JoinPool):
+    # with concurrent.futures it would add ~15 ms to every command's start
+    code = ("import sys, quadseq.cli; print(sorted(name for name in sys.modules"
+            " if name.startswith(('multiprocessing', 'concurrent'))))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert run.stdout == "[]\n"

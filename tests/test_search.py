@@ -1,11 +1,14 @@
+import contextlib
 import copy
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
 from functools import cache
 
 import numpy as np
@@ -121,8 +124,8 @@ def test_output_is_sorted_and_deterministic(solutions):
 
 def test_worker_count_does_not_change_output():
     single = plaintexts(search(SearchSpec("nn", 6)))
-    multi = plaintexts(search(SearchSpec("nn", 6), workers=2))
-    assert single == multi
+    for workers in (2, 3):
+        assert plaintexts(search(SearchSpec("nn", 6), workers=workers)) == single, workers
 
 
 def test_case_interleaving_does_not_change_output():
@@ -298,8 +301,10 @@ def test_counters_do_not_depend_on_workers_budget_or_resume(kind, tmp_path):
     budgeted = SearchSpec(kind, 10, node_limit=reference.stats.nodes // 5)
     runs = {
         "workers=2": (search(SearchSpec(kind, 10), workers=2), 1),
+        "workers=3": (search(SearchSpec(kind, 10), workers=3), 1),
         "budget, workers=1": _resumed(budgeted, 1),
         "budget, workers=2, file": _resumed(budgeted, 2, str(tmp_path / "run.ckpt")),
+        "budget, workers=3, file": _resumed(budgeted, 3, str(tmp_path / "run3.ckpt")),
     }
     for name, (result, legs) in runs.items():
         assert plaintexts(result) == plaintexts(reference), name
@@ -308,6 +313,7 @@ def test_counters_do_not_depend_on_workers_budget_or_resume(kind, tmp_path):
         assert result.stats.prunes == reference.stats.prunes, name
     assert runs["budget, workers=1"][1] > 1
     assert runs["budget, workers=2, file"][1] > 1
+    assert runs["budget, workers=3, file"][1] > 1
 
 
 @pytest.mark.parametrize("kind", ["nn", "ns"])
@@ -345,7 +351,7 @@ def test_pass_verdicts_agree_with_their_definition(kind):
         assert list(case_of) == sorted(all_reps), order
 
 
-def test_case_filter_keeps_only_the_case_s_pairs_of_a_shared_target(monkeypatch):
+def test_case_filter_keeps_only_the_case_s_pairs_of_a_shared_target():
     # at ns 13 the sums reps (0, 2, 5, 5) of case 1 and (0, 2, 7, 1) of case 2
     # share (|a|, |b|): the verdict table sends the same A's to the join in
     # both passes, and only the sums of C and D tell their pairs apart.  No
@@ -357,11 +363,14 @@ def test_case_filter_keeps_only_the_case_s_pairs_of_a_shared_target(monkeypatch)
         return (1,) * ((13 + total) // 2) + (-1,) * ((13 - total) // 2)
 
     pairs = [(seq(c), seq(d)) for c, d in ((1, 7), (5, -5), (-7, 1), (5, 5))]
-    monkeypatch.setattr(search_module, "_join", lambda order, targets: [(pairs, 0)] * len(targets))
+
+    def join(targets):
+        return [(pairs, 0)] * len(targets)
+
     kept = {}
     for case in (1, 2):
         spec = SearchSpec("ns", 13, cases=(case,))
-        blocks = list(search_module._blocks(spec, [case], 0, 0, None, 1))
+        blocks = list(search_module._blocks(spec, [case], 0, 0, join))
         quads = [quad for block in blocks for quad in block[2]]
         kept[case] = {tuple(map(sum, quad[2:])) for quad in quads}
         # each A that reaches the join keeps two of its four pairs, and each
@@ -1009,7 +1018,7 @@ NN10_FIRST_LEG_SHA256 = "f569dc16e69dc420663ab65829c7ca8f2dd5d8d7bf37c257579ea51
 NN10_LAST_LEG_SHA256 = "b33c4a22ecca63901c21197414fba8e23a0dd433544f9f5cef309c6ec92a384b"
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_checkpoint_bytes_of_a_budgeted_run_are_pinned(tmp_path, workers):
     path = str(tmp_path / "run.ckpt")
     spec = SearchSpec("nn", 10, node_limit=20_000)
@@ -1566,9 +1575,108 @@ def test_search_stats_populated():
     assert result.stats.elapsed >= 0.0
 
 
-def test_pool_workers_inherit_the_parents_profile_index():
-    # the parent builds the index before the pool forks, so no worker builds its own
-    profile_index.cache_clear()
-    search(SearchSpec("nn", 6), workers=2)
-    info = profile_index.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+def test_pool_workers_inherit_the_parents_profile_index(tmp_path, monkeypatch):
+    # the parent builds the index before it forks, so no child builds its
+    # own, and every child joins with the one it inherits
+    log = tmp_path / "pids.log"
+
+    def logged(event, method):
+        def wrapper(index, *args):
+            with open(log, "a", encoding="utf-8") as fh:  # forked children log too
+                fh.write(f"{event} {os.getpid()}\n")
+            return method(index, *args)
+        return wrapper
+
+    monkeypatch.setattr(ProfileIndex, "__init__", logged("build", ProfileIndex.__init__))
+    monkeypatch.setattr(ProfileIndex, "join", logged("join", ProfileIndex.join))
+    for workers in (2, 3):
+        log.write_text("")
+        profile_index.cache_clear()
+        search(SearchSpec("nn", 6), workers=workers)
+        info = profile_index.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        events = [line.split() for line in log.read_text().splitlines()]
+        assert [pid for event, pid in events if event == "build"] == [str(os.getpid())]
+        assert len({pid for event, pid in events if event == "join"}) == workers
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Raise TimeoutError in the block once `seconds` have passed, so that a
+    pool that waits on a lost child fails the test instead of hanging it."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_refused_checkpoint_forks_no_join_worker(tmp_path, monkeypatch):
+    # the pool starts only once the checkpoint is accepted, and the refusal
+    # keeps its text
+    path = str(tmp_path / "run.ckpt")
+    spec = SearchSpec("nn", 8, node_limit=6000)
+    with pytest.raises(BudgetExhausted) as info:
+        search(spec, checkpoint_path=path)
+    checkpoint = info.value.checkpoint
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    unbudgeted = dataclasses.replace(spec, node_limit=None)
+    damaged = dataclasses.replace(checkpoint, lex_next=checkpoint.lex_next + 1)
+    with pytest.raises(SearchError, match=f"^checkpoint lex_next {damaged.lex_next} "
+                                          "is not a block boundary$"):
+        search(unbudgeted, workers=2, resume=damaged)
+    assert forks == []
+    search(unbudgeted, workers=2, resume=checkpoint)  # an accepted one forks its child
+    assert forks == [os.getpid()]
+
+
+def test_a_failed_or_lost_join_worker_raises_and_no_run_leaves_a_process(tmp_path, monkeypatch):
+    parent, join = os.getpid(), ProfileIndex.join
+
+    def failing_in_a_child(index, rows):
+        if os.getpid() != parent:
+            raise ValueError("injected")
+        return join(index, rows)
+
+    def dying_in_a_child(index, rows):
+        if os.getpid() != parent:
+            os._exit(3)
+        return join(index, rows)
+
+    def interrupted_in_the_parent(index, rows):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return join(index, rows)
+
+    for stand_in, error, message in [
+        (failing_in_a_child, SearchError, r"^join worker \d+ failed: ValueError: injected$"),
+        (dying_in_a_child, SearchError, r"^join worker \d+ ended without a reply \(exit code 3\)$"),
+        (interrupted_in_the_parent, KeyboardInterrupt, None),
+    ]:
+        monkeypatch.setattr(ProfileIndex, "join", stand_in)
+        with _within(60), pytest.raises(error, match=message):
+            search(SearchSpec("nn", 10), workers=2)
+        assert multiprocessing.active_children() == [], stand_in.__name__
+    monkeypatch.setattr(ProfileIndex, "join", join)
+    with _within(60):
+        for workers in (2, 3):
+            assert search(SearchSpec("nn", 10), workers=workers).count
+            assert multiprocessing.active_children() == []
+            with pytest.raises(BudgetExhausted):
+                search(SearchSpec("nn", 10, node_limit=20_000), workers=workers,
+                       checkpoint_path=str(tmp_path / "run.ckpt"))
+            assert multiprocessing.active_children() == []
+            assert search(SearchSpec("nn", 10, mode="first"), workers=workers).count == 1
+            assert multiprocessing.active_children() == []
