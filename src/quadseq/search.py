@@ -17,25 +17,26 @@ checkpoints advance block by block.  The batch is the unit of work: a run of
 whole blocks, one block at the start of each pass and each run, then twice
 as many each time up to SCAN_ROWS A's.  A batch is one array pass: its A
 and B rows, their verdicts from the pass's (|a|, |b|) table and their
-targets from one seqcore.row_lags call; its new targets go to the join as
-one array, so their PSD test is one product, and only the survivors whose
-target has pairs become tuples.  The scan and the pass's one memo live in
-the calling process.  With workers > 1 the calling process and workers - 1
-children, forked for the whole search (_JoinPool), each join one array
-chunk of a batch's new targets.
+int16 targets from one seqcore.row_lags call; its new targets go to the
+join as one array, so their PSD screen is one product, and only the
+survivors whose target has pairs become tuples.  The scan and the pass's
+one memo live in the calling process.  With workers > 1 the calling
+process and workers - 1 children, forked for the whole search (_JoinPool),
+each join one array chunk of a batch's new targets.
 
 The sum-of-squares prune is the only test before the join.  It only saves
 work: the join's sum index finds no (C, D) for an A it rejects.  Inside the
-join, the power-spectral-density (PSD) test skips the C-profiles, or whole
-targets, that no D can complete (see ProfileIndex.join and
-seqcore._PSD_MARGIN for its float error bound); it changes no solution.
+join, a float power-spectral-density (PSD) screen drops the targets that no
+(C, D) can complete (see ProfileIndex.join and seqcore._PSD_MARGIN for its
+float error bound), and exact integer keys pick the C-profiles worth a hash
+lookup; neither changes a solution.
 
 A node is one A candidate or one C-profile probed for a surviving A: every
-sum-compatible C-profile of the target, including those the PSD test
-disposes of, as a sum-pruned A is still a node.  Each surviving A is charged
-the probes of its target's join whether the join was computed or reused, so
-node counts, node_limit, checkpoints and resume do not depend on block size,
-worker count, how often the memo hits or what the PSD test rejects.
+sum-compatible C-profile of the target, including those the PSD screen or
+the keys dispose of, as a sum-pruned A is still a node.  Each surviving A
+is charged the probes of its target's join whether the join was computed or
+reused, so node counts, node_limit, checkpoints and resume do not depend on
+block size, worker count, how often the memo hits or what the join skips.
 
 Case splitting partitions the admissible sums vectors (a, b, c, d) with
 a^2+b^2+c^2+d^2 = 2(m+n) into orbits under coordinate sign changes and the
@@ -606,7 +607,7 @@ def _blocks(spec, passes, case_pos, lex_start, join):
     lex_limit = 1 << (spec.order + 1)
     block = _block_size(spec.order)
     most = max(SCAN_ROWS // block, 1)  # the most blocks in one batch
-    row_bytes = 8 * max(spec.order - 1, 0)  # of an int64 join target
+    row_bytes = 2 * max(spec.order - 1, 0)  # of an int16 join target (see row_lags)
     for case_pos in range(case_pos, len(passes)):
         pass_case = passes[case_pos]
         last_pass = case_pos == len(passes) - 1

@@ -8,10 +8,11 @@ share between worker processes.
 The autocorrelations of a sequence come from one numpy kernel, _npaf_array,
 exact for any integer sequence: int64 under an explicit bound, Python ints
 beyond it.  row_lags forms the same lag sums for a block of +-1 rows at
-once, for ProfileIndex and the search's scan.  ProfileIndex.join is the one
-hash join on them, over an array of targets at a time, shared by the search
-and golay_search; it looks up only the profiles that pass a
-power-spectral-density test.
+once, in int16, for ProfileIndex and the search's scan.  ProfileIndex.join
+is the one hash join on them, over an array of targets at a time, shared by
+the search and golay_search: a float power-spectral-density screen drops
+the dead targets, and the others are joined by exact integer keys (the PSD
+at five roots of unity) and a linear hash, in array passes.
 
 verify_quadruple is the one verifier for every kind, a Golay pair included
 (as the base quadruple BS(g, 0)); VerificationReport.require turns a failing
@@ -22,8 +23,8 @@ import os
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import cache, lru_cache, partial
-from itertools import product
-from operator import add, neg, sub
+from itertools import chain, product
+from operator import add, neg
 
 import numpy as np
 
@@ -170,23 +171,33 @@ def int_to_seq(bits: int, length: int) -> Seq:
 
 def row_lags(rows: np.ndarray, count: int) -> np.ndarray:
     """Lags 1..count (none for count <= 0) of the autocorrelation of each +-1
-    row of the int8 array `rows`, in int64: _npaf_array's sums, row-wise."""
+    row of the int8 array `rows`, in int16: _npaf_array's sums, row-wise.
+    A lag-j sum has width - j terms of +-1, so int16 is exact for rows up to
+    32,768 entries wide."""
     width = rows.shape[1]
-    lags = np.empty((len(rows), max(count, 0)), dtype=np.int64)
+    lags = np.empty((len(rows), max(count, 0)), dtype=np.int16)
     for j in range(1, count + 1):
-        # products stay in {-1, 1}, and np.sum accumulates int8 in int64
-        lags[:, j - 1] = (rows[:, : width - j] * rows[:, j:]).sum(axis=1)
+        lags[:, j - 1] = (rows[:, : width - j] * rows[:, j:]).sum(axis=1, dtype=np.int16)
     return lags
 
 
-# Slack of the PSD test in ProfileIndex.join.  The PSDs there are float64
-# sums of at most `length` terms 2 * p_j * cos(j * w) with |p_j| <= 2 * length,
-# over cosines rounded to float64, so each is within about
+# Slack of the dead-target screen in ProfileIndex.join.  R(w) there is a
+# float64 sum of at most `length` terms 2 * t_j * cos(j * w) with
+# |t_j| <= 2 * length, over cosines rounded to float64, so it is within about
 # 4 * length^3 * 2^-52 of its exact value: below 1e-11 for every length up to
 # search.MAX_ORDER_WITHOUT_OVERRIDE = 20, and below 1e-6 up to length 1000.
-# The test is sound (it never drops a true pair) while that error stays
-# under this margin.
+# The screen is sound (it never drops a target with a pair) while that error
+# stays under this margin.
 _PSD_MARGIN = 1e-6
+
+# the angles w at which every 2 * cos(j * w) is an integer: 2, 2 * (-1)^j,
+# and period-4, -3 and -6 patterns of 0, +-1 and +-2
+_KEY_ANGLES = np.pi * np.array([0, 1, 1 / 2, 2 / 3, 1 / 3])
+
+# the most (target, key group) cells ProfileIndex.join tests in one chunk
+_JOIN_CELLS = 1 << 16
+
+_MASK64 = (1 << 64) - 1
 
 
 def _psd_cosines(length: int) -> np.ndarray:
@@ -197,10 +208,25 @@ def _psd_cosines(length: int) -> np.ndarray:
 
 def _psd(lag0: int, lags, cosines: np.ndarray) -> np.ndarray:
     """lag0 + 2 * sum_j lags_j * cos(j * w) at each sample of `cosines`, in
-    float64, for one lag tuple or for each of a list of them: the PSD of
-    the sequences of one profile, or of the pairs whose profiles add up to
-    a target."""
-    return lag0 + 2 * (np.array(lags, dtype=np.float64) @ cosines)
+    float64, for one lag tuple or for each row of an array of them: the PSD
+    of the sequences of one profile, or of the pairs whose profiles add up
+    to a target."""
+    return lag0 + 2 * (np.asarray(lags, dtype=np.float64) @ cosines)
+
+
+def _multipliers(count: int):
+    """Vectors of `count` odd uint64 multipliers for ProfileIndex's hash,
+    one after another, from a splitmix64 stream with a fixed seed: every
+    index of a length draws the same ones, and numpy.random stays unloaded."""
+    state = 0
+    while True:
+        draws = []
+        for _ in range(count):
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ state >> 30) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ z >> 27) * 0x94D049BB133111EB) & _MASK64
+            draws.append(z ^ z >> 31 | 1)
+        yield np.array(draws, dtype=np.uint64)
 
 
 class ProfileIndex:
@@ -217,11 +243,18 @@ class ProfileIndex:
     this layout; it returns flat (C, D) pairs, whose sums its callers read.
 
     A profile also fixes the power spectral density of its sequences,
-    PSD(w) = |X(e^{iw})|^2 = length + 2 * sum_j p_j * cos(j * w).
-    `psd_by_square_sum` holds it at the 4 * length + 1 samples w of [0, pi]
-    whose cos(j * w) are the columns of `cosines`: one float64 row per
-    profile, in the order of the profile's by_square_sum bucket.  The
-    tables are per profile, not per sequence.
+    PSD(w) = |X(e^{iw})|^2 = length + 2 * sum_j p_j * cos(j * w).  At the
+    five _KEY_ANGLES every 2 * cos(j * w) is an integer, so there the PSD is
+    an exact integer, linear in p: the key vector K(p) = length +
+    key_matrix @ p, the squared sum at w = 0 among them (the "compression"
+    of Dokovic and Kotsireas).  `profiles` holds the distinct profiles as
+    int8 rows (|p_j| <= length - j) and `keys` their key vectors, both in
+    the order of the by_square_sum buckets, each bucket's profiles in order:
+    a profile's position.  The profiles are also grouped by key vector, and
+    each has a linear hash h(p) = p . multipliers mod 2^64, whose odd
+    multipliers are redrawn until every profile's hash is distinct.  The
+    tables are per profile, not per sequence, and are built with the index,
+    so the forked workers of a pooled search inherit them.
     """
 
     def __init__(self, length: int):
@@ -231,9 +264,11 @@ class ProfileIndex:
         table = row_lags(np.array(seqs, dtype=np.int8), length - 1)
         # row tuples one at a time, so that only distinct profiles stay allocated
         rows = zip(*table.T.tolist()) if length > 1 else [()] * len(seqs)
+        del table
         self.groups: dict[tuple[int, ...], list[Seq]] = {}
         for seq, profile in zip(seqs, rows):
             self.groups.setdefault(profile, []).append(seq)
+        del rows  # and with them the columns they were read from
         self.by_square_sum: dict[int, list[tuple[tuple[int, ...], list[Seq]]]] = {}
         for profile, group in self.groups.items():
             square = length + 2 * sum(profile)
@@ -244,25 +279,49 @@ class ProfileIndex:
             for residual in {c2 + d2 for c2 in squares for d2 in squares}
         }
         self.cosines = _psd_cosines(length)
-        self.psd_by_square_sum = {
-            square: _psd(length, [p for p, _ in bucket], self.cosines)
-            for square, bucket in self.by_square_sum.items()
-        }
+        positions = [item for bucket in squares.values() for item in bucket]
+        self._seqs = [group for _profile, group in positions]
+        width = max(length - 1, 0)
+        self.profiles = np.fromiter(chain.from_iterable(p for p, _ in positions), dtype=np.int8,
+                                    count=len(positions) * width).reshape(len(positions), width)
+        angles = np.outer(_KEY_ANGLES, np.arange(1, length))
+        self.key_matrix = np.rint(2 * np.cos(angles)).astype(np.int64)
+        self.keys = length + self.profiles @ self.key_matrix.T
+        # each key coordinate is a PSD, in [0, length^2]: one mixed-radix code per key vector
+        self._radix = (length * length + 1) ** np.arange(len(_KEY_ANGLES), dtype=np.int64)
+        self._group_codes, group_of, self._group_sizes = np.unique(
+            self.keys @ self._radix, return_inverse=True, return_counts=True)
+        self._members = np.argsort(group_of, kind="stable")  # positions, by key group
+        self._group_starts = np.cumsum(self._group_sizes) - self._group_sizes
+        for multipliers in _multipliers(width):
+            self._hashes = self.profiles.astype(np.uint64) @ multipliers
+            self._hash_order = np.argsort(self._hashes)
+            self._sorted_hashes = self._hashes[self._hash_order]
+            if (self._sorted_hashes[1:] != self._sorted_hashes[:-1]).all():
+                break
+        self.multipliers = multipliers
+        # the top bits of a hash pick its bucket, one of 4 to 8 per profile:
+        # a run of _sorted_hashes, from _bucket_starts[b] to _bucket_starts[b + 1]
+        bits = len(self.profiles).bit_length() + 2
+        self._shift = np.uint64(64 - bits)
+        self._bucket_starts = np.searchsorted(
+            self._sorted_hashes >> self._shift, np.arange((1 << bits) + 1, dtype=np.uint64)
+        ).astype(np.int32)
 
     def join(self, targets: np.ndarray) -> list[tuple[list, int]]:
         """Every (C, D) whose positive-lag profiles add up to a target, for
-        each row of the int64 array `targets` of shape (k, length - 1).
+        each row of the integer array `targets` of shape (k, length - 1).
 
         A target fixes c^2 + d^2 = 2 * length + 2 * sum(target), its
         residual, so only the C-profiles whose c^2 leaves an admissible d^2
-        are probed, probes_by_residual[residual] of them.  It also fixes
-        PSD_C(w) + PSD_D(w) = R(w) = 2 * length + 2 * sum_j target_j *
-        cos(j * w), one product for all the rows, and a PSD is never
-        negative: a target with R < 0 at a sample has no pairs, and a
-        C-profile with PSD_C > R at a sample has no D.  Of the other
-        targets, only the C-profiles that pass are looked up (within
-        _PSD_MARGIN), but every probed one is counted, whatever the PSD
-        test decides.
+        are probed: probes_by_residual[residual] of them, every one counted
+        whatever the tests below decide.  A target also fixes PSD_C(w) +
+        PSD_D(w) = R(w) = 2 * length + 2 * sum_j target_j * cos(j * w), one
+        float product for all the rows, and a PSD is never negative: a
+        target with R < 0 at one of 4 * length + 1 samples (within
+        _PSD_MARGIN) is dead and has no pairs.  The other targets go to the
+        keyed stage (_keyed_hits), in chunks of at most _JOIN_CELLS
+        (target, key group) cells, which is exact.
 
         Returns one (pairs, probes) per row, in row order: its (C, D) pairs
         as one flat list, C's by_square_sum buckets in the index's order and
@@ -270,22 +329,61 @@ class ProfileIndex:
         """
         residuals = (2 * self.length + 2 * targets.sum(axis=1)).tolist()
         joined = [([], self.probes_by_residual.get(residual, 0)) for residual in residuals]
-        # R + margin, the most PSD_C may be at each sample
+        # R + margin, at least 0 at every sample for a live target
         bounds = _psd(2 * self.length, targets, self.cosines) + _PSD_MARGIN
-        groups, by_square_sum = self.groups, self.by_square_sum
-        for row in np.flatnonzero(bounds.min(axis=1) >= 0).tolist():
-            target, residual, bound = tuple(targets[row].tolist()), residuals[row], bounds[row]
-            pairs = joined[row][0]
-            for c2, c_groups in by_square_sum.items():
-                if residual - c2 not in by_square_sum:
-                    continue
-                fits = (self.psd_by_square_sum[c2] <= bound).all(axis=1)
-                for i in np.flatnonzero(fits).tolist():
-                    c_profile, c_seqs = c_groups[i]
-                    d_seqs = groups.get(tuple(map(sub, target, c_profile)))
-                    if d_seqs:
-                        pairs.extend(product(c_seqs, d_seqs))
+        live = np.flatnonzero(bounds.min(axis=1) >= 0)
+        step = max(_JOIN_CELLS // len(self._group_codes), 1)
+        for lo in range(0, len(live), step):
+            chunk = live[lo : lo + step]
+            for row, c, d in zip(*(part.tolist() for part in self._keyed_hits(targets[chunk]))):
+                joined[chunk[row]][0].extend(product(self._seqs[c], self._seqs[d]))
         return joined
+
+    def _keyed_hits(self, targets: np.ndarray):
+        """Every (row, C position, D position) whose profiles add up to a
+        row of `targets`, as three arrays sorted by row and then C position.
+
+        K is linear, so K(C) + K(D) = K(t) = 2 * length + key_matrix @ t
+        exactly: only the key groups g whose complement K(t) - K(g) is also
+        a group's key hold a C, and each of their profiles is a candidate.
+        The hash is linear too, so D's hash is h(t) - h(C) mod 2^64, looked
+        up among the distinct hashes of all profiles (_find).  A key code or
+        hash that matches by accident only adds a candidate, and each hit is
+        confirmed exactly: P[C] + P[D] == t."""
+        codes = (2 * self.length + targets @ self.key_matrix.T) @ self._radix
+        complements = codes[:, None] - self._group_codes
+        found = np.searchsorted(self._group_codes, complements)
+        found[found == len(self._group_codes)] = 0
+        rows, cells = np.nonzero(self._group_codes[found] == complements)
+        # the C-profiles of each matched (row, group) cell
+        sizes = self._group_sizes[cells]
+        ends = np.cumsum(sizes)
+        starts = np.repeat(self._group_starts[cells] - ends + sizes, sizes)
+        c = self._members[starts + np.arange(len(starts))]
+        rows = np.repeat(rows, sizes)
+        hashes = (targets.astype(np.uint64) @ self.multipliers)[rows] - self._hashes[c]
+        found, d = self._find(hashes)
+        rows, c = rows[found], c[found]
+        exact = (self.profiles[d] == targets[rows] - self.profiles[c]).all(axis=1)
+        rows, c, d = rows[exact], c[exact], d[exact]
+        order = np.lexsort((c, rows))
+        return rows[order], c[order], d[order]
+
+    def _find(self, hashes: np.ndarray):
+        """The indices of the entries of the uint64 array `hashes` that are a
+        profile's hash, and those profiles' positions.  Each hash walks its
+        bucket's sorted run while the run's hashes are below it."""
+        buckets = hashes >> self._shift
+        at, ends = self._bucket_starts[buckets], self._bucket_starts[buckets + np.uint64(1)]
+        found = np.empty(0, dtype=np.intp)
+        walking = np.flatnonzero(at < ends)
+        while walking.size:
+            probes = self._sorted_hashes[at[walking]]
+            found = np.concatenate([found, walking[probes == hashes[walking]]])
+            walking = walking[probes < hashes[walking]]
+            at[walking] += 1
+            walking = walking[at[walking] < ends[walking]]
+        return found, self._hash_order[at[found]]
 
 
 @cache

@@ -476,7 +476,7 @@ def test_batched_scan_matches_the_per_a_reference(kind, representatives):
             verdict = search_module._pass_verdicts(spec, pass_case)
             for bounds in ((0, lex_limit), (lex_limit // 3, lex_limit // 3 + 7), (5, 5)):
                 rows, lex, tallies = search_module._scan_block(spec, verdict, bounds)
-                assert [row.dtype for row in rows] == [np.int8, np.int8, np.int64, np.int64]
+                assert [row.dtype for row in rows] == [np.int8, np.int8, np.int64, np.int16]
                 survivors = list(zip(lex.tolist(), *(map(tuple, row.tolist()) for row in rows)))
                 lo, hi = bounds
                 blocks = [(start, min(start + block, hi)) for start in range(lo, hi, block)]
@@ -592,41 +592,79 @@ def test_golay_search_is_pinned():
         "bef0b492750d279687ba1e8d1370d9cb8378804f1e3123b7b993ba4e4abd0529")
 
 
-class _CountingDict(dict):
-    """A profile -> sequences dict that counts its get() lookups."""
-
-    lookups = 0
-
-    def get(self, key, default=None):
-        self.lookups += 1
-        return super().get(key, default)
-
-
-def test_psd_filter_skips_lookups_but_counts_every_probe(monkeypatch):
-    # a C-profile the PSD test rejects, or one of a PSD-dead target, is not
-    # looked up but still counts as a probe, and so as a node
+def test_a_psd_dead_target_never_reaches_the_keyed_stage_but_counts_its_probes(monkeypatch):
+    # the float screen sends only live targets to _keyed_hits; a dead one
+    # has no pairs but still counts its probes, and so its nodes
     order = 10
     (_a, _b, _ab, rows), _lex, _tallies = _scan_all(SearchSpec("nn", order))
-    targets = sorted(set(map(tuple, rows.tolist())))
+    targets = np.unique(rows, axis=0)
     index = profile_index(order)
-    groups = _CountingDict(index.groups)
-    monkeypatch.setattr(index, "groups", groups)
-    runs = {}
-    for margin in (seqcore._PSD_MARGIN, math.inf):
-        monkeypatch.setattr(seqcore, "_PSD_MARGIN", margin)
-        runs[margin] = []
-        for target in targets:
-            before = groups.lookups
-            [joined] = index.join(np.array([target], dtype=np.int64))
-            runs[margin].append((joined, groups.lookups - before))
-    on, off = runs.values()
-    assert [joined for joined, _ in on] == [joined for joined, _ in off]
-    assert all(lookups == probes for (_pairs, probes), lookups in off)
-    # dead targets look nothing up, and live ones skip the C-profiles whose
-    # PSD exceeds the target's somewhere
-    dead = [lookups for (_pairs, probes), lookups in on if probes and not lookups]
-    skipping = [lookups for (_pairs, probes), lookups in on if 0 < lookups < probes]
-    assert dead and skipping
+    keyed, reached = index._keyed_hits, []
+
+    def spy(live):
+        reached.extend(map(tuple, live.tolist()))
+        return keyed(live)
+
+    monkeypatch.setattr(index, "_keyed_hits", spy)
+    joined = index.join(targets)
+    # R(w) of each target at the 4n + 1 samples, worked out here
+    samples = np.cos(np.outer(np.arange(1, order), np.linspace(0, np.pi, 4 * order + 1)))
+    dead = (2 * order + 2 * targets @ samples).min(axis=1) < -1e-6
+    residuals = 2 * order + 2 * targets.sum(axis=1)
+    assert dead.sum() >= 10 and (~dead).sum() >= 10
+    assert sorted(reached) == sorted(map(tuple, targets[~dead].tolist()))
+    assert joined == [_reference_join(index, target) for target in targets.tolist()]
+    dead_joins = [(joins, residual) for joins, residual, is_dead in zip(
+        joined, residuals.tolist(), dead.tolist()) if is_dead]
+    for (pairs, probes), residual in dead_joins:
+        assert pairs == [] and probes == index.probes_by_residual.get(residual, 0)
+    assert any(probes for (_pairs, probes), _residual in dead_joins)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 14).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(*[st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)] * 2),
+             max_size=4),
+    st.lists(st.tuples(*[st.integers(-2 * (n - j), 2 * (n - j)) for j in range(1, n)]),
+             max_size=4),
+)))
+def test_join_matches_the_reference_on_realizable_and_random_targets(case):
+    # the keyed join returns the reference's pairs in order, and its probes,
+    # for the profile sums of random (C, D) pairs and for random vectors
+    n, pairs, randoms = case
+    pairs = [(tuple(c), tuple(d)) for c, d in pairs]
+    targets = [tuple(u + v for u, v in zip(npaf_values(c)[1:], npaf_values(d)[1:]))
+               for c, d in pairs] + randoms
+    index = profile_index(n)
+    joined = index.join(np.array(targets, dtype=np.int16).reshape(len(targets), n - 1))
+    assert joined == [_reference_join(index, target) for target in targets]
+    for pair, (found, _probes) in zip(pairs, joined):
+        assert pair in found
+
+
+def test_a_colliding_hash_multiplier_is_redrawn_and_the_join_stays_exact(monkeypatch):
+    # all-ones multipliers hash a profile to its sum, which profiles of one
+    # squared sum share: the index must draw the stream's next multipliers
+    order = 8
+    drawn = seqcore._multipliers
+    ones = np.ones(order - 1, dtype=np.uint64)
+
+    def colliding(count):
+        yield ones
+        yield from drawn(count)
+
+    monkeypatch.setattr(seqcore, "_multipliers", colliding)
+    index = ProfileIndex(order)
+    assert len(set((index.profiles.astype(np.uint64) @ ones).tolist())) < len(index.profiles)
+    assert index.multipliers.tolist() == next(drawn(order - 1)).tolist()
+    assert len(set(index._hashes.tolist())) == len(index.profiles)
+    assert (index.multipliers & 1).all()
+    (_a, _b, _ab, rows), _lex, _tallies = _scan_all(SearchSpec("nn", order))
+    targets = np.unique(rows, axis=0)
+    expected = [_reference_join(index, target) for target in targets.tolist()]
+    assert any(pairs for pairs, _probes in expected)
+    assert index.join(targets) == expected
 
 
 @pytest.mark.parametrize("order,count,nodes", [
@@ -642,6 +680,15 @@ def test_nn18_count_nodes_and_prunes_are_pinned():
     result = search(SearchSpec("nn", 18, mode="count"))
     assert (result.count, result.stats.nodes) == (15_232, 5_365_187_984)
     assert result.stats.prunes == {"sum_of_squares": 241_544, "case": 0}
+
+
+@pytest.mark.slow
+def test_nn20_count_nodes_and_prunes_are_pinned():
+    # the largest order searched without --allow-large; the profile index
+    # of length 20 takes about 6 s and 600 MB to build
+    result = search(SearchSpec("nn", 20, mode="count"))
+    assert (result.count, result.stats.nodes) == (16_896, 71_128_797_632)
+    assert result.stats.prunes == {"sum_of_squares": 905_984, "case": 0}
 
 
 def test_checkpoint_file_round_trip(tmp_path):

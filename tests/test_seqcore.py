@@ -153,16 +153,16 @@ def test_profile_index_groups_in_bits_order(length):
     # the squared sums present are exactly the admissible ones
     assert set(index.by_square_sum) == {v * v for v in range(length % 2, length + 1, 2)}
     assert profile_index(length) is index
-    # each PSD row is |X(e^{iw})|^2 of its profile's sequences at the samples
-    assert index.psd_by_square_sum.keys() == index.by_square_sum.keys()
-    on_circle = np.exp(1j * np.linspace(0, np.pi, 4 * length + 1))
-    for square, groups in index.by_square_sum.items():
-        rows = index.psd_by_square_sum[square]
-        assert rows.shape == (len(groups), 4 * length + 1)
-        for row, (_profile, seqs) in zip(rows, groups):
-            for seq in seqs:
-                exact = np.abs(np.polyval(seq, on_circle)) ** 2 if seq else np.zeros(1)
-                assert np.abs(row - exact).max() < 1e-9
+    # the profiles and their key vectors come in the order of the buckets,
+    # and a key vector is |X(e^{iw})|^2 of the profile's sequences, exactly,
+    # at w = 0, pi, pi/2, 2pi/3 and pi/3
+    assert [tuple(p) for p in index.profiles.tolist()] == [p for _s, p, _q in by_square]
+    assert index.profiles.dtype == np.int8 and index.keys.shape == (len(by_square), 5)
+    on_circle = np.exp(1j * np.pi * np.array([0, 1, 1 / 2, 2 / 3, 1 / 3]))
+    for key, (_square, _profile, seqs) in zip(index.keys.tolist(), by_square):
+        for seq in seqs:
+            exact = np.abs(np.polyval(seq, on_circle)) ** 2 if seq else np.zeros(5)
+            assert np.abs(np.array(key) - exact).max() < 1e-9
 
 
 def _binary_pairs(lengths):
@@ -189,8 +189,8 @@ def test_join_of_a_pairs_profile_sum_holds_the_pair(pair):
 @settings(max_examples=200, deadline=None)
 @given(_binary_pairs(st.integers(2, 20)))
 def test_psd_of_a_pair_stays_within_the_margin_up_to_length_20(pair):
-    # the arithmetic of ProfileIndex.join for a true (C, D): R is not
-    # negative and PSD_C does not exceed R, both within _PSD_MARGIN
+    # the arithmetic of ProfileIndex.join's screen for a true (C, D): R is
+    # not negative, and PSD_C does not exceed R, both within _PSD_MARGIN
     c, d = pair
     n = len(c)
     cosines = seqcore._psd_cosines(n)
@@ -544,7 +544,7 @@ def test_row_lags_are_the_kernels_lags_of_each_row(rows):
     block = np.array(rows, dtype=np.int8)
     for count in range(width):
         lags = row_lags(block, count)
-        assert lags.dtype == np.int64 and lags.shape == (len(rows), count)
+        assert lags.dtype == np.int16 and lags.shape == (len(rows), count)
         for row, got in zip(rows, lags.tolist()):
             assert tuple(got) == npaf_values(tuple(row))[1 : count + 1]
 
