@@ -169,7 +169,8 @@ def _pair_forms(x, y) -> tuple[str | None, str]:
 
 def _has_codes(q: SeqQuadruple) -> bool:
     """Whether q's kind and shape admit an encoded record line."""
-    return q.kind == KIND_NEAR_NORMAL and q.m == q.n + 1 and q.n > 0 and not q.n % 2
+    n = len(q.c)  # not q.m and q.n: a property read costs more than the len
+    return q.kind == KIND_NEAR_NORMAL and len(q.a) == n + 1 and n > 0 and not n % 2
 
 
 def record_codes(q: SeqQuadruple) -> tuple[str, str] | None:
@@ -216,4 +217,4 @@ def format_record(q: SeqQuadruple) -> str:
     cd, cd_text = _pair_forms(q.c, q.d)
     if ab is None or cd is None or not _has_codes(q):
         return f"{q.kind} {ab_text};{cd_text}"
-    return f"{q.kind} {q.n} {ab} {cd}"
+    return f"{q.kind} {len(q.c)} {ab} {cd}"

@@ -18,11 +18,17 @@ whole blocks, one block at the start of each pass and each run, then twice
 as many each time up to SCAN_ROWS A's.  A batch is one array pass: its A
 and B rows, their verdicts from the pass's (|a|, |b|) table and their
 int16 targets from one seqcore.row_lags call; its new targets go to the
-join as one array, so their PSD screen is one product, and only the
-survivors whose target has pairs become tuples.  The scan and the pass's
-one memo live in the calling process.  With workers > 1 the calling
-process and workers - 1 children, forked for the whole search (_JoinPool),
-each join one array chunk of a batch's new targets.
+join as one array, so their PSD screen is one product.  The pass's memo is
+arrays too: its joined targets' row bytes, sorted, beside their probes and
+pair-list ids, so one np.searchsorted tells a batch's new targets from its
+known ones, and the new ones are merged in.  Only the survivors whose
+target has pairs become tuples, one group per A: A, B and the (C, D)
+pairs, both in the order the join found them, which a checkpoint keeps,
+and in plaintext order, ranked once per distinct target, from which the
+result is assembled.  The scan and the memo live in the calling process.  With
+workers > 1 the calling process and workers - 1 children, forked for the
+whole search (_JoinPool), each join one array chunk of a batch's new
+targets.
 
 The sum-of-squares prune is the only test before the join.  It only saves
 work: the join's sum index finds no (C, D) for an A it rejects.  Inside the
@@ -538,6 +544,7 @@ def search(
     passes: list[int] = list(spec.cases) if spec.cases is not None else [0]
     first = spec.mode == "first"
     state, quads, digest = _resume_state(spec, passes, resume)
+    groups, saved_groups = [], 0  # the run's own solutions (see _blocks), and those saved
     base_nodes = saved_nodes = state.nodes  # node_limit budgets the current run only
     # a first-mode run ends at its hit, which its checkpoint may already hold
     done = first and state.found
@@ -545,48 +552,58 @@ def search(
     with _JoinPool(spec.order, 1 if done else workers) as pool:
         blocks = () if done else _blocks(
             spec, passes, state.case_pos, state.lex_next, pool.join)
-        for case_pos, lex_next, sols, nodes, prunes, last in blocks:
-            hit = first and bool(sols)  # like the run's last block, no budget interrupts it
-            if hit:
-                sols = _in_plaintext_order(sols)[:1]
+        for case_pos, lex_next, found, nodes, prunes, last in blocks:
+            hit = first and bool(found)  # like the run's last block, no budget interrupts it
+            if hit:  # the block's plaintext-least solution
+                a, b, _pairs, ranked = max(found, key=lambda group: (*group[:2], group[3][0]))
+                found = [(a, b, ranked[:1], ranked[:1])]
             state.case_pos, state.lex_next = case_pos, lex_next
             state.nodes += nodes
             for key, value in prunes.items():
                 state.prunes[key] += value
-            state.found += len(sols)
+            state.found += sum(len(pairs) for _a, _b, pairs, _ranked in found)
             if spec.mode != "count":
-                quads.extend(sols)
+                groups.extend(found)
             exhausted = (spec.node_limit is not None and not (hit or last)
                          and state.nodes - base_nodes >= spec.node_limit)
             if exhausted or checkpoint_path and state.nodes - saved_nodes >= CHECKPOINT_EVERY:
-                # only the solutions found since the last save become text
-                # and are hashed, after the "\n" that joins them to the rest
-                new = [*map(join_quad, quads[len(state.solutions):])]
+                # only the solutions found since the last save become text, in
+                # found order, and are hashed, after the "\n" that joins them
+                # to the rest
+                new = [join_quad((a, b, c, d))
+                       for a, b, pairs, _ranked in groups[saved_groups:] for c, d in pairs]
                 if new:
                     digest.update(("\n" * bool(state.solutions) + "\n".join(new)).encode())
                     state.solutions.extend(new)
                 state.solutions_sha256 = digest.hexdigest()
                 if checkpoint_path:
                     save_checkpoint(state, checkpoint_path)
-                saved_nodes = state.nodes
+                saved_nodes, saved_groups = state.nodes, len(groups)
             if exhausted:
                 raise BudgetExhausted(state)
             if hit:
                 break
+    # each group's pairs are in plaintext order already, so the groups in
+    # (A, B) order are sorted runs; the resumed solutions are in found order
+    quads += [(a, b, c, d) for a, b, _pairs, ranked in sorted(
+        groups, key=lambda group: group[:2], reverse=True) for c, d in ranked]
     # every raw tuple here is already a tuple of plain +-1 ints, with A, B and
     # C, D of equal lengths: scan rows come from int8 .tolist(), C and D from
     # ProfileIndex's product((1, -1)), and resumed solutions were parsed by
     # parse_seq and verified in _resume_state
     kept = _in_plaintext_order(quads)[: {"all": None, "first": 1, "count": 0}[spec.mode]]
-    solutions = [SeqQuadruple._trusted(*quad, spec.kind) for quad in kept]
+    solutions = SeqQuadruple._trusted_all(kept, spec.kind)
     stats = SearchStats(state.nodes, dict(state.prunes), time.perf_counter() - started)
     return SearchResult(solutions, state.found, stats)
 
 
 def _blocks(spec, passes, case_pos, lex_start, join):
     """Scan the run's case passes from `case_pos` and `lex_start` on, and
-    yield each block, in lex order, as (case_pos, lex_next, solutions,
-    nodes, prunes, last); `last` marks the run's last block.
+    yield each block, in lex order, as (case_pos, lex_next, groups, nodes,
+    prunes, last); `last` marks the run's last block.  A block's solutions
+    come as one (A, B, pairs, ranked) group for each of its A's that has
+    any, in lex order: the same (C, D) pairs twice, as the join found them
+    and in plaintext order (descending, see _in_plaintext_order).
 
     Blocks are scanned and joined in batches: each pass, and each run,
     starts with a batch of one block, and each later batch of the pass
@@ -599,60 +616,78 @@ def _blocks(spec, passes, case_pos, lex_start, join):
     process), and is then cut at its block boundaries.
 
     A pass joins each distinct target once, when a batch first holds it,
-    and charges its probes to every surviving A that has it.  A batch's
-    joins are all back before its first block is yielded, so a first hit or
-    an exhausted budget leaves no join running.
+    and charges its probes to every surviving A that has it.  Its memo is
+    arrays: the row-bytes keys of the targets joined so far, sorted, and
+    beside them each one's probes and pair-list id (-1 without pairs).  One
+    np.searchsorted finds a batch's known targets, and its new ones are
+    merged in.  Each pair list is ranked once.  A batch's joins are all
+    back before its first block is yielded, so a first hit or an exhausted
+    budget leaves no join running.
     """
     case_of = _case_of(spec.kind, spec.order)
     lex_limit = 1 << (spec.order + 1)
     block = _block_size(spec.order)
     most = max(SCAN_ROWS // block, 1)  # the most blocks in one batch
     row_bytes = 2 * max(spec.order - 1, 0)  # of an int16 join target (see row_lags)
+    # a target's key is the bytes of its row (np.unique's axis=0 costs
+    # several times more); without lags all rows are equal
+    key_type = np.dtype(f"V{row_bytes}") if row_bytes else np.dtype(np.int8)
     for case_pos in range(case_pos, len(passes)):
         pass_case = passes[case_pos]
         last_pass = case_pos == len(passes) - 1
         verdict = _pass_verdicts(spec, pass_case)
-        memo = {}  # join target -> (pairs, probes)
+        known, probes, ids = np.empty(0, key_type), np.empty(0, np.int64), np.empty(0, np.intp)
+        pair_lists = []  # id -> (pairs, ranked), of a target with pairs
         if spec.order == 0:  # no lags: the empty (C, D) completes every (A, B), unprobed
-            memo[()] = ([((), ())], 0)
+            known, probes, ids = np.zeros(1, key_type), np.zeros(1, np.int64), np.zeros(1, np.intp)
+            pair_lists.append(([((), ())],) * 2)
         lo, size = lex_start, 1
         while lo < lex_limit:
             hi = min(lo + size * block, lex_limit)
             (a, b, ab, targets), lex, tallies = _scan_block(spec, verdict, (lo, hi))
-            # distinct targets by the bytes of their rows (np.unique's axis=0 costs
-            # several times more); without lags all rows are equal
-            keys = targets.view(f"V{row_bytes}").ravel() if row_bytes else np.zeros(len(targets))
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            distinct_rows = targets[first]
-            distinct = list(map(tuple, distinct_rows.tolist()))
-            new = [i for i, target in enumerate(distinct) if target not in memo]
-            if new:
-                memo.update(zip([distinct[i] for i in new], join(distinct_rows[new])))
-            joins = [memo[target] for target in distinct]
-            probes = np.array([count for _pairs, count in joins], dtype=np.int64)
-            has_pairs = np.array([bool(pairs) for pairs, _count in joins], dtype=bool)
+            keys = targets.view(key_type).ravel() if row_bytes else np.zeros(len(targets), key_type)
+            distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            at = np.searchsorted(known, distinct)
+            new = at == len(known)  # past every known key, or not the key found there
+            new[~new] = known[at[~new]] != distinct[~new]
+            if new.any():
+                joined = join(targets[first[new]])
+                new_ids = np.full(len(joined), -1, np.intp)
+                for i, (pairs, _count) in enumerate(joined):
+                    if pairs:
+                        new_ids[i] = len(pair_lists)
+                        pair_lists.append((pairs, sorted(pairs, reverse=True)))
+                where = at[new]
+                known = np.insert(known, where, distinct[new])
+                probes = np.insert(probes, where, [count for _pairs, count in joined])
+                ids = np.insert(ids, where, new_ids)
+                at += np.cumsum(new) - new  # each distinct target's place in the merged memo
+            row_at = at[inverse]
             # each block's end, and the survivors below it; a block's nodes are
             # its A's and the probes charged to its survivors
             ends = np.minimum(np.arange(lo + block, hi + block, block), hi)
             cuts = np.searchsorted(lex, ends)
-            charged = np.concatenate([[0], np.cumsum(probes[inverse])])[cuts]
+            charged = np.concatenate([[0], np.cumsum(probes[row_at])])[cuts]
             nodes = tallies.sum(axis=1) + np.diff(charged, prepend=0)
-            rows = np.flatnonzero(has_pairs[inverse])  # only these become tuples, in lex order
+            rows = np.flatnonzero(ids[row_at] >= 0)  # only these become tuples, in lex order
             survivors = zip(map(tuple, a[rows].tolist()), map(tuple, b[rows].tolist()),
-                            ab[rows].tolist(), inverse[rows].tolist())
+                            ab[rows].tolist(), ids[row_at[rows]].tolist())
             for hi_block, held, block_nodes, (_joined, sum_pruned, case_pruned) in zip(
                     ends.tolist(), np.diff(np.searchsorted(rows, cuts), prepend=0).tolist(),
                     nodes.tolist(), tallies.tolist()):
-                solutions = []
-                for a_seq, b_seq, (a_abs, b_abs), i in islice(survivors, held):
-                    pairs = joins[i][0]
+                groups = []
+                for a_seq, b_seq, (a_abs, b_abs), pair_id in islice(survivors, held):
+                    pairs, ranked = pair_lists[pair_id]
                     if pass_case:  # a pair whose sums rep is another case's is a case prune
-                        kept = [(c_seq, d_seq) for c_seq, d_seq in pairs if case_of[
-                            _sums_rep(a_abs, b_abs, sum(c_seq), sum(d_seq))] == pass_case]
+                        kept = {(c_seq, d_seq) for c_seq, d_seq in pairs if case_of[
+                            _sums_rep(a_abs, b_abs, sum(c_seq), sum(d_seq))] == pass_case}
                         case_pruned += len(pairs) - len(kept)
-                        pairs = kept
-                    solutions.extend((a_seq, b_seq, c_seq, d_seq) for c_seq, d_seq in pairs)
-                yield (case_pos, hi_block, solutions, block_nodes,
+                        if not kept:
+                            continue
+                        pairs = [pair for pair in pairs if pair in kept]
+                        ranked = [pair for pair in ranked if pair in kept]
+                    groups.append((a_seq, b_seq, pairs, ranked))
+                yield (case_pos, hi_block, groups, block_nodes,
                        {PRUNE_SUM: sum_pruned, PRUNE_CASE: case_pruned},
                        last_pass and hi_block == lex_limit)
             lo, size = hi, min(2 * size, most)
@@ -793,24 +828,27 @@ def _verified_orbit(q: SeqQuadruple) -> set[tuple[int, ...]]:
     return set(map(tuple, table.tolist()))
 
 
-def _quadruple(flat: tuple[int, ...], like: SeqQuadruple, shared: dict) -> SeqQuadruple:
-    """The quadruple of kind and shape `like` whose flat tuple is `flat`.
+def _quadruples(flats, like: SeqQuadruple, shared: dict) -> list[SeqQuadruple]:
+    """The quadruples of kind and shape `like` whose flat tuples are `flats`.
 
     A sequence equal to one already in `shared` reuses that tuple, so the
     members of an orbit, which have few distinct sequences, share them.
     """
     m, n = like.shape
-    seqs = (flat[:m], flat[m : 2 * m], flat[2 * m : 2 * m + n], flat[2 * m + n :])
-    # flat is a signed permutation of a verified binary quadruple's +-1
+    share = shared.setdefault
+    quads = []
+    for flat in flats:
+        a, b, c, d = flat[:m], flat[m : 2 * m], flat[2 * m : 2 * m + n], flat[2 * m + n :]
+        quads.append((share(a, a), share(b, b), share(c, c), share(d, d)))
+    # each flat is a signed permutation of a verified binary quadruple's +-1
     # entries (see _verified_orbit), cut at that quadruple's lengths: plain
     # ints in the alphabet, A, B and C, D of equal lengths
-    return SeqQuadruple._trusted(*(shared.setdefault(seq, seq) for seq in seqs), like.kind)
+    return SeqQuadruple._trusted_all(quads, like.kind)
 
 
 def nn_orbit(q: SeqQuadruple) -> set[SeqQuadruple]:
     """Closure of a verified near-normal quadruple under the equivalence group."""
-    shared = {}
-    return {_quadruple(flat, q, shared) for flat in _verified_orbit(q)}
+    return set(_quadruples(_verified_orbit(q), q, {}))
 
 
 def canonicalize(q: SeqQuadruple) -> SeqQuadruple:
@@ -821,7 +859,7 @@ def canonicalize(q: SeqQuadruple) -> SeqQuadruple:
     before '-' (see _in_plaintext_order), so that member has the largest
     flat tuple.
     """
-    return _quadruple(max(_verified_orbit(q)), q, {})
+    return _quadruples([max(_verified_orbit(q))], q, {})[0]
 
 
 def equivalence_classes(quads) -> list[SeqQuadruple]:
@@ -835,5 +873,5 @@ def equivalence_classes(quads) -> list[SeqQuadruple]:
             continue
         orbit = _verified_orbit(q)
         seen.update((kind_shape, flat) for flat in orbit)
-        canonical.append(_quadruple(max(orbit), q, shared))
+        canonical += _quadruples([max(orbit)], q, shared)
     return sorted(canonical, key=SeqQuadruple.plaintext)

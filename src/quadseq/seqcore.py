@@ -424,17 +424,28 @@ class SeqQuadruple:
     @classmethod
     def _trusted(cls, a: Seq, b: Seq, c: Seq, d: Seq, kind: str) -> "SeqQuadruple":
         """The quadruple of these fields, built without __post_init__'s
-        checks.  Only for callers that already hold tuples of plain ints in
-        the alphabet of `kind`, with A, B and C, D of equal lengths."""
-        quad = object.__new__(cls)
+        checks (see _trusted_all)."""
+        return cls._trusted_all(((a, b, c, d),), kind)[0]
+
+    @classmethod
+    def _trusted_all(cls, quads, kind: str) -> list["SeqQuadruple"]:
+        """The quadruples of kind `kind` of the (A, B, C, D) tuples `quads`,
+        in order, built without __post_init__'s checks: the one trusted
+        constructor.  Only for callers that already hold tuples of plain
+        ints in the alphabet of `kind`, with A, B and C, D of equal lengths."""
+        made = []
+        new = object.__new__
         # the slots' own setters: the frozen __setattr__ refuses, and
         # object.__setattr__ would look each name up first
-        _set_a(quad, a)
-        _set_b(quad, b)
-        _set_c(quad, c)
-        _set_d(quad, d)
-        _set_kind(quad, kind)
-        return quad
+        for a, b, c, d in quads:
+            quad = new(cls)
+            _set_a(quad, a)
+            _set_b(quad, b)
+            _set_c(quad, c)
+            _set_d(quad, d)
+            _set_kind(quad, kind)
+            made.append(quad)
+        return made
 
     @property
     def m(self) -> int:

@@ -371,7 +371,11 @@ def test_case_filter_keeps_only_the_case_s_pairs_of_a_shared_target():
     for case in (1, 2):
         spec = SearchSpec("ns", 13, cases=(case,))
         blocks = list(search_module._blocks(spec, [case], 0, 0, join))
-        quads = [quad for block in blocks for quad in block[2]]
+        # a block's solutions come grouped by (A, B), each group's pairs in
+        # found order and again in plaintext order
+        groups = [group for block in blocks for group in block[2]]
+        assert all(ranked == sorted(pairs, reverse=True) for _a, _b, pairs, ranked in groups)
+        quads = [(a, b, c, d) for a, b, pairs, _ranked in groups for c, d in pairs]
         kept[case] = {tuple(map(sum, quad[2:])) for quad in quads}
         # each A that reaches the join keeps two of its four pairs, and each
         # pair it drops is a case prune on top of the scan's
@@ -1213,6 +1217,85 @@ def _scan_rows(order, batch):
     a whole pass."""
     block = search_module._block_size(order)
     return {"one block": block, "three blocks": 3 * block, "whole pass": 1 << (order + 1)}[batch]
+
+
+@pytest.mark.parametrize("cases", [None, (7, 3, 11)])
+def test_a_pass_of_one_block_batches_joins_each_target_once(monkeypatch, cases):
+    # with one block a batch, most batches meet targets that an earlier batch
+    # of the pass joined: the pass's memo knows them, and each target of a
+    # pass is joined exactly once, whichever batch first holds it
+    spec = SearchSpec("nn", 10, mode="count", cases=cases)
+    monkeypatch.setattr(search_module, "SCAN_ROWS", _scan_rows(spec.order, "one block"))
+    scan, index = search_module._scan_block, profile_index(spec.order)
+    batches = []  # per batch: its distinct targets, and those it joined
+
+    def logged_scan(spec, verdict, bounds):
+        rows, lex, tallies = scan(spec, verdict, bounds)
+        batches.append((bounds[0], set(map(tuple, rows[3].tolist())), []))
+        return rows, lex, tallies
+
+    def logged_join(targets):
+        batches[-1][2].extend(map(tuple, targets.tolist()))
+        return index.join(targets)
+
+    monkeypatch.setattr(search_module, "_scan_block", logged_scan)
+    passes = list(cases or [0])
+    blocks = list(search_module._blocks(spec, passes, 0, 0, logged_join))
+    assert len(blocks) == len(batches) == len(passes) * 46  # 2048 A's in blocks of 45
+    starts = [i for i, (lo, _targets, _joined) in enumerate(batches) if lo == 0]
+    assert len(starts) == len(passes)
+    for start, end in zip(starts, starts[1:] + [len(batches)]):
+        joined = [target for _lo, _targets, new in batches[start:end] for target in new]
+        seen = set().union(*(targets for _lo, targets, _new in batches[start:end]))
+        assert sorted(joined) == sorted(seen)  # each of the pass's targets once
+        known = set()
+        for _lo, targets, new in batches[start:end]:
+            assert set(new) == targets - known
+            known |= targets
+        # the batches past the pass's first that reuse a joined target
+        hits = sum(bool(targets - set(new)) for _lo, targets, new in batches[start + 1 : end])
+        # case 11 sends no A to the join at nn 10
+        assert hits > (end - start) // 2 or not seen and passes[-1] == 11 and start == starts[-1]
+
+
+def test_a_budgeted_case_run_keeps_found_order_and_ranks_each_pass(monkeypatch):
+    # each A's pairs come ranked, and a pass scans its A's in plaintext order,
+    # so a pass's groups flatten to sorted solutions across its legs; the
+    # checkpoints keep the join's found order, which an unbudgeted run saves
+    spec = SearchSpec("nn", 10, cases=(7, 3, 11))
+    monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 1)
+    saved = {}
+    monkeypatch.setattr(search_module, "save_checkpoint", lambda checkpoint, _path:
+                        saved.setdefault((checkpoint.case_pos, checkpoint.lex_next),
+                                         list(checkpoint.solutions)))
+    full = search(spec, checkpoint_path="unused")
+    assert len(saved) > 90 and len(saved[2, 1 << 11]) == full.count == 576
+    assert saved[2, 1 << 11] != sorted(saved[2, 1 << 11])  # found order is not plaintext order
+    monkeypatch.undo()
+
+    blocks, passes = search_module._blocks, {}
+
+    def logged_blocks(*args):
+        for case_pos, *rest in blocks(*args):
+            passes.setdefault(case_pos, []).extend(rest[1])
+            yield case_pos, *rest
+
+    monkeypatch.setattr(search_module, "_blocks", logged_blocks)
+    budgeted = dataclasses.replace(spec, node_limit=1500)
+    checkpoint, legs = None, 0
+    while True:
+        try:
+            result = search(budgeted, resume=checkpoint)
+            break
+        except BudgetExhausted as exc:
+            checkpoint, legs = exc.checkpoint, legs + 1
+            assert checkpoint.solutions == saved[checkpoint.case_pos, checkpoint.lex_next]
+    assert legs > 20 and plaintexts(result) == plaintexts(full)
+    # one group for each (A, B) pair of the solutions, each found in one leg
+    assert sum(map(len, passes.values())) == len({q.seqs()[:2] for q in full.solutions}) > 10
+    for groups in passes.values():
+        flat = [(a, b, c, d) for a, b, _pairs, ranked in groups for c, d in ranked]
+        assert flat == search_module._in_plaintext_order(flat)
 
 
 def _observed(spec, workers, path, monkeypatch):
