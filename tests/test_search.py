@@ -1086,6 +1086,28 @@ def test_checkpoint_bytes_of_a_budgeted_run_are_pinned(tmp_path, workers):
     assert (digests[0], digests[-1]) == (NN10_FIRST_LEG_SHA256, NN10_LAST_LEG_SHA256)
 
 
+# sha256 of the checkpoint file that `quadseq search --kind nn --order 12
+# --limit 1000000 --checkpoint run12.ckpt` writes, and of the file after its
+# resumed leg: they pin the join's found order on a larger index than nn 10's
+NN12_FIRST_LEG_SHA256 = "3d193b38d22cbb84c53d7433242a80b6f66218b8221197bc8392f2dead98e6d7"
+NN12_FINAL_SHA256 = "5a5d84fda117fc672c34fac5108d239d2cb4a1d6ca9092c761b276fe462c17db"
+
+
+def test_checkpoint_bytes_of_a_budgeted_nn12_run_are_pinned(tmp_path):
+    path = str(tmp_path / "run12.ckpt")
+    spec = SearchSpec("nn", 12, node_limit=1_000_000)
+    with pytest.raises(BudgetExhausted) as info:
+        search(spec, checkpoint_path=path)
+    assert info.value.checkpoint.nodes == 1_007_148
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == NN12_FIRST_LEG_SHA256
+    search(spec, resume=load_checkpoint(path), checkpoint_path=path)
+    with open(path, "rb") as fh:
+        final = fh.read()
+    assert len(final) == 514_708
+    assert hashlib.sha256(final).hexdigest() == NN12_FINAL_SHA256
+
+
 def test_each_save_hashes_only_the_solutions_added_since_the_last(tmp_path, monkeypatch):
     # the checkpoint's sha256 runs on across saves, so a run hashes each
     # solution's text once, and every save still holds the sha256 of all
