@@ -588,8 +588,8 @@ def search(
     quads += [(a, b, c, d) for a, b, _pairs, ranked in sorted(
         groups, key=lambda group: group[:2], reverse=True) for c, d in ranked]
     # every raw tuple here is already a tuple of plain +-1 ints, with A, B and
-    # C, D of equal lengths: scan rows come from int8 .tolist(), C and D from
-    # ProfileIndex's product((1, -1)), and resumed solutions were parsed by
+    # C, D of equal lengths: scan rows, and C and D from ProfileIndex.join,
+    # come from int8 .tolist(), and resumed solutions were parsed by
     # parse_seq and verified in _resume_state
     kept = _in_plaintext_order(quads)[: {"all": None, "first": 1, "count": 0}[spec.mode]]
     solutions = SeqQuadruple._trusted_all(kept, spec.kind)

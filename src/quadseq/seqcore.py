@@ -8,11 +8,11 @@ share between worker processes.
 The autocorrelations of a sequence come from one numpy kernel, _npaf_array,
 exact for any integer sequence: int64 under an explicit bound, Python ints
 beyond it.  row_lags forms the same lag sums for a block of +-1 rows at
-once, in int16, for ProfileIndex and the search's scan.  ProfileIndex.join
-is the one hash join on them, over an array of targets at a time, shared by
-the search and golay_search: a float power-spectral-density screen drops
-the dead targets, and the others are joined by exact integer keys (the PSD
-at five roots of unity) and a linear hash, in array passes.
+once, in int16, for the search's scan and for ProfileIndex, which groups
+every sequence of one length by profile in arrays, as bit patterns.  Its
+join, shared by the search and golay_search, drops dead targets by a float
+power-spectral-density screen and joins the others by exact integer keys
+(the PSD at five roots of unity) and a linear hash, in array passes.
 
 verify_quadruple is the one verifier for every kind, a Golay pair included
 (as the base quadruple BS(g, 0)); VerificationReport.require turns a failing
@@ -20,10 +20,11 @@ verdict into the error "<context>: <failure>".
 """
 
 import os
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import cache, lru_cache, partial
-from itertools import chain, product
+from itertools import islice, product
 from operator import add, neg
 
 import numpy as np
@@ -169,6 +170,26 @@ def int_to_seq(bits: int, length: int) -> Seq:
     return tuple(-1 if (bits >> i) & 1 else 1 for i in range(length))
 
 
+def _bit_rows(bits: np.ndarray, length: int) -> np.ndarray:
+    """int_to_seq(b, length) for each b of the integer array `bits`, as int8 rows."""
+    return (1 - 2 * (bits[:, None] >> np.arange(length) & 1)).astype(np.int8)
+
+
+def _grouped(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable argsort of the labels 0, 1, ... and each one's run in it (start, size)."""
+    sizes = np.bincount(labels)
+    return np.argsort(labels, kind="stable"), np.cumsum(sizes) - sizes, sizes
+
+
+def _runs(grouped, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of `labels` in a _grouped argsort, one after another, and their sizes."""
+    members, starts, sizes = grouped
+    sizes = sizes[labels]
+    ends = np.cumsum(sizes)
+    runs = np.repeat(starts[labels] - ends + sizes, sizes)
+    return members[runs + np.arange(len(runs))], sizes
+
+
 def row_lags(rows: np.ndarray, count: int) -> np.ndarray:
     """Lags 1..count (none for count <= 0) of the autocorrelation of each +-1
     row of the int8 array `rows`, in int16: _npaf_array's sums, row-wise.
@@ -194,8 +215,8 @@ _PSD_MARGIN = 1e-6
 # and period-4, -3 and -6 patterns of 0, +-1 and +-2
 _KEY_ANGLES = np.pi * np.array([0, 1, 1 / 2, 2 / 3, 1 / 3])
 
-# the most (target, key group) cells ProfileIndex.join tests in one chunk
-_JOIN_CELLS = 1 << 16
+_JOIN_CELLS = 1 << 16  # the most (target, key group) cells ProfileIndex.join tests at once
+_BUILD_ROWS = 1 << 16  # the most sequences whose lags ProfileIndex forms at once
 
 _MASK64 = (1 << 64) - 1
 
@@ -230,69 +251,49 @@ def _multipliers(count: int):
 
 
 class ProfileIndex:
-    """Every binary sequence of one length, grouped by positive-lag profile.
+    """Every binary sequence of one length, grouped by positive-lag profile,
+    in arrays only: no Python object per sequence.
 
-    `groups` maps each profile to its sequences in bits order (see
-    int_to_seq), and the profiles themselves come in the bits order of their
-    first sequences.  A profile p fixes the squared sum of its sequences,
-    sum^2 = length + 2 * sum(p), so `by_square_sum` maps each squared sum to
-    the (profile, sequences) groups that have it; its keys are exactly the
-    admissible squared sums.  `probes_by_residual` maps each admissible
-    c^2 + d^2 to the number of C-profiles whose c^2 leaves an admissible
-    d^2.  join() is the one hash join over the index and the only reader of
-    this layout; it returns flat (C, D) pairs, whose sums its callers read.
+    `profiles` holds the distinct profiles as int8 rows (|p_j| <= length - j)
+    in position order: by the squared sum length + 2 * sum(p) of their
+    sequences, largest first (the bits order of the sums' first sequences),
+    then by the bits (see int_to_seq) of their first sequences.  Each
+    profile's sequences are kept as bits, in order.  `probes_by_residual`
+    maps each admissible c^2 + d^2 to how many C-profiles leave an admissible d^2.
 
-    A profile also fixes the power spectral density of its sequences,
-    PSD(w) = |X(e^{iw})|^2 = length + 2 * sum_j p_j * cos(j * w).  At the
-    five _KEY_ANGLES every 2 * cos(j * w) is an integer, so there the PSD is
-    an exact integer, linear in p: the key vector K(p) = length +
-    key_matrix @ p, the squared sum at w = 0 among them (the "compression"
-    of Dokovic and Kotsireas).  `profiles` holds the distinct profiles as
-    int8 rows (|p_j| <= length - j) and `keys` their key vectors, both in
-    the order of the by_square_sum buckets, each bucket's profiles in order:
-    a profile's position.  The profiles are also grouped by key vector, and
-    each has a linear hash h(p) = p . multipliers mod 2^64, whose odd
-    multipliers are redrawn until every profile's hash is distinct.  The
-    tables are per profile, not per sequence, and are built with the index,
-    so the forked workers of a pooled search inherit them.
+    At the five _KEY_ANGLES the PSD of a profile's sequences, |X(e^{iw})|^2 =
+    length + 2 * sum_j p_j * cos(j * w), is an exact integer, linear in p:
+    `keys` holds each profile's key vector K(p) = length + key_matrix @ p (the
+    "compression" of Dokovic and Kotsireas).  The profiles are grouped by key
+    vector and hashed by h(p) = p . multipliers mod 2^64, odd multipliers
+    redrawn until every hash is distinct.  join() is the only reader of this
+    layout, and the forked workers of a pooled search inherit it.
     """
 
     def __init__(self, length: int):
         self.length = length
-        # entry i of seqs[bits] is -1 exactly when bit i is set (int_to_seq)
-        seqs = [seq[::-1] for seq in product((1, -1), repeat=length)]
-        table = row_lags(np.array(seqs, dtype=np.int8), length - 1)
-        # row tuples one at a time, so that only distinct profiles stay allocated
-        rows = zip(*table.T.tolist()) if length > 1 else [()] * len(seqs)
-        del table
-        self.groups: dict[tuple[int, ...], list[Seq]] = {}
-        for seq, profile in zip(seqs, rows):
-            self.groups.setdefault(profile, []).append(seq)
-        del rows  # and with them the columns they were read from
-        self.by_square_sum: dict[int, list[tuple[tuple[int, ...], list[Seq]]]] = {}
-        for profile, group in self.groups.items():
-            square = length + 2 * sum(profile)
-            self.by_square_sum.setdefault(square, []).append((profile, group))
-        squares = self.by_square_sum
-        self.probes_by_residual = {
-            residual: sum(len(squares[c2]) for c2 in squares if residual - c2 in squares)
-            for residual in {c2 + d2 for c2 in squares for d2 in squares}
-        }
-        self.cosines = _psd_cosines(length)
-        positions = [item for bucket in squares.values() for item in bucket]
-        self._seqs = [group for _profile, group in positions]
         width = max(length - 1, 0)
-        self.profiles = np.fromiter(chain.from_iterable(p for p, _ in positions), dtype=np.int8,
-                                    count=len(positions) * width).reshape(len(positions), width)
+        lags = np.empty((1 << length, width), dtype=np.int8)  # row b: int_to_seq(b)'s profile
+        for lo in range(0, len(lags), _BUILD_ROWS):
+            bits = np.arange(lo, min(lo + _BUILD_ROWS, len(lags)))
+            lags[lo : lo + _BUILD_ROWS] = row_lags(_bit_rows(bits, length), width)
+        rows = lags.view(np.dtype((np.void, width))).ravel() if width else np.zeros(len(lags))
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        squares = length + 2 * lags[first].sum(axis=1)
+        order = np.lexsort((first, -squares))  # the profile at each position
+        self.profiles = lags[first[order]]
+        self._seq_bits = _grouped(np.argsort(order)[inverse])  # each position's sequences
+        sizes = Counter(squares.tolist())
+        self.probes_by_residual = {c2 + d2: sum(n for s, n in sizes.items() if c2 + d2 - s in sizes)
+                                   for c2 in sizes for d2 in sizes}
+        self.cosines = _psd_cosines(length)
         angles = np.outer(_KEY_ANGLES, np.arange(1, length))
         self.key_matrix = np.rint(2 * np.cos(angles)).astype(np.int64)
         self.keys = length + self.profiles @ self.key_matrix.T
         # each key coordinate is a PSD, in [0, length^2]: one mixed-radix code per key vector
         self._radix = (length * length + 1) ** np.arange(len(_KEY_ANGLES), dtype=np.int64)
-        self._group_codes, group_of, self._group_sizes = np.unique(
-            self.keys @ self._radix, return_inverse=True, return_counts=True)
-        self._members = np.argsort(group_of, kind="stable")  # positions, by key group
-        self._group_starts = np.cumsum(self._group_sizes) - self._group_sizes
+        self._group_codes, group_of = np.unique(self.keys @ self._radix, return_inverse=True)
+        self._key_groups = _grouped(group_of)  # each key group's positions
         for multipliers in _multipliers(width):
             self._hashes = self.profiles.astype(np.uint64) @ multipliers
             self._hash_order = np.argsort(self._hashes)
@@ -312,54 +313,52 @@ class ProfileIndex:
         """Every (C, D) whose positive-lag profiles add up to a target, for
         each row of the integer array `targets` of shape (k, length - 1).
 
-        A target fixes c^2 + d^2 = 2 * length + 2 * sum(target), its
-        residual, so only the C-profiles whose c^2 leaves an admissible d^2
-        are probed: probes_by_residual[residual] of them, every one counted
-        whatever the tests below decide.  A target also fixes PSD_C(w) +
-        PSD_D(w) = R(w) = 2 * length + 2 * sum_j target_j * cos(j * w), one
-        float product for all the rows, and a PSD is never negative: a
-        target with R < 0 at one of 4 * length + 1 samples (within
-        _PSD_MARGIN) is dead and has no pairs.  The other targets go to the
-        keyed stage (_keyed_hits), in chunks of at most _JOIN_CELLS
-        (target, key group) cells, which is exact.
+        A target's residual c^2 + d^2 = 2 * length + 2 * sum(target) leaves
+        probes_by_residual[residual] C-profiles to probe, each one counted.
+        A target with a pair has R(w) = PSD_C(w) + PSD_D(w) = 2 * length +
+        2 * sum_j target_j * cos(j * w) >= 0: one float product screens all
+        rows at 4 * length + 1 samples (within _PSD_MARGIN), and the live ones
+        go to the exact keyed stage, _JOIN_CELLS (target, key group) cells at
+        a time.  Only the sequences of the hits' profiles become tuples.
 
-        Returns one (pairs, probes) per row, in row order: its (C, D) pairs
-        as one flat list, C's by_square_sum buckets in the index's order and
-        each bucket's profiles in order, and its C-profiles probed.
-        """
+        Returns one (pairs, probes) per row, in row order: its (C, D) pairs as
+        one flat list, by C's position and then by C's and D's bits, and its
+        C-profiles probed."""
         residuals = (2 * self.length + 2 * targets.sum(axis=1)).tolist()
         joined = [([], self.probes_by_residual.get(residual, 0)) for residual in residuals]
         # R + margin, at least 0 at every sample for a live target
         bounds = _psd(2 * self.length, targets, self.cosines) + _PSD_MARGIN
         live = np.flatnonzero(bounds.min(axis=1) >= 0)
         step = max(_JOIN_CELLS // len(self._group_codes), 1)
+        hits = [np.empty((3, 0), dtype=np.intp)]
         for lo in range(0, len(live), step):
-            chunk = live[lo : lo + step]
-            for row, c, d in zip(*(part.tolist() for part in self._keyed_hits(targets[chunk]))):
-                joined[chunk[row]][0].extend(product(self._seqs[c], self._seqs[d]))
+            rows, c, d = self._keyed_hits(targets[live[lo : lo + step]])
+            hits.append(np.stack([live[lo + rows], c, d]))
+        hits = np.concatenate(hits, axis=1)
+        named = list(dict.fromkeys(hits[1:].ravel().tolist()))
+        bits, sizes = _runs(self._seq_bits, named)
+        seqs = map(tuple, _bit_rows(bits, self.length).tolist())
+        seqs = {p: list(islice(seqs, size)) for p, size in zip(named, sizes.tolist())}
+        for row, c, d in zip(*hits.tolist()):
+            joined[row][0].extend(product(seqs[c], seqs[d]))
         return joined
 
     def _keyed_hits(self, targets: np.ndarray):
         """Every (row, C position, D position) whose profiles add up to a
         row of `targets`, as three arrays sorted by row and then C position.
 
-        K is linear, so K(C) + K(D) = K(t) = 2 * length + key_matrix @ t
-        exactly: only the key groups g whose complement K(t) - K(g) is also
-        a group's key hold a C, and each of their profiles is a candidate.
-        The hash is linear too, so D's hash is h(t) - h(C) mod 2^64, looked
-        up among the distinct hashes of all profiles (_find).  A key code or
-        hash that matches by accident only adds a candidate, and each hit is
-        confirmed exactly: P[C] + P[D] == t."""
+        K and h are linear: C can only lie in a key group g whose complement
+        K(t) - K(g) is a group's key, with K(t) = 2 * length + key_matrix @ t,
+        and D's hash is h(t) - h(C) mod 2^64, looked up by _find.  A key code
+        or hash that matches by accident only adds a candidate: each hit is
+        confirmed exactly, P[C] + P[D] == t."""
         codes = (2 * self.length + targets @ self.key_matrix.T) @ self._radix
         complements = codes[:, None] - self._group_codes
         found = np.searchsorted(self._group_codes, complements)
         found[found == len(self._group_codes)] = 0
         rows, cells = np.nonzero(self._group_codes[found] == complements)
         # the C-profiles of each matched (row, group) cell
-        sizes = self._group_sizes[cells]
-        ends = np.cumsum(sizes)
-        starts = np.repeat(self._group_starts[cells] - ends + sizes, sizes)
-        c = self._members[starts + np.arange(len(starts))]
+        c, sizes = _runs(self._key_groups, cells)
         rows = np.repeat(rows, sizes)
         hashes = (targets.astype(np.uint64) @ self.multipliers)[rows] - self._hashes[c]
         found, d = self._find(hashes)

@@ -5,12 +5,16 @@ public verifier (or, for the norm identity, through literal polynomial
 multiplication), so they share no code path with the search engine's
 profile tables and hash join.  Autocorrelations here come from the defining
 double sum, never from the library's numpy kernel, and the design and
-Hadamard products from loops over Python ints, never from numpy.
+Hadamard products from loops over Python ints, never from numpy.  The one
+exception is profile_groups, the reference for the profile index's layout:
+it groups int_to_seq's sequences one by one by npaf_values, whose exactness
+is checked against npaf_double_sum on its own.
 """
 
 import itertools
+from functools import cache
 
-from quadseq.seqcore import SeqQuadruple, verify_quadruple
+from quadseq.seqcore import SeqQuadruple, int_to_seq, npaf_values, verify_quadruple
 
 
 def all_signs(length):
@@ -24,6 +28,29 @@ def npaf_double_sum(seq):
     if n == 0:
         return (0,)
     return tuple(sum(seq[i] * seq[i + j] for i in range(n - j)) for j in range(n))
+
+
+@cache
+def profile_groups(length):
+    """The binary sequences of `length` grouped by positive-lag profile: a
+    dict from each profile to its sequences in bits order (see int_to_seq),
+    the profiles in the bits order of their first sequences."""
+    groups = {}
+    for bits in range(1 << length):
+        seq = int_to_seq(bits, length)
+        groups.setdefault(npaf_values(seq)[1:], []).append(seq)
+    return groups
+
+
+@cache
+def square_sum_buckets(length):
+    """profile_groups(length) as (profile, sequences) items in buckets by
+    their squared sum, length + 2 * sum(profile): a dict from each squared
+    sum to its bucket, in the order of the buckets' first profiles."""
+    buckets = {}
+    for profile, seqs in profile_groups(length).items():
+        buckets.setdefault(length + 2 * sum(profile), []).append((profile, seqs))
+    return buckets
 
 
 def laurent_norm(seq):

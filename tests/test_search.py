@@ -48,7 +48,7 @@ from quadseq.seqcore import (
     verify_quadruple,
 )
 
-from naive_oracle import brute_force_solutions
+from naive_oracle import brute_force_solutions, profile_groups, square_sum_buckets
 from old_formats import TEXT_CHECKPOINT
 
 
@@ -507,37 +507,39 @@ def test_join_without_sum_prune_matches_brute_force_oracle(kind, order, sum_prun
 
 def test_join_probes_only_sum_compatible_profiles():
     n = 8
-    index = profile_index(n)
+    index, groups = profile_index(n), profile_groups(n)
     squares = frozenset(v * v for v in range(0, n + 1, 2))
     c, d = (1, 1, -1, 1, 1, 1, -1, -1), (1, -1, -1, -1, 1, 1, 1, 1)
     target = tuple(u + v for u, v in zip(npaf_values(c)[1:], npaf_values(d)[1:]))
     residual = 2 * n + 2 * sum(target)
     [(got, probes)] = index.join(np.array([target], dtype=np.int64))
-    compatible = [p for p in index.groups if residual - (n + 2 * sum(p)) in squares]
-    assert probes == len(compatible) < len(index.groups)
+    compatible = [p for p in groups if residual - (n + 2 * sum(p)) in squares]
+    assert probes == len(compatible) < len(groups)
     expected = {
-        (c_seq, d_seq) for p in index.groups for c_seq in index.groups[p]
-        for d_seq in index.groups.get(tuple(t - v for t, v in zip(target, p)), ())
+        (c_seq, d_seq) for p in groups for c_seq in groups[p]
+        for d_seq in groups.get(tuple(t - v for t, v in zip(target, p)), ())
     }
     assert (c, d) in expected and len(got) == len(expected) and set(got) == expected
-    # the flat pairs come in the order of C's by_square_sum buckets
-    bucket = {c2: i for i, c2 in enumerate(index.by_square_sum)}
+    # the flat pairs come in the order of C's squared-sum buckets
+    bucket = {c2: i for i, c2 in enumerate(square_sum_buckets(n))}
     buckets = [bucket[sum(c_seq) ** 2] for c_seq, _d_seq in got]
     assert buckets == sorted(buckets)
 
 
-def _reference_join(index, target):
+def _reference_join(length, target):
     """The join of one target, without the PSD test, straight from the
-    index's groups: the flat (C, D) pairs, in bucket order, and the probes
-    that ProfileIndex.join must return for it."""
-    residual = 2 * index.length + 2 * sum(target)
+    reference grouping of the sequences of `length`: the flat (C, D) pairs,
+    in bucket order, and the probes that ProfileIndex.join must return for
+    it."""
+    residual = 2 * length + 2 * sum(target)
+    groups, buckets = profile_groups(length), square_sum_buckets(length)
     pairs, probes = [], 0
-    for c2, c_groups in index.by_square_sum.items():
-        if residual - c2 not in index.by_square_sum:
+    for c2, c_groups in buckets.items():
+        if residual - c2 not in buckets:
             continue
         probes += len(c_groups)
         for profile, c_seqs in c_groups:
-            d_seqs = index.groups.get(tuple(t - v for t, v in zip(target, profile)), [])
+            d_seqs = groups.get(tuple(t - v for t, v in zip(target, profile)), [])
             pairs += [(c_seq, d_seq) for c_seq in c_seqs for d_seq in d_seqs]
     return pairs, probes
 
@@ -548,7 +550,7 @@ def test_batched_join_matches_the_per_row_reference(kind, order):
     (_a, _b, _ab, rows), _lex, _tallies = _scan_all(SearchSpec(kind, order))
     targets = np.unique(rows, axis=0)
     index = profile_index(order)
-    expected = [_reference_join(index, target) for target in targets.tolist()]
+    expected = [_reference_join(order, target) for target in targets.tolist()]
     assert index.join(targets) == expected
     bound = seqcore._psd(2 * order, targets, index.cosines) + seqcore._PSD_MARGIN
     probed = np.array([probes for _pairs, probes in expected]) > 0
@@ -617,7 +619,7 @@ def test_a_psd_dead_target_never_reaches_the_keyed_stage_but_counts_its_probes(m
     residuals = 2 * order + 2 * targets.sum(axis=1)
     assert dead.sum() >= 10 and (~dead).sum() >= 10
     assert sorted(reached) == sorted(map(tuple, targets[~dead].tolist()))
-    assert joined == [_reference_join(index, target) for target in targets.tolist()]
+    assert joined == [_reference_join(order, target) for target in targets.tolist()]
     dead_joins = [(joins, residual) for joins, residual, is_dead in zip(
         joined, residuals.tolist(), dead.tolist()) if is_dead]
     for (pairs, probes), residual in dead_joins:
@@ -642,7 +644,7 @@ def test_join_matches_the_reference_on_realizable_and_random_targets(case):
                for c, d in pairs] + randoms
     index = profile_index(n)
     joined = index.join(np.array(targets, dtype=np.int16).reshape(len(targets), n - 1))
-    assert joined == [_reference_join(index, target) for target in targets]
+    assert joined == [_reference_join(n, target) for target in targets]
     for pair, (found, _probes) in zip(pairs, joined):
         assert pair in found
 
@@ -666,7 +668,7 @@ def test_a_colliding_hash_multiplier_is_redrawn_and_the_join_stays_exact(monkeyp
     assert (index.multipliers & 1).all()
     (_a, _b, _ab, rows), _lex, _tallies = _scan_all(SearchSpec("nn", order))
     targets = np.unique(rows, axis=0)
-    expected = [_reference_join(index, target) for target in targets.tolist()]
+    expected = [_reference_join(order, target) for target in targets.tolist()]
     assert any(pairs for pairs, _probes in expected)
     assert index.join(targets) == expected
 
@@ -689,7 +691,7 @@ def test_nn18_count_nodes_and_prunes_are_pinned():
 @pytest.mark.slow
 def test_nn20_count_nodes_and_prunes_are_pinned():
     # the largest order searched without --allow-large; the profile index
-    # of length 20 takes about 6 s and 600 MB to build
+    # of length 20 takes about 2 s and 130 MB to build
     result = search(SearchSpec("nn", 20, mode="count"))
     assert (result.count, result.stats.nodes) == (16_896, 71_128_797_632)
     assert result.stats.prunes == {"sum_of_squares": 905_984, "case": 0}

@@ -2,7 +2,10 @@ import copy
 import dataclasses
 import functools
 import itertools
+import os
 import pickle
+import subprocess
+import sys
 from math import isqrt
 from operator import add
 
@@ -34,7 +37,12 @@ from quadseq.seqcore import (
     verify_quadruple,
 )
 
-from naive_oracle import npaf_double_sum, quadruple_norm_total
+from naive_oracle import (
+    npaf_double_sum,
+    profile_groups,
+    quadruple_norm_total,
+    square_sum_buckets,
+)
 from published import ROW36_RECORD
 
 
@@ -128,41 +136,56 @@ def test_npaf_laws_ternary(length):
         assert total * total == values[0] + 2 * sum(values[1:])
 
 
-@pytest.mark.parametrize("length", [0, 1, 5, 8])
+@pytest.mark.parametrize("length", [0, 1, 5, 8, 12])
 def test_profile_index_groups_in_bits_order(length):
     index = profile_index(length)
+    groups = profile_groups(length)
     in_bits_order = [int_to_seq(bits, length) for bits in range(1 << length)]
     position = {seq: bits for bits, seq in enumerate(in_bits_order)}
     grouped = []
-    for profile, seqs in index.groups.items():
+    for profile, seqs in groups.items():
         assert all(npaf_values(seq)[1:] == profile for seq in seqs)
         assert [position[s] for s in seqs] == sorted(position[s] for s in seqs)
         grouped.extend(seqs)
     assert sorted(grouped) == sorted(in_bits_order)
     # first appearance in bits order fixes the order of the groups
-    firsts = [position[seqs[0]] for seqs in index.groups.values()]
+    firsts = [position[seqs[0]] for seqs in groups.values()]
     assert firsts == sorted(firsts)
     by_square = [
         (square, profile, seqs)
-        for square, groups in index.by_square_sum.items() for profile, seqs in groups
+        for square, bucket in square_sum_buckets(length).items() for profile, seqs in bucket
     ]
-    assert len(by_square) == len(index.groups)
+    assert len(by_square) == len(groups)
     for square, profile, seqs in by_square:
-        assert index.groups[profile] is seqs
+        assert groups[profile] is seqs
         assert all(sum(seq) ** 2 == square for seq in seqs)
-    # the squared sums present are exactly the admissible ones
-    assert set(index.by_square_sum) == {v * v for v in range(length % 2, length + 1, 2)}
-    assert profile_index(length) is index
-    # the profiles and their key vectors come in the order of the buckets,
-    # and a key vector is |X(e^{iw})|^2 of the profile's sequences, exactly,
-    # at w = 0, pi, pi/2, 2pi/3 and pi/3
+    # the index's profiles come in the order of the buckets, and the squared
+    # sums present are exactly the admissible ones
     assert [tuple(p) for p in index.profiles.tolist()] == [p for _s, p, _q in by_square]
+    squares = set((length + 2 * index.profiles.sum(axis=1, dtype=np.int64)).tolist())
+    assert squares == {v * v for v in range(length % 2, length + 1, 2)}
+    assert profile_index(length) is index
+    # a key vector is |X(e^{iw})|^2 of the profile's sequences, exactly, at
+    # w = 0, pi, pi/2, 2pi/3 and pi/3
     assert index.profiles.dtype == np.int8 and index.keys.shape == (len(by_square), 5)
     on_circle = np.exp(1j * np.pi * np.array([0, 1, 1 / 2, 2 / 3, 1 / 3]))
     for key, (_square, _profile, seqs) in zip(index.keys.tolist(), by_square):
         for seq in seqs:
             exact = np.abs(np.polyval(seq, on_circle)) ** 2 if seq else np.zeros(5)
             assert np.abs(np.array(key) - exact).max() < 1e-9
+
+
+@pytest.mark.slow
+def test_profile_index_of_length_20_peaks_under_300_mb():
+    # the index keeps its 2^20 sequences as bit patterns, not tuples: a fresh
+    # interpreter's peak RSS (ru_maxrss, KiB on Linux) while it builds
+    code = ("import resource; from quadseq.seqcore import profile_index; profile_index(20); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)")
+    package = os.path.dirname(os.path.dirname(seqcore.__file__))
+    path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True, timeout=300)
+    assert int(run.stdout) < 300
 
 
 def _binary_pairs(lengths):
@@ -177,7 +200,7 @@ def _binary_pairs(lengths):
 @given(_binary_pairs(st.integers(2, 16)))
 def test_join_of_a_pairs_profile_sum_holds_the_pair(pair):
     # the PSD test never drops a true pair; the index is built up to length
-    # 16 here (length 20 takes about 9 s and 720 MB), and the test below
+    # 16 here (length 20 takes about 2 s and 130 MB), and the test below
     # covers the PSD arithmetic itself up to length 20
     c, d = pair
     target = tuple(map(add, npaf_values(c)[1:], npaf_values(d)[1:]))
