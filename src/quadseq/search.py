@@ -15,14 +15,16 @@ mode or budget.  The block is the unit of the run's state: its first block
 with a solution holds a pass's lex-least one, and counters, budgets and
 checkpoints advance block by block.  The batch is the unit of work: a run of
 whole blocks, one block at the start of each pass and each run, then twice
-as many each time up to SCAN_ROWS A's.  A batch is one array pass: its A
-and B rows, their verdicts from the pass's (|a|, |b|) table and their
-int16 targets from one seqcore.row_lags call; its new targets go to the
-join as one array, so their PSD screen is one product.  The pass's memo is
-arrays too: its joined targets' row bytes, sorted, beside their probes and
-pair-list ids, so one np.searchsorted tells a batch's new targets from its
-known ones, and the new ones are merged in.  Only the survivors whose
-target has pairs become tuples, one group per A: A, B and the (C, D)
+as many each time up to SCAN_ROWS A's.  A batch is one array pass over
+bit patterns: A is a lex index, B is A with the (near-)normality bits
+flipped, |a| and |b| are popcounts, their verdicts come from the pass's
+(|a|, |b|) table and their int16 targets from one seqcore.bit_lags call;
+its new targets go to the join as one array, so their PSD screen is one
+product.  The pass's memo is arrays too: its joined targets' row bytes,
+sorted, beside their probes and pair-list ids, so one np.searchsorted
+tells a batch's new targets from its known ones, and the new ones are
+merged in.  Only the survivors whose target has pairs are unpacked to +-1
+rows and become tuples, one group per A: A, B and the (C, D)
 pairs, both in the order the join found them, which a checkpoint keeps,
 and in plaintext order, ranked once per distinct target, from which the
 result is assembled.  The scan and the memo live in the calling process.  With
@@ -75,11 +77,12 @@ from .seqcore import (
     KIND_T,
     QuadseqError,
     SeqQuadruple,
+    bit_lags,
+    bit_rows,
     join_quad,
     parse_seq,
     profile_index,
     read_text,
-    row_lags,
     seq_str,
     split_quad,
     verify_quadruple,
@@ -271,8 +274,10 @@ def _scan_block(spec: SearchSpec, verdict: np.ndarray, bounds: tuple[int, int]):
     Returns the survivors' (A, B, (|a|, |b|), join target) rows and their
     lex indices, in lex order, and one row per block that counts its A's by
     verdict (joined, sum-pruned, case-pruned): the block's counters before
-    its joins, which the caller charges.  B is derived from A column-wise,
-    as in ProfileIndex."""
+    its joins, which the caller charges.  A and B are uint64 bit patterns
+    whose bit m-1-i is set when entry i is -1 (int_to_seq's bits in reverse
+    order), so A is k's low m bits and k counts in lex order ('+' before
+    '-'); the targets are C-contiguous int16 rows."""
     n = spec.order
     m = n + 1
     lo, hi = bounds
@@ -283,27 +288,26 @@ def _scan_block(spec: SearchSpec, verdict: np.ndarray, bounds: tuple[int, int]):
     free_b = n == 0 and not spec.representatives  # no lag at all, so B is free
     if free_b:  # each A twice: with its derived B, then with B = A
         ks = ks.repeat(2)
-    # bit m-1 is entry 0, so k counts in lex order ('+' before '-'): the low
-    # bytes of each k, most significant first, unpack to one uint8 bit per
-    # column, of which the last m are bits m-1..0
-    width = -(-m // 8)
-    bits = np.unpackbits(ks.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width :], axis=1)
-    a = 1 - 2 * bits[:, 8 * width - m :].view(np.int8)
-    b = a.copy()
+    # B is A with entry n negated (top-lag cancellation: a_1 * a_m + b_1 *
+    # b_m = 0), and for nn with its odd entries below n negated too; entry i
+    # is bit m-1-i
+    flip = 1
     if spec.kind == KIND_NEAR_NORMAL:
-        b[:, 1:n:2] *= -1
-    b[:, n] *= -1  # top-lag cancellation: a_1 * a_m + b_1 * b_m = 0
+        flip |= sum(1 << (n - i) for i in range(1, n, 2))
+    a = ks.astype(np.uint64) & np.uint64((1 << m) - 1)
+    b = a ^ np.uint64(flip)
     if free_b:
         b[1::2] = a[1::2]
-    ab = np.abs(np.stack([a.sum(axis=1), b.sum(axis=1)], axis=1))
+    ab = np.abs(m - 2 * np.bitwise_count(np.stack([a, b], axis=1)).astype(np.int64))
     row_verdicts = verdict[ab[:, 0], ab[:, 1]]
     block = _block_size(n)
     tallies = np.bincount((ks - lo) // block * 3 + row_verdicts,
                           minlength=3 * -(-(hi - lo) // block)).reshape(-1, 3)
     keep = row_verdicts == 0
     a, b, ab = a[keep], b[keep], ab[keep]
-    # target_j = -(A's plus B's autocorrelation at lag j), j = 1..n-1
-    lags = row_lags(np.concatenate([a, b]), n - 1)
+    # target_j = -(A's plus B's autocorrelation at lag j), j = 1..n-1; a
+    # reversed sequence has the same autocorrelations, so bit_lags reads them
+    lags = bit_lags(np.concatenate([a, b]), m, n - 1)
     targets = -(lags[: len(a)] + lags[len(a) :])
     return (a, b, ab, targets), ks[keep], tallies
 
@@ -625,10 +629,11 @@ def _blocks(spec, passes, case_pos, lex_start, join):
     budget leaves no join running.
     """
     case_of = _case_of(spec.kind, spec.order)
-    lex_limit = 1 << (spec.order + 1)
+    m = spec.order + 1
+    lex_limit = 1 << m
     block = _block_size(spec.order)
     most = max(SCAN_ROWS // block, 1)  # the most blocks in one batch
-    row_bytes = 2 * max(spec.order - 1, 0)  # of an int16 join target (see row_lags)
+    row_bytes = 2 * max(spec.order - 1, 0)  # of an int16 join target (see _scan_block)
     # a target's key is the bytes of its row (np.unique's axis=0 costs
     # several times more); without lags all rows are equal
     key_type = np.dtype(f"V{row_bytes}") if row_bytes else np.dtype(np.int8)
@@ -670,7 +675,9 @@ def _blocks(spec, passes, case_pos, lex_start, join):
             charged = np.concatenate([[0], np.cumsum(probes[row_at])])[cuts]
             nodes = tallies.sum(axis=1) + np.diff(charged, prepend=0)
             rows = np.flatnonzero(ids[row_at] >= 0)  # only these become tuples, in lex order
-            survivors = zip(map(tuple, a[rows].tolist()), map(tuple, b[rows].tolist()),
+            # entry 0 is bit m-1 (see _scan_block): bit_rows' columns reversed
+            a_rows, b_rows = (bit_rows(bits[rows], m)[:, ::-1].tolist() for bits in (a, b))
+            survivors = zip(map(tuple, a_rows), map(tuple, b_rows),
                             ab[rows].tolist(), ids[row_at[rows]].tolist())
             for hi_block, held, block_nodes, (_joined, sum_pruned, case_pruned) in zip(
                     ends.tolist(), np.diff(np.searchsorted(rows, cuts), prepend=0).tolist(),

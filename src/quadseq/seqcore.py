@@ -7,10 +7,12 @@ share between worker processes.
 
 The autocorrelations of a sequence come from one numpy kernel, _npaf_array,
 exact for any integer sequence: int64 under an explicit bound, Python ints
-beyond it.  row_lags forms the same lag sums for a block of +-1 rows at
-once, in int16, for the search's scan and for ProfileIndex, which groups
-every sequence of one length by profile in arrays, as bit patterns.  Its
-join, shared by the search and golay_search, drops dead targets by a float
+beyond it.  bit_lags, the one batched lag-sum kernel, forms the same sums
+in int16 for an array of sequences held as bit patterns, from popcounts of
+shifted words, for the search's scan and for ProfileIndex, which groups
+every sequence of one length by profile in arrays, as bit patterns;
+bit_rows unpacks bit patterns to +-1 rows.  The index's join, shared by
+the search and golay_search, drops dead targets by a float
 power-spectral-density screen and joins the others by exact integer keys
 (the PSD at five roots of unity) and a linear hash, in array passes.
 
@@ -170,9 +172,11 @@ def int_to_seq(bits: int, length: int) -> Seq:
     return tuple(-1 if (bits >> i) & 1 else 1 for i in range(length))
 
 
-def _bit_rows(bits: np.ndarray, length: int) -> np.ndarray:
-    """int_to_seq(b, length) for each b of the integer array `bits`, as int8 rows."""
-    return (1 - 2 * (bits[:, None] >> np.arange(length) & 1)).astype(np.int8)
+def bit_rows(bits: np.ndarray, length: int) -> np.ndarray:
+    """int_to_seq(b, length) for each b of the integer array `bits`, as int8
+    rows: bit i of b, read from its little-endian bytes, is column i."""
+    octets = np.asarray(bits).astype("<u8").view(np.uint8).reshape(-1, 8)
+    return 1 - 2 * np.unpackbits(octets, axis=1, count=length, bitorder="little").view(np.int8)
 
 
 def _grouped(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,16 +194,25 @@ def _runs(grouped, labels) -> tuple[np.ndarray, np.ndarray]:
     return members[runs + np.arange(len(runs))], sizes
 
 
-def row_lags(rows: np.ndarray, count: int) -> np.ndarray:
-    """Lags 1..count (none for count <= 0) of the autocorrelation of each +-1
-    row of the int8 array `rows`, in int16: _npaf_array's sums, row-wise.
-    A lag-j sum has width - j terms of +-1, so int16 is exact for rows up to
-    32,768 entries wide."""
-    width = rows.shape[1]
-    lags = np.empty((len(rows), max(count, 0)), dtype=np.int16)
-    for j in range(1, count + 1):
-        lags[:, j - 1] = (rows[:, : width - j] * rows[:, j:]).sum(axis=1, dtype=np.int16)
-    return lags
+def bit_lags(bits: np.ndarray, length: int, count: int) -> np.ndarray:
+    """Lags 1..count (none for count <= 0, and 0 from lag `length` on) of
+    the autocorrelation of int_to_seq(b, length) for each b of the integer
+    array `bits`, as int16 rows: _npaf_array's sums, read off the bits.
+
+    Entries i and i + j differ exactly when bit i of b ^ (b >> j) is set, so
+    the lag-j sum is (length - j) - 2 * popcount of that word's low
+    length - j bits; bits at or above `length` never count.  A lag-j sum
+    has length - j terms, so int16 is exact; a length above 64 is refused,
+    as a uint64 holds no more entries."""
+    if length > 64:
+        raise ValueError(f"a bit pattern holds at most 64 entries, got length {length}")
+    bits = np.asarray(bits).astype(np.uint64)
+    lags = np.zeros((max(count, 0), len(bits)), dtype=np.int16)  # one row per lag
+    for j in range(1, min(count, length - 1) + 1):
+        width = length - j
+        differ = np.bitwise_count((bits ^ bits >> np.uint64(j)) & np.uint64((1 << width) - 1))
+        lags[j - 1] = width - 2 * differ.astype(np.int16)  # in uint8, a negative sum would wrap
+    return np.ascontiguousarray(lags.T)
 
 
 # Slack of the dead-target screen in ProfileIndex.join.  R(w) there is a
@@ -276,7 +289,7 @@ class ProfileIndex:
         lags = np.empty((1 << length, width), dtype=np.int8)  # row b: int_to_seq(b)'s profile
         for lo in range(0, len(lags), _BUILD_ROWS):
             bits = np.arange(lo, min(lo + _BUILD_ROWS, len(lags)))
-            lags[lo : lo + _BUILD_ROWS] = row_lags(_bit_rows(bits, length), width)
+            lags[lo : lo + _BUILD_ROWS] = bit_lags(bits, length, width)
         rows = lags.view(np.dtype((np.void, width))).ravel() if width else np.zeros(len(lags))
         _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
         squares = length + 2 * lags[first].sum(axis=1)
@@ -337,7 +350,7 @@ class ProfileIndex:
         hits = np.concatenate(hits, axis=1)
         named = list(dict.fromkeys(hits[1:].ravel().tolist()))
         bits, sizes = _runs(self._seq_bits, named)
-        seqs = map(tuple, _bit_rows(bits, self.length).tolist())
+        seqs = map(tuple, bit_rows(bits, self.length).tolist())
         seqs = {p: list(islice(seqs, size)) for p, size in zip(named, sizes.tolist())}
         for row, c, d in zip(*hits.tolist()):
             joined[row][0].extend(product(seqs[c], seqs[d]))

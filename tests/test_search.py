@@ -385,6 +385,11 @@ def test_case_filter_keeps_only_the_case_s_pairs_of_a_shared_target():
     assert kept == {1: {(5, -5), (5, 5)}, 2: {(1, 7), (-7, 1)}}
 
 
+def _lex_rows(bits, length):
+    """The +-1 tuples of a scan's A or B bit patterns, entry 0 at bit length-1."""
+    return [int_to_seq(k, length)[::-1] for k in bits.tolist()]
+
+
 def _scan_all(spec):
     """_scan_block over every long sequence of spec's order, in an unfiltered pass."""
     verdict = search_module._pass_verdicts(spec, 0)
@@ -400,16 +405,18 @@ def test_scan_rows_are_the_long_sequences_in_lex_order(kind):
     for order, bounds in ((4, (0, 32)), (20, ((1 << 21) - 40, 1 << 21))):
         spec = SearchSpec(kind, order)
         verdict = np.zeros((order + 2, order + 2), dtype=np.int8)  # every A is joined
-        (a, b, _ab, _targets), lex, _tallies = search_module._scan_block(spec, verdict, bounds)
-        assert a.dtype == b.dtype == np.int8 and a.flags.c_contiguous and b.flags.c_contiguous
+        (a_bits, b_bits, _ab, targets), lex, _tallies = search_module._scan_block(
+            spec, verdict, bounds)
+        assert a_bits.dtype == b_bits.dtype == np.uint64
+        assert targets.dtype == np.int16 and targets.flags.c_contiguous  # its rows are memo keys
         assert lex.tolist() == list(range(*bounds))
+        a, b = _lex_rows(a_bits, order + 1), _lex_rows(b_bits, order + 1)
         if order == 4:
-            assert list(map(tuple, a.tolist())) == list(itertools.product((1, -1), repeat=5))
-        assert list(map(tuple, a.tolist())) == [int_to_seq(k, order + 1)[::-1]
-                                                for k in range(*bounds)]
-        for a_row, b_row in zip(a.tolist(), b.tolist()):
+            assert a == list(itertools.product((1, -1), repeat=5))
+        assert a == [int_to_seq(k, order + 1)[::-1] for k in range(*bounds)]
+        for a_row, b_row in zip(a, b):
             body = [v if kind == "ns" or i % 2 == 0 else -v for i, v in enumerate(a_row[:order])]
-            assert b_row == body + [-a_row[order]]
+            assert b_row == (*body, -a_row[order])
 
 
 @pytest.mark.parametrize("kind", ["nn", "ns"])
@@ -479,9 +486,11 @@ def test_batched_scan_matches_the_per_a_reference(kind, representatives):
         for pass_case in (0, 1, 3):
             verdict = search_module._pass_verdicts(spec, pass_case)
             for bounds in ((0, lex_limit), (lex_limit // 3, lex_limit // 3 + 7), (5, 5)):
-                rows, lex, tallies = search_module._scan_block(spec, verdict, bounds)
-                assert [row.dtype for row in rows] == [np.int8, np.int8, np.int64, np.int16]
-                survivors = list(zip(lex.tolist(), *(map(tuple, row.tolist()) for row in rows)))
+                (a, b, ab, targets), lex, tallies = search_module._scan_block(spec, verdict, bounds)
+                assert [row.dtype for row in (a, b, ab, targets)] == [
+                    np.uint64, np.uint64, np.int64, np.int16]
+                survivors = list(zip(lex.tolist(), _lex_rows(a, order + 1), _lex_rows(b, order + 1),
+                                     *(map(tuple, row.tolist()) for row in (ab, targets))))
                 lo, hi = bounds
                 blocks = [(start, min(start + block, hi)) for start in range(lo, hi, block)]
                 assert len(tallies) == len(blocks), (order, bounds)
@@ -679,6 +688,17 @@ def test_a_colliding_hash_multiplier_is_redrawn_and_the_join_stays_exact(monkeyp
 def test_nn_counts_and_nodes_are_pinned(order, count, nodes):
     result = search(SearchSpec("nn", order, mode="count"))
     assert (result.count, result.stats.nodes) == (count, nodes)
+
+
+@pytest.mark.parametrize("order,count,nodes,sum_pruned", [
+    (12, 4096, 2_589_716, 3044), (13, 1792, 17_194_688, 1512),
+    (15, 512, 151_600_348, 27_784), (16, 15_872, 237_599_732, 73_300),
+])
+def test_ns_counts_nodes_and_prunes_are_pinned(order, count, nodes, sum_pruned):
+    # the ns flip mask (only the top entry negated) above the oracle's orders
+    result = search(SearchSpec("ns", order, mode="count"))
+    assert (result.count, result.stats.nodes) == (count, nodes)
+    assert result.stats.prunes == {"sum_of_squares": sum_pruned, "case": 0}
 
 
 @pytest.mark.slow

@@ -24,6 +24,8 @@ from quadseq.seqcore import (
     ShapeError,
     VerificationReport,
     alternate,
+    bit_lags,
+    bit_rows,
     int_to_seq,
     negate,
     npaf_values,
@@ -31,7 +33,6 @@ from quadseq.seqcore import (
     parse_seq,
     profile_index,
     reverse,
-    row_lags,
     seq_str,
     sum_of_squares_check,
     verify_quadruple,
@@ -558,18 +559,32 @@ def test_require_passes_quietly_or_raises_the_given_error_with_its_context():
     assert str(info.value) == "line 3: record: near-normality violated at position 2"
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 20).flatmap(
-    lambda width: st.lists(st.lists(st.sampled_from((1, -1)), min_size=width, max_size=width),
-                           min_size=1, max_size=6)))
-def test_row_lags_are_the_kernels_lags_of_each_row(rows):
-    width = len(rows[0])
-    block = np.array(rows, dtype=np.int8)
-    for count in range(width):
-        lags = row_lags(block, count)
-        assert lags.dtype == np.int16 and lags.shape == (len(rows), count)
-        for row, got in zip(rows, lags.tolist()):
-            assert tuple(got) == npaf_values(tuple(row))[1 : count + 1]
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 64).flatmap(lambda length: st.tuples(
+    st.just(length),
+    st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=6),
+    st.integers(-2, length + 2))))
+@example((64, [1 << 63, (1 << 64) - 1, 0x8000_0000_0000_0001], 63))
+@example((5, [0b1110_0101, 1 << 63], 4))  # bits at or above the length
+def test_bit_lags_are_the_kernels_lags_of_each_bit_pattern(case):
+    # int_to_seq's convention, bits at or above `length` ignored; count <= 0
+    # gives no lag, and lags from `length` on are 0
+    length, patterns, count = case
+    bits = np.array(patterns, dtype=np.uint64)
+    lags = bit_lags(bits, length, count)
+    assert lags.dtype == np.int16 and lags.shape == (len(bits), max(count, 0))
+    assert lags.flags.c_contiguous
+    assert [tuple(row) for row in bit_rows(bits, length).tolist()] == [
+        int_to_seq(b, length) for b in patterns]
+    for b, got in zip(patterns, lags.tolist()):
+        seq = int_to_seq(b, length)
+        kernel = seqcore._npaf_array(seq)[1:].tolist() if seq else []
+        assert got == (kernel + [0] * max(count, 0))[: max(count, 0)]
+
+
+def test_bit_lags_refuse_a_pattern_longer_than_64_entries():
+    with pytest.raises(ValueError, match="at most 64 entries, got length 65"):
+        bit_lags(np.zeros(1, dtype=np.uint64), 65, 3)
 
 
 def test_sum_of_squares_check_examples():
