@@ -274,15 +274,13 @@ def ts_to_od(t: SeqQuadruple) -> SymbolicMatrix:
     return design
 
 
-def _exact_gram(a: np.ndarray, b: np.ndarray, peak: int) -> np.ndarray:
-    """a @ b.T, exact, for integer-valued a and b whose entries are at most
-    `peak` in magnitude."""
-    # Every entry and partial sum of the product is an integer of magnitude
-    # at most N * peak**2 (N = a.shape[-1]), and float64 holds every integer
-    # below 2**53: so float64 (BLAS) is exact while N * peak**2 < 2**53, and
-    # Python ints in object arrays beyond.  seqcore._npaf_array's guard.
-    dtype = np.float64 if a.shape[-1] * peak * peak < 2**53 else object
-    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False).T
+def _exact_dtype(bound: int):
+    """The narrowest type whose products are exact when every entry and
+    partial sum is an integer of magnitude at most `bound`."""
+    # float32 holds every integer up to 2**24 and float64 every one up to
+    # 2**53, so BLAS in either is exact below that; Python ints in object
+    # arrays are exact beyond (the guard of seqcore._npaf_array, for floats).
+    return np.float32 if bound < 2**24 else np.float64 if bound < 2**53 else object
 
 
 def _first_mismatch(product: np.ndarray, diagonal: int) -> tuple[int, int, int, int] | None:
@@ -302,16 +300,17 @@ def verify_od(s: SymbolicMatrix) -> VerificationReport:
 
     With S = C_1 x_1 + ... + C_u x_u and coefficient matrices C_k over
     {0, +-1}, x_j^2 has coefficient C_j C_j^T and x_j x_k has C_j C_k^T +
-    C_k C_j^T.  For each j one exact float64 product C_j [C_j ... C_u]^T
-    holds every C_j C_k^T with k >= j.  The report names the first failing
-    monomial (x1^2, x1*x2, ..., xu^2) and its first failing cell, row-major.
+    C_k C_j^T.  For each j one exact product C_j [C_j ... C_u]^T holds every
+    C_j C_k^T with k >= j.  The report names the first failing monomial
+    (x1^2, x1*x2, ..., xu^2) and its first failing cell, row-major.
     """
     n, u = s.order, s.nvars
     var = np.arange(1, u + 1)[:, None, None]
-    coeffs = (s.grid == var).astype(np.float64)
+    # an x_j x_k coefficient adds two products of N terms in {0, +-1}
+    coeffs = (s.grid == var).astype(_exact_dtype(2 * n))
     coeffs -= s.grid == -var
     for j in range(u):
-        products = _exact_gram(coeffs[j], coeffs[j:].reshape(-1, n), 1)
+        products = coeffs[j] @ coeffs[j:].reshape(-1, n).T
         for k in range(j, u):
             block = products[:, (k - j) * n : (k - j + 1) * n]
             if k == j:
@@ -331,8 +330,9 @@ def od_substitute(
     """Replace each variable by an integer and verify the resulting product.
 
     H is int64 while the values fit in it, Python ints beyond; H H^T is
-    checked exactly.  With +-1 values on a zero-free design the output is a
-    Hadamard matrix of the design's order; require_hadamard insists on that.
+    checked exactly, in the narrowest type that holds N * max|v|^2.  With
+    +-1 values on a zero-free design the output is a Hadamard matrix of the
+    design's order; require_hadamard insists on that.
     """
     if len(values) != s.nvars:
         raise ConstructionError(f"need {s.nvars} values, got {len(values)}")
@@ -348,7 +348,9 @@ def od_substitute(
                      dtype=np.int64 if peak < 2**63 else object)
     h = table[s.grid]
     expected = sum(int(sig) * v * v for sig, v in zip(s.signature, values))
-    bad = _first_mismatch(_exact_gram(h, h, peak), expected)
+    # one buffer for both operands, so numpy takes its symmetric product path
+    x = h.astype(_exact_dtype(s.order * peak * peak), copy=False)
+    bad = _first_mismatch(x @ x.T, expected)
     failure = None if bad is None else "product at cell ({}, {}) is {}, expected {}".format(*bad)
     return h, VerificationReport(passed=bad is None, failure=failure)
 
@@ -383,4 +385,10 @@ def matrix_from_text(text: str) -> SymbolicMatrix:
 
 def pm_matrix_to_text(h: np.ndarray) -> str:
     """Serialize a +-1 matrix as lines of '+'/'-' characters."""
-    return "\n".join(map("".join, np.where(h > 0, "+", "-").tolist())) + "\n"
+    rows, cols = h.shape
+    if rows == 0:
+        return "\n"  # the final newline after no lines
+    text = np.full((rows, cols + 1), ord("\n"), dtype=np.uint8)
+    # ASCII '+' is two below '-'
+    text[:, :cols] = ord("-") - 2 * (h > 0).view(np.uint8)
+    return text.tobytes().decode("ascii")

@@ -159,8 +159,11 @@ def _signed_grids(draw):
     return grid, tuple(draw(st.lists(st.integers(0, n), min_size=u, max_size=u)))
 
 
-# value sizes on both sides of the float64 bound N * max|v|^2 < 2^53, N <= 8
-_VALUES = st.one_of(st.integers(-3, 3), st.integers(-(2**27), 2**27), st.integers(-(2**70), 2**70))
+# value sizes on both sides of the float32 bound N * max|v|^2 < 2^24 (the
+# band around 2^12) and of the float64 bound 2^53, N <= 8
+_VALUES = st.one_of(st.integers(-3, 3),
+                    st.integers(3 * 2**10, 5 * 2**10) | st.integers(-5 * 2**10, -3 * 2**10),
+                    st.integers(-(2**27), 2**27), st.integers(-(2**70), 2**70))
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,13 +178,10 @@ def test_design_checks_match_the_python_int_reference(design, data):
     assert report.failure == substitution_failure(grid, signature, values)
 
 
-@pytest.mark.parametrize("side", [0, 1])
-def test_substitution_at_the_float64_bound(side):
-    # the largest value whose products are exact in float64 at order 4, and
-    # one more; flipping one cell makes a failure that names exact values
-    peak = isqrt((2**53 - 1) // 4) + side
+def _check_quaternion_substitution(values):
+    # the design passes, and flipping one cell makes a failure that names
+    # exact values
     design = quaternion_design()
-    values = (peak, peak - 1, 3, -peak)
     h, report = od_substitute(design, values)
     assert report.passed
     assert h.tolist() == substitute(design.grid.tolist(), values)
@@ -191,6 +191,26 @@ def test_substitution_at_the_float64_bound(side):
     assert od_substitute(broken, values)[1].failure == substitution_failure(grid, design.signature, values)
 
 
+@pytest.mark.parametrize("side", [0, 1])
+def test_substitution_at_the_float64_bound(side):
+    # the largest value whose products are exact in float64 at order 4, and one more
+    peak = isqrt((2**53 - 1) // 4) + side
+    _check_quaternion_substitution((peak, peak - 1, 3, -peak))
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_substitution_at_the_float32_bound(side):
+    # the largest value whose products are exact in float32 at order 4, and one more
+    peak = isqrt((2**24 - 1) // 4) + side
+    _check_quaternion_substitution((peak, peak - 1, 3, -peak))
+
+
+def test_substitution_above_the_float32_bound():
+    # the diagonal of H H^T is 3 * 2049^2 + 2048^2 = 2^24 + 12291, odd, so
+    # float32 would round it
+    _check_quaternion_substitution((2049, -2049, 2049, 2048))
+
+
 @pytest.mark.parametrize("values", [(2**32, 1, 1, 1), (2**27 + 1, 0, 0, 0), (2**70, -(2**64), 1, 0)])
 def test_substitution_exact_for_large_values(values):
     # these used to raise OverflowError; 2^54 + 2^28 + 1 has no float64
@@ -198,6 +218,73 @@ def test_substitution_exact_for_large_values(values):
     assert report.passed
     expected = sum(v * v for v in values)
     assert (h.astype(object) @ h.T.astype(object)).tolist() == (expected * np.eye(4, dtype=object)).tolist()
+
+
+@pytest.fixture(scope="module")
+def design_292():
+    return ts_to_od(bs_to_ts(parse_record(ROW36_RECORD)))
+
+
+def _float64_design_failure(grid, signature):
+    """verify_od's verdict from the monomial formulas in float64 products,
+    exact here since every sum is at most 2N: x_j^2 has coefficient C_j C_j^T
+    and x_j x_k has C_j C_k^T + C_k C_j^T; the first failing monomial, then
+    its first failing cell, row-major."""
+    n = len(grid)
+    coeffs = [(grid == k).astype(np.float64) - (grid == -k) for k in range(1, len(signature) + 1)]
+    for j, cj in enumerate(coeffs):
+        for k in range(j, len(coeffs)):
+            if k == j:
+                label, got, want = f"x{j + 1}^2", cj @ cj.T, signature[j] * np.eye(n)
+            else:
+                ck = coeffs[k]
+                label, got, want = f"x{j + 1}*x{k + 1}", cj @ ck.T + ck @ cj.T, np.zeros((n, n))
+            cells = np.argwhere(got != want)
+            if len(cells):
+                r, c = cells[0]
+                return (f"monomial {label} at cell ({r}, {c}): "
+                        f"coefficient {int(got[r, c])}, expected {int(want[r, c])}")
+    return None
+
+
+def _float64_substitution_failure(h, expected):
+    """od_substitute's verdict from a float64 H H^T, exact for +-1 entries."""
+    hf = h.astype(np.float64)
+    got, want = hf @ hf.T, expected * np.eye(len(h))
+    cells = np.argwhere(got != want)
+    if not len(cells):
+        return None
+    r, c = cells[0]
+    return f"product at cell ({r}, {c}) is {int(got[r, c])}, expected {int(want[r, c])}"
+
+
+def _flip(grid, r, c):
+    grid[r, c] = -grid[r, c]
+
+
+def _next_variable(grid, r, c):
+    grid[r, c] = np.sign(grid[r, c]) * (abs(grid[r, c]) % 4 + 1)
+
+
+@pytest.mark.parametrize("cells", [
+    [(_flip, 5, 7)],
+    [(_flip, 291, 290)],
+    [(_next_variable, 100, 200)],
+    [(_flip, 150, 150), (_next_variable, 3, 250), (_flip, 200, 17)],
+    [(_next_variable, 0, 0), (_next_variable, 0, 1)],
+], ids=["flip", "flip-last-row", "variable", "flips-and-variable", "two-variables"])
+def test_failure_texts_of_a_corrupted_order_292_design(design_292, cells):
+    grid = np.array(design_292.grid)
+    for corrupt, r, c in cells:
+        corrupt(grid, r, c)
+    broken = SymbolicMatrix(292, 4, grid, design_292.signature)
+    failure = _float64_design_failure(grid, design_292.signature)
+    assert failure is not None and verify_od(broken).failure == failure
+    # consecutive variables take opposite values, so every corrupted cell of
+    # H changes sign
+    h, report = od_substitute(broken, (1, -1, 1, -1))
+    failure = _float64_substitution_failure(h, 292)
+    assert failure is not None and report.failure == failure
 
 
 def test_order_1284_design_from_golay_pair():
@@ -445,6 +532,18 @@ def test_matrix_serialization_round_trip():
     assert set(pm) <= {"+", "-", "\n"} and len(pm.splitlines()) == 8
     # the cell-by-cell reference
     assert pm == "".join("".join("+" if v > 0 else "-" for v in row) + "\n" for row in h)
+
+
+@pytest.mark.parametrize("h", [
+    np.zeros((0, 0), dtype=np.int64),
+    np.ones((1, 1), dtype=np.int64),
+    np.array([[1, -1, -1], [-1, 1, -1]]),
+    np.array([[2**70, -(2**70)]], dtype=object),
+])
+def test_pm_matrix_text_is_the_line_by_line_text(h):
+    # a matrix without rows is one newline, as "\n".join of no lines gives
+    lines = ["".join("+" if v > 0 else "-" for v in row) for row in h.tolist()]
+    assert pm_matrix_to_text(h) == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("text", ["2 1\n1 0\n0\n", "2 1\n1 0\n0 1 0\n", "0 0\n"])
