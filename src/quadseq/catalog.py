@@ -207,9 +207,11 @@ def archive_load(path: str) -> list[WitnessRecord]:
             quad = codec.parse_record(line)
         except QuadseqError as exc:
             raise CatalogError(f"line {lineno}: {exc}") from exc
-        verify_quadruple(quad).require(
-            RecordFailsVerification,
-            f"line {lineno}: record {quad.kind} of shape {quad.shape} fails verification")
+        report = verify_quadruple(quad)
+        if not report.passed:  # the context is worded only for a failure
+            report.require(
+                RecordFailsVerification,
+                f"line {lineno}: record {quad.kind} of shape {quad.shape} fails verification")
         records.append(WitnessRecord(quad, provenance))
         provenance = ""
     return records

@@ -16,6 +16,7 @@ from .seqcore import (
     QuadseqError,
     SeqQuadruple,
     parse_quad,
+    parsed_quadruple,
     seq_str,
 )
 
@@ -148,12 +149,19 @@ def encode_quadruple(q: SeqQuadruple) -> tuple[str, str]:
     return encode_pair(q.a, q.b, PAIR_AB), encode_pair(q.c, q.d, PAIR_CD)
 
 
+# loaded archives repeat few distinct codes: the 768 encoded lines of the
+# six witness orbits' 3,072 members hold 24 ab and 384 cd codes; a refusal
+# raises, so it is never cached
+_memo_decode_pair = lru_cache(maxsize=4096)(decode_pair)
+
+
 def decode_quadruple(n: int, ab: str, cd: str) -> SeqQuadruple:
     """Inverse of encode_quadruple: the near-normal quadruple of order n with
-    these codes.  Membership is not verified."""
+    these codes.  Membership is not verified.  Equal codes decode to shared
+    tuples while they stay in the memo."""
     _require_code_order(n)
-    return SeqQuadruple(*decode_pair(ab, PAIR_AB, n), *decode_pair(cd, PAIR_CD, n),
-                        KIND_NEAR_NORMAL)
+    return parsed_quadruple(*_memo_decode_pair(ab, PAIR_AB, n), *_memo_decode_pair(cd, PAIR_CD, n),
+                            KIND_NEAR_NORMAL)
 
 
 # a search's solutions repeat few distinct pairs: nn 12's 9,344 hold 184

@@ -81,6 +81,7 @@ from .seqcore import (
     bit_rows,
     join_quad,
     parse_seq,
+    parsed_quadruple,
     profile_index,
     read_text,
     seq_str,
@@ -452,10 +453,12 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
     to scan, and last solutions that do not match their sha256, such as a
     consistent deletion (a solution removed and `found` lowered to match).
     Each distinct sequence is parsed once, by an unbounded memo, so equal
-    ones share a tuple as in a search's results; each distinct sums vector
-    and A is placed once, and the verifier's memo sums each distinct (A, B)
-    and (C, D) pair's autocorrelations once, so a resume costs about its
-    distinct sequences and pairs plus a few lookups per solution.
+    ones share a tuple as in a search's results, and the quadruple of a
+    solution with paired lengths is built without the constructor's checks
+    (see parsed_quadruple); each distinct sums vector and A is placed once,
+    and the verifier's memos work each distinct (A, B) and (C, D) pair out
+    once, so a resume costs about its distinct sequences and pairs plus a
+    few lookups per solution.
     """
     if resume is None:
         digest = _solutions_digest([])
@@ -484,7 +487,6 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
     pass_of_sums = cache(lambda *sums: pass_of.get(case_of[_sums_rep(*sums)], unlisted))
     to_bits = str.maketrans("+-", "01")
     lex_index = cache(lambda a: int(seq_str(a).translate(to_bits), 2))
-    shape = (spec.order + 1,) * 2 + (spec.order,) * 2
     parse = cache(parse_seq)
     quads = {}  # in checkpoint order
     for text in resume.solutions:
@@ -493,11 +495,7 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
         except QuadseqError as exc:
             raise SearchError(f"checkpoint solution {text} does not parse: {exc}") from None
         try:
-            # parse_seq returns checked tuples of plain +-1 ints, so a quadruple
-            # of the run's shape needs no constructor check; any other shape
-            # takes the checked path, which words its refusal
-            build = SeqQuadruple._trusted if tuple(map(len, quad)) == shape else SeqQuadruple
-            failure = verify_quadruple(build(*quad, spec.kind)).failure
+            failure = verify_quadruple(parsed_quadruple(*quad, spec.kind)).failure
         except QuadseqError as exc:
             failure = str(exc)
         if failure is None and len(quad[2]) != spec.order:

@@ -498,9 +498,24 @@ def split_quad(text: str, parse: Callable[[str], Seq]) -> tuple[Seq, ...]:
     return tuple(map(parse, parts))
 
 
+def parsed_quadruple(a: Seq, b: Seq, c: Seq, d: Seq, kind: str) -> SeqQuadruple:
+    """The quadruple of kind `kind` of four tuples of plain ints in its
+    alphabet, such as parse_seq returns for it (and codec.decode_pair).
+
+    Equal lengths and a known kind are then all that the constructor would
+    check, so such a quadruple is built without its checks; any other goes
+    through the constructor, which refuses it in its own words."""
+    if kind in ALL_KINDS and len(a) == len(b) and len(c) == len(d):
+        return SeqQuadruple._trusted(a, b, c, d, kind)
+    return SeqQuadruple(a, b, c, d, kind)
+
+
+_parse_ternary = partial(parse_seq, ternary=True)
+
+
 def parse_quad(text: str, kind: str) -> SeqQuadruple:
     """Parse "A;B;C;D" plaintext into a quadruple of the given kind."""
-    return SeqQuadruple(*split_quad(text, partial(parse_seq, ternary=kind == KIND_T)), kind)
+    return parsed_quadruple(*split_quad(text, _parse_ternary if kind == KIND_T else parse_seq), kind)
 
 
 @dataclass(frozen=True)
@@ -553,6 +568,23 @@ def _pair_lags(x: Seq, y: Seq) -> tuple[int, ...]:
 _memo_pair_lags = lru_cache(maxsize=4096)(_pair_lags)
 
 
+@lru_cache(maxsize=4096)
+def _long_pair(a: Seq, b: Seq, kind: str, n: int) -> tuple[bool, tuple[int, ...]]:
+    """What a verdict needs of the long pair (A, B) of a quadruple of kind
+    `kind` whose short pair has length n <= len(A): whether the pair passes
+    its position rule and its lag sums beyond lag n - 1 are all zero, and
+    its lag sums at lags 1..n-1, which the short pair's must cancel."""
+    lags, short = _memo_pair_lags(a, b), max(n - 1, 0)
+    return _position_failure(a, b, kind, n) is None and not any(lags[short:]), lags[:short]
+
+
+@lru_cache(maxsize=4096)
+def _negated_lags(c: Seq, d: Seq) -> tuple[int, ...]:
+    """The lag sums of the short pair (C, D), negated: equal to the long
+    pair's lags 1..n-1 exactly when the two cancel there."""
+    return negate(_memo_pair_lags(c, d))
+
+
 def verify_quadruple(q: SeqQuadruple) -> VerificationReport:
     """Decide membership of q in its declared kind.
 
@@ -561,34 +593,60 @@ def verify_quadruple(q: SeqQuadruple) -> VerificationReport:
     of the defining equations is reported as a non-passing verdict naming
     the first violated condition.
 
-    Each distinct (A, B) or (C, D) pair's summed autocorrelations are
-    computed once while they stay in a memo of 4,096 pairs: orbits,
-    archives and checkpoints hold many quadruples over few pairs.
+    Each distinct pair is worked out once while it stays in a memo of 4,096
+    pairs, since orbits, archives and checkpoints hold many quadruples over
+    few pairs: (A, B) with its kind and n gives its position verdict and
+    lag sums, (C, D) its lag sums negated.  After the shape and support
+    rules, a quadruple whose position rule holds and whose two pairs' lag
+    sums cancel passes on those two lookups; any other is decided by
+    _verify, which words its failure.
     """
+    a, c = q.a, q.c
+    if _shape_verdict(q) is None and len(a) >= len(c):
+        holds, lags = _long_pair(a, q.b, q.kind, len(c))
+        if holds and lags == _negated_lags(c, q.d):
+            return _PASS
     return _verify(q, _memo_pair_lags)
 
 
 def _verify(q: SeqQuadruple, pair_lags) -> VerificationReport:
     """The shape rule of q's kind, then its position rule, then the lag sums."""
-    a, b, n = q.a, q.b, q.n
-    if q.kind == KIND_T:
-        if q.m != n:
+    support = _shape_verdict(q)
+    if support is not None:
+        return support
+    failure = _position_failure(q.a, q.b, q.kind, len(q.c))
+    return _lag_sum_verdict(q.seqs(), pair_lags) if failure is None else _fail(failure)
+
+
+def _shape_verdict(q: SeqQuadruple) -> VerificationReport | None:
+    """Raises ShapeError unless q's shape fits its kind; the failing verdict
+    of a ts quadruple's first position without exactly one nonzero entry,
+    or None."""
+    kind, m, n = q.kind, len(q.a), len(q.c)
+    if kind == KIND_T:
+        if m != n:
             raise ShapeError("T-sequence quadruple needs four sequences of equal length")
         for i, column in enumerate(zip(*q.seqs()), start=1):
             nonzero = 4 - column.count(0)
             if nonzero != 1:
                 return _fail(f"support at position {i}: {nonzero} nonzero entries, expected 1")
-    elif q.kind != KIND_BASE:
-        if q.m != n + 1:
-            raise ShapeError(f"kind {q.kind} needs shape (n+1, n), got ({q.m}, {n})")
-        # B repeats A at even 0-based positions below n, and at the odd ones
-        # repeats it (ns) or negates it (nn)
-        odd = a[1:n:2] if q.kind == KIND_NORMAL else negate(a[1:n:2])
-        if b[0:n:2] != a[0:n:2] or b[1:n:2] != odd:
-            i = next(i for i in range(n) if b[i] != (odd[i // 2] if i % 2 else a[i]))
-            label = "normality" if q.kind == KIND_NORMAL else "near-normality"
-            return _fail(f"{label} violated at position {i + 1}")
-    return _lag_sum_verdict(q.seqs(), pair_lags)
+    elif kind != KIND_BASE and m != n + 1:
+        raise ShapeError(f"kind {kind} needs shape (n+1, n), got ({m}, {n})")
+    return None
+
+
+def _position_failure(a: Seq, b: Seq, kind: str, n: int) -> str | None:
+    """The failure of an ns or nn pair (A, B) at order n, or None: B repeats
+    A at even 0-based positions below n, and at the odd ones repeats it
+    (ns) or negates it (nn).  Other kinds have no position rule on (A, B)."""
+    if kind != KIND_NORMAL and kind != KIND_NEAR_NORMAL:
+        return None
+    odd = a[1:n:2] if kind == KIND_NORMAL else negate(a[1:n:2])
+    if b[0:n:2] == a[0:n:2] and b[1:n:2] == odd:
+        return None
+    i = next(i for i in range(n) if b[i] != (odd[i // 2] if i % 2 else a[i]))
+    label = "normality" if kind == KIND_NORMAL else "near-normality"
+    return f"{label} violated at position {i + 1}"
 
 
 def sum_of_squares_check(m: int, n: int, sums: tuple[int, int, int, int]) -> bool:

@@ -9,6 +9,7 @@ from quadseq.catalog import (
     NS_EMPTY_ORDERS,
     UNKNOWN,
     CatalogError,
+    RecordFailsVerification,
     WitnessRecord,
     archive_load,
     archive_save,
@@ -17,8 +18,9 @@ from quadseq.catalog import (
     status,
     witness_records,
 )
+from quadseq.codec import format_record
 from quadseq.search import SearchSpec, search
-from quadseq.seqcore import parse_quad, verify_quadruple
+from quadseq.seqcore import SeqQuadruple, parse_quad, verify_quadruple
 
 from published import ROWS
 
@@ -145,6 +147,45 @@ def test_archive_rejects_corrupt_record(tmp_path):
         fh.write(f"nn 34 {flipped} {good.cd_code}\n")
     with pytest.raises(CatalogError, match="line 2"):
         archive_load(path)
+
+
+def _failing_lines():
+    """An encoded and a plaintext record line of shape (35, 34) that parse
+    but fail verification, each with the refusal archive_load gives it on line 2."""
+    good = witness_records()[0]
+    flipped = good.ab_code[:-1] + ("1" if good.ab_code[-1] != "1" else "2")
+    q = good.quad
+    plain = SeqQuadruple(q.a, q.b, (-q.c[0],) + q.c[1:], q.d, "nn").plaintext()
+    head = "line 2: record nn of shape (35, 34) fails verification"
+    return [
+        (f"nn 34 {flipped} {good.cd_code}", f"{head}: lag 4: autocorrelation sum = 8, expected 0"),
+        (f"nn {plain}", f"{head}: lag 1: autocorrelation sum = -2, expected 0"),
+    ]
+
+
+@pytest.mark.parametrize("line,refusal", _failing_lines(), ids=["encoded", "plaintext"])
+def test_archive_refuses_a_failing_record_in_full(tmp_path, line, refusal):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# tampered row\n{line}\n{format_record(witness_records()[1].quad)}\n")
+    with pytest.raises(RecordFailsVerification) as info:
+        archive_load(str(path))
+    assert str(info.value) == refusal
+
+
+@pytest.mark.parametrize("line,refusal", _failing_lines(), ids=["encoded", "plaintext"])
+def test_archive_names_the_first_bad_line_whatever_its_fault(tmp_path, line, refusal):
+    # a record that fails verification before one that does not parse, and
+    # the reverse: each time line 2 is named, with its own fault
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# row\n{line}\nnn 34 xyz\n")
+    with pytest.raises(RecordFailsVerification) as info:
+        archive_load(str(path))
+    assert str(info.value) == refusal
+    path.write_text(f"# row\nnn 34 xyz\n{line}\n")
+    with pytest.raises(CatalogError) as info:
+        archive_load(str(path))
+    assert not isinstance(info.value, RecordFailsVerification)
+    assert str(info.value) == "line 2: malformed record line: 'nn 34 xyz'"
 
 
 def test_archive_that_is_not_utf8_is_refused(tmp_path):

@@ -11,6 +11,7 @@ from quadseq.codec import (
     QUAD_TABLE,
     CodecError,
     UnencodableError,
+    _memo_decode_pair,
     _pair_forms,
     code_length,
     decode_pair,
@@ -23,7 +24,9 @@ from quadseq.codec import (
 )
 from quadseq.construct import bs_to_ts
 from quadseq.seqcore import (
+    AlphabetError,
     SeqQuadruple,
+    ShapeError,
     join_quad,
     parse_quad,
     parse_seq,
@@ -317,6 +320,88 @@ def test_codes_exist_only_for_even_orders_above_zero(line):
     assert format_record(quad) == "nn ++;+-;+;+"
     with pytest.raises(CodecError, match="got order 1"):
         encode_quadruple(quad)
+
+
+_VALUES = {"+": 1, "-": -1, "0": 0}
+
+
+@st.composite
+def _plaintext_records(draw):
+    """A plaintext record line of any kind with paired lengths, and the
+    four texts of its sequences."""
+    kind = draw(st.sampled_from(("bs", "ns", "nn", "ts")))
+    chars = "+-0" if kind == "ts" else "+-"
+    m, n = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    texts = [draw(st.text(chars, min_size=size, max_size=size)) for size in (m, m, n, n)]
+    return f"{kind} {';'.join(texts)}", kind, texts
+
+
+def _assert_shares_plain_tuples(line, quad):
+    assert all(type(seq) is tuple and all(type(v) is int for v in seq) for seq in quad.seqs())
+    again = parse_record(line)
+    assert again == quad and all(x is y for x, y in zip(again.seqs(), quad.seqs()))
+
+
+@settings(deadline=None)
+@given(_plaintext_records())
+def test_a_plaintext_parse_equals_the_checked_constructor(record):
+    line, kind, texts = record
+    quad = parse_record(line)
+    assert quad == SeqQuadruple(*[[_VALUES[ch] for ch in text] for text in texts], kind)
+    _assert_shares_plain_tuples(line, quad)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 30).map(lambda k: 2 * k), st.data())
+def test_an_encoded_parse_equals_the_checked_constructor(n, data):
+    quads, centers = st.sampled_from(sorted(QUAD_TABLE)), st.sampled_from(sorted(CENTER_TABLE))
+    ab = "".join(data.draw(st.lists(quads, min_size=n // 2, max_size=n // 2))) + data.draw(centers)
+    cd = "".join(data.draw(st.lists(quads, min_size=n // 2, max_size=n // 2)))
+    line = f"nn {n} {ab} {cd}"
+    quad = parse_record(line)
+    x, y = decode_pair(ab, PAIR_AB, n)
+    assert quad == SeqQuadruple(list(x), list(y), *map(list, decode_pair(cd, PAIR_CD, n)), "nn")
+    _assert_shares_plain_tuples(line, quad)
+
+
+@pytest.mark.parametrize("line,error,text", [
+    ("nn +++++;++++;++++;++++", ShapeError, "A and B must have equal length"),
+    ("bs ++++;++++;+++;++++", ShapeError, "C and D must have equal length"),
+    ("ts +0;+;+;+", ShapeError, "A and B must have equal length"),
+    ("nn +0;+;+;+", AlphabetError, "binary entry must be +1 or -1, got 0"),
+    ("ns +;+;+;0", AlphabetError, "binary entry must be +1 or -1, got 0"),
+    ("ts +2;+;+;+", AlphabetError, "bad sequence character '2'"),
+])
+def test_a_refused_plaintext_record_keeps_its_words(line, error, text):
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            parse_record(line)
+        assert str(info.value) == text
+
+
+def test_a_quadruple_of_an_unknown_kind_is_refused_by_the_constructor():
+    with pytest.raises(ShapeError) as info:
+        parse_quad("+;+;+;+", "xx")
+    assert str(info.value) == "unknown kind 'xx'"
+
+
+@pytest.mark.parametrize("line,text", [
+    ("nn 4 01x 00", "unknown central digit 'x'"),
+    ("nn 4 013 0a", "unknown quad digit 'a' at position 2"),
+    ("nn 4 0134 00", "ab code for order 4 needs 3 digits, got 4"),
+    ("nn 4 013 9", "cd code for order 4 needs 2 digits, got 1"),
+])
+def test_a_refused_code_raises_on_every_call(line, text):
+    # a refusal raises each time: the refused code is looked up and missed
+    # again on every call, and the memo keeps nothing new
+    infos = []
+    for _ in range(3):
+        with pytest.raises(CodecError) as info:
+            parse_record(line)
+        assert str(info.value) == text
+        infos.append(_memo_decode_pair.cache_info())
+    for before, after in zip(infos, infos[1:]):
+        assert after.misses == before.misses + 1 and after.currsize == before.currsize
 
 
 def test_whitespace_inside_a_plaintext_record_is_ignored():

@@ -520,7 +520,59 @@ def _outcome(verify, q):
 @example(SeqQuadruple((1,), (1,), (1,), (1,), "ns"))
 @example(SeqQuadruple((), (), (1,), (1,), "bs"))
 def test_verifier_gives_the_verdicts_and_texts_of_the_per_position_reference(q):
-    assert _outcome(verify_quadruple, q) == _outcome(_reference_verify, q)
+    # cold, then with q's pairs in the memos
+    _clear_verdict_memos()
+    for _ in range(2):
+        assert _outcome(verify_quadruple, q) == _outcome(_reference_verify, q)
+
+
+def _clear_verdict_memos():
+    for memo in (seqcore._memo_pair_lags, seqcore._long_pair, seqcore._negated_lags):
+        memo.cache_clear()
+
+
+def _with_entry_flipped(seq, i):
+    return seq[:i] + (-seq[i],) + seq[i + 1 :]
+
+
+def _mixed_pairs():
+    """Quadruples that pair a passing member's (A, B) with a failing (C, D)
+    and the reverse, each beside the member whose pairs it shares."""
+    member = parse_record(ROW36_RECORD)
+    a, b, c, d = member.seqs()
+    n = member.n
+    return [
+        (member, SeqQuadruple(a, b, _with_entry_flipped(c, 0), d, "nn")),  # lag failure in (C, D)
+        (member, SeqQuadruple(a, b, c, _with_entry_flipped(d, n - 1), "nn")),
+        # (A, B) failing its lags (A's last entry is outside the position rule) or its positions
+        (member, SeqQuadruple(_with_entry_flipped(a, n), b, c, d, "nn")),
+        (member, SeqQuadruple(a, _with_entry_flipped(b, 3), c, d, "nn")),
+    ]
+
+
+@pytest.mark.parametrize("member_first", [True, False])
+def test_a_memoized_pair_meets_a_failing_one_with_the_reference_verdict(member_first):
+    for member, mixed in _mixed_pairs():
+        _clear_verdict_memos()
+        order = (member, mixed) if member_first else (mixed, member)
+        for _ in range(2):
+            for q in order:
+                assert _outcome(verify_quadruple, q) == _outcome(_reference_verify, q)
+                assert _outcome(verify_quadruple, q) == _outcome(
+                    lambda q: seqcore._verify(q, seqcore._pair_lags), q)
+        assert verify_quadruple(member).passed and not verify_quadruple(mixed).passed
+
+
+@pytest.mark.parametrize("normal_first", [True, False])
+def test_a_pair_that_passes_for_ns_fails_for_nn_whatever_was_verified_first(normal_first):
+    normal = search(SearchSpec("ns", 5)).solutions[0]
+    near = SeqQuadruple(*normal.seqs(), "nn")
+    _clear_verdict_memos()
+    for _ in range(2):
+        for q in (normal, near) if normal_first else (near, normal):
+            assert _outcome(verify_quadruple, q) == _outcome(_reference_verify, q)
+    assert verify_quadruple(normal).passed
+    assert verify_quadruple(near).failure == "near-normality violated at position 2"
 
 
 def test_verifier_matches_the_reference_on_every_single_entry_change():
