@@ -78,14 +78,11 @@ def decode_pair(digits: str, pair_kind: str, n: int):
     final digit fills the central column.  Membership of the decoded pair in
     any sequence class is *not* checked here.
     """
+    size = code_length(pair_kind, n)
+    if len(digits) != size:
+        raise CodecError(f"{pair_kind} code for order {n} needs {size} digits, got {len(digits)}")
     length = _pair_length(pair_kind, n)
-    has_center = length % 2 == 1
     npairs = length // 2
-    if len(digits) != npairs + (1 if has_center else 0):
-        raise CodecError(
-            f"{pair_kind} code for order {n} needs "
-            f"{npairs + (1 if has_center else 0)} digits, got {len(digits)}"
-        )
     x = [0] * length
     y = [0] * length
     for k in range(npairs):
@@ -95,7 +92,7 @@ def decode_pair(digits: str, pair_kind: str, n: int):
         (xk, yk), (xm, ym) = QUAD_TABLE[digit]
         x[k], y[k] = xk, yk
         x[length - 1 - k], y[length - 1 - k] = xm, ym
-    if has_center:
+    if length % 2:
         digit = digits[-1]
         if digit not in CENTER_TABLE:
             raise CodecError(f"unknown central digit {digit!r}")
@@ -103,14 +100,14 @@ def decode_pair(digits: str, pair_kind: str, n: int):
     return tuple(x), tuple(y)
 
 
-def _pair_digits(x, y) -> str | None:
-    """The digits of the equal-length pair (x, y), the central digit last
-    when the length is odd, or None when some column has no digit."""
+def _pair_digits(x, y) -> list[str | None]:
+    """The digit of each column pair of the equal-length pair (x, y), the
+    central digit last when the length is odd; None for a column without one."""
     half = len(x) // 2
     digits = list(map(_QUAD_DIGITS.get, zip(x[:half], y[:half], x[::-1][:half], y[::-1][:half])))
     if len(x) % 2:
         digits.append(_CENTER_DIGITS.get((x[half], y[half])))
-    return None if None in digits else "".join(digits)
+    return digits
 
 
 def encode_pair(x, y, pair_kind: str) -> str:
@@ -123,14 +120,13 @@ def encode_pair(x, y, pair_kind: str) -> str:
     if length % 2 != _pair_length(pair_kind, 0):  # ab pairs have odd length, cd pairs even
         raise CodecError(f"{pair_kind} pairs cannot have length {length}")
     digits = _pair_digits(x, y)
-    if digits is not None:
-        return digits
-    for k in range(length // 2):
+    if None not in digits:
+        return "".join(digits)
+    k = digits.index(None)
+    if k < length // 2:
         quad = ((x[k], y[k]), (x[length - 1 - k], y[length - 1 - k]))
-        if quad[0] + quad[1] not in _QUAD_DIGITS:
-            raise UnencodableError(f"column pair {quad} at position {k + 1} has no digit")
-    center = (x[length // 2], y[length // 2])
-    raise UnencodableError(f"central column {center} has no digit")
+        raise UnencodableError(f"column pair {quad} at position {k + 1} has no digit")
+    raise UnencodableError(f"central column {(x[k], y[k])} has no digit")
 
 
 def _require_code_order(n: int) -> None:
@@ -168,11 +164,12 @@ def decode_quadruple(n: int, ab: str, cd: str) -> SeqQuadruple:
 # (A, B) and 1,296 (C, D) pairs
 @lru_cache(maxsize=4096)
 def _pair_forms(x, y) -> tuple[str | None, str]:
-    """The digits of the pair (x, y), or None (see _pair_digits), and its
-    "X;Y" plaintext, computed once per distinct pair while it stays in the
-    memo.  Whether the digits may be written depends on the quadruple, not
-    on the pair (see _has_codes)."""
-    return _pair_digits(x, y), f"{seq_str(x)};{seq_str(y)}"
+    """The digits of the pair (x, y) joined, or None when a column has none
+    (see _pair_digits), and its "X;Y" plaintext, computed once per distinct
+    pair while it stays in the memo.  Whether the digits may be written
+    depends on the quadruple, not on the pair (see _has_codes)."""
+    digits = _pair_digits(x, y)
+    return None if None in digits else "".join(digits), f"{seq_str(x)};{seq_str(y)}"
 
 
 def _has_codes(q: SeqQuadruple) -> bool:

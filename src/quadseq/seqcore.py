@@ -17,8 +17,10 @@ power-spectral-density screen and joins the others by exact integer keys
 (the PSD at five roots of unity) and a linear hash, in array passes.
 
 verify_quadruple is the one verifier for every kind, a Golay pair included
-(as the base quadruple BS(g, 0)); VerificationReport.require turns a failing
-verdict into the error "<context>: <failure>".
+(as the base quadruple BS(g, 0)), and the one code that decides and words a
+verdict: after the shape rule it reads pass or the first failing rule off
+two memos of the quadruple's pairs.  VerificationReport.require turns a
+failing verdict into the error "<context>: <failure>".
 """
 
 import os
@@ -434,12 +436,6 @@ class SeqQuadruple:
             raise ShapeError("C and D must have equal length")
 
     @classmethod
-    def _trusted(cls, a: Seq, b: Seq, c: Seq, d: Seq, kind: str) -> "SeqQuadruple":
-        """The quadruple of these fields, built without __post_init__'s
-        checks (see _trusted_all)."""
-        return cls._trusted_all(((a, b, c, d),), kind)[0]
-
-    @classmethod
     def _trusted_all(cls, quads, kind: str) -> list["SeqQuadruple"]:
         """The quadruples of kind `kind` of the (A, B, C, D) tuples `quads`,
         in order, built without __post_init__'s checks: the one trusted
@@ -506,7 +502,7 @@ def parsed_quadruple(a: Seq, b: Seq, c: Seq, d: Seq, kind: str) -> SeqQuadruple:
     check, so such a quadruple is built without its checks; any other goes
     through the constructor, which refuses it in its own words."""
     if kind in ALL_KINDS and len(a) == len(b) and len(c) == len(d):
-        return SeqQuadruple._trusted(a, b, c, d, kind)
+        return SeqQuadruple._trusted_all(((a, b, c, d),), kind)[0]
     return SeqQuadruple(a, b, c, d, kind)
 
 
@@ -539,17 +535,8 @@ def _fail(msg: str) -> VerificationReport:
 _PASS = VerificationReport(passed=True)
 
 
-def _lag_sum_verdict(seqs, pair_lags) -> VerificationReport:
-    """Fails at the first positive lag where the four autocorrelations do not
-    cancel; pair_lags(x, y) gives the summed positive-lag autocorrelations
-    of two sequences of equal length."""
-    a, b, c, d = seqs if len(seqs[0]) >= len(seqs[2]) else seqs[2:] + seqs[:2]
-    long, short = pair_lags(a, b), pair_lags(c, d)  # A, B and C, D have equal lengths
-    total = [*map(add, long, short), *long[len(short) :]]
-    if any(total):
-        j = next(j for j, value in enumerate(total, start=1) if value)
-        return _fail(f"lag {j}: autocorrelation sum = {total[j - 1]}, expected 0")
-    return _PASS
+def _lag_failure(j: int, total: int) -> VerificationReport:
+    return _fail(f"lag {j}: autocorrelation sum = {total}, expected 0")
 
 
 def _pair_lags(x: Seq, y: Seq) -> tuple[int, ...]:
@@ -561,28 +548,28 @@ def _pair_lags(x: Seq, y: Seq) -> tuple[int, ...]:
     return tuple(map(add, _npaf_array(x)[1:].tolist(), _npaf_array(y)[1:].tolist()))
 
 
-# a verdict's lag sums, one immutable tuple per distinct (X, Y) pair: the key
-# is a pair of a quadruple's own fields, which SeqQuadruple holds as tuples
-# of plain ints (see _integral), so equal pairs given as lists or numpy ints
-# share one entry
-_memo_pair_lags = lru_cache(maxsize=4096)(_pair_lags)
-
-
+# The two verdict memos below are keyed on a quadruple's own fields, which
+# SeqQuadruple holds as tuples of plain ints (see _integral), so equal pairs
+# given as lists or numpy ints share one entry.
 @lru_cache(maxsize=4096)
-def _long_pair(a: Seq, b: Seq, kind: str, n: int) -> tuple[bool, tuple[int, ...]]:
+def _long_pair(a: Seq, b: Seq, kind: str, n: int) -> tuple[
+        VerificationReport | None, tuple[int, ...], VerificationReport | None]:
     """What a verdict needs of the long pair (A, B) of a quadruple of kind
-    `kind` whose short pair has length n <= len(A): whether the pair passes
-    its position rule and its lag sums beyond lag n - 1 are all zero, and
-    its lag sums at lags 1..n-1, which the short pair's must cancel."""
-    lags, short = _memo_pair_lags(a, b), max(n - 1, 0)
-    return _position_failure(a, b, kind, n) is None and not any(lags[short:]), lags[:short]
+    `kind` whose short pair has length n <= len(A): its position failure
+    (see _position_failure) or None; its lag sums at lags 1..n-1, which the
+    short pair's must cancel; and the failure at its first nonzero lag sum
+    beyond lag n - 1, where the short pair has none, or None."""
+    lags, short = _pair_lags(a, b), max(n - 1, 0)
+    beyond = next((_lag_failure(j, total) for j, total in enumerate(lags[short:], start=short + 1)
+                   if total), None)
+    return _position_failure(a, b, kind, n), lags[:short], beyond
 
 
 @lru_cache(maxsize=4096)
 def _negated_lags(c: Seq, d: Seq) -> tuple[int, ...]:
     """The lag sums of the short pair (C, D), negated: equal to the long
     pair's lags 1..n-1 exactly when the two cancel there."""
-    return negate(_memo_pair_lags(c, d))
+    return negate(_pair_lags(c, d))
 
 
 def verify_quadruple(q: SeqQuadruple) -> VerificationReport:
@@ -591,31 +578,32 @@ def verify_quadruple(q: SeqQuadruple) -> VerificationReport:
     Raises ShapeError for shapes that make the question meaningless
     (NS/NN need m = n+1, TS needs all four lengths equal); a clean failure
     of the defining equations is reported as a non-passing verdict naming
-    the first violated condition.
+    the first violated condition: the shape rule's (ts support), then the
+    position rule's, then the lowest lag whose four autocorrelations do not
+    cancel.
 
     Each distinct pair is worked out once while it stays in a memo of 4,096
     pairs, since orbits, archives and checkpoints hold many quadruples over
-    few pairs: (A, B) with its kind and n gives its position verdict and
-    lag sums, (C, D) its lag sums negated.  After the shape and support
-    rules, a quadruple whose position rule holds and whose two pairs' lag
-    sums cancel passes on those two lookups; any other is decided by
-    _verify, which words its failure.
+    few pairs: the long pair (A, B), with its kind and n, gives its position
+    failure, its lag sums below n and its first failing lag beyond, and the
+    short pair (C, D) its lag sums negated.  After the shape rule, every
+    verdict is read off those two lookups; a quadruple passes when neither
+    failure is there and the two tuples are equal.
     """
-    a, c = q.a, q.c
-    if _shape_verdict(q) is None and len(a) >= len(c):
-        holds, lags = _long_pair(a, q.b, q.kind, len(c))
-        if holds and lags == _negated_lags(c, q.d):
-            return _PASS
-    return _verify(q, _memo_pair_lags)
-
-
-def _verify(q: SeqQuadruple, pair_lags) -> VerificationReport:
-    """The shape rule of q's kind, then its position rule, then the lag sums."""
-    support = _shape_verdict(q)
-    if support is not None:
-        return support
-    failure = _position_failure(q.a, q.b, q.kind, len(q.c))
-    return _lag_sum_verdict(q.seqs(), pair_lags) if failure is None else _fail(failure)
+    verdict = _shape_verdict(q)
+    if verdict is not None:
+        return verdict
+    a, b, c, d = q.a, q.b, q.c, q.d
+    if len(a) < len(c):  # only in a bs quadruple: (C, D) is its long pair
+        a, b, c, d = c, d, a, b
+    position, lags, beyond = _long_pair(a, b, q.kind, len(c))
+    if position is not None:
+        return position
+    negated = _negated_lags(c, d)
+    if lags == negated:
+        return _PASS if beyond is None else beyond
+    return next(_lag_failure(j, x - y) for j, (x, y) in enumerate(zip(lags, negated), start=1)
+                if x != y)
 
 
 def _shape_verdict(q: SeqQuadruple) -> VerificationReport | None:
@@ -635,18 +623,19 @@ def _shape_verdict(q: SeqQuadruple) -> VerificationReport | None:
     return None
 
 
-def _position_failure(a: Seq, b: Seq, kind: str, n: int) -> str | None:
-    """The failure of an ns or nn pair (A, B) at order n, or None: B repeats
-    A at even 0-based positions below n, and at the odd ones repeats it
-    (ns) or negates it (nn).  Other kinds have no position rule on (A, B)."""
+def _position_failure(a: Seq, b: Seq, kind: str, n: int) -> VerificationReport | None:
+    """The failing verdict of an ns or nn pair (A, B) at order n, naming
+    its first position that breaks the rule, or None: B repeats A at even
+    0-based positions below n, and at the odd ones repeats it (ns) or
+    negates it (nn).  Other kinds have no position rule on (A, B)."""
     if kind != KIND_NORMAL and kind != KIND_NEAR_NORMAL:
         return None
-    odd = a[1:n:2] if kind == KIND_NORMAL else negate(a[1:n:2])
-    if b[0:n:2] == a[0:n:2] and b[1:n:2] == odd:
-        return None
-    i = next(i for i in range(n) if b[i] != (odd[i // 2] if i % 2 else a[i]))
-    label = "normality" if kind == KIND_NORMAL else "near-normality"
-    return f"{label} violated at position {i + 1}"
+    odd = 1 if kind == KIND_NORMAL else -1
+    for i in range(n):
+        if b[i] != (odd * a[i] if i % 2 else a[i]):
+            label = "normality" if kind == KIND_NORMAL else "near-normality"
+            return _fail(f"{label} violated at position {i + 1}")
+    return None
 
 
 def sum_of_squares_check(m: int, n: int, sums: tuple[int, int, int, int]) -> bool:

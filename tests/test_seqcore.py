@@ -260,7 +260,7 @@ def test_seq_str_formats_lists_and_ternary_tuples():
 
 def test_trusted_quadruple_equals_the_checked_one():
     seqs = ((1, -1, 1), (1, 1, -1), (1, -1), (-1, -1))
-    trusted = SeqQuadruple._trusted(*seqs, "nn")
+    trusted = SeqQuadruple._trusted_all((seqs,), "nn")[0]
     checked = SeqQuadruple(*seqs, "nn")
     assert trusted == checked and hash(trusted) == hash(checked)
     assert trusted.seqs() == seqs and trusted.shape == (3, 2)
@@ -275,7 +275,7 @@ def test_trusted_quadruple_equals_the_checked_one():
 
 def test_quadruples_are_slotted_and_round_trip():
     seqs = ((1, -1, 1), (1, 1, -1), (1, -1), (-1, -1))
-    trusted = SeqQuadruple._trusted(*seqs, "nn")
+    trusted = SeqQuadruple._trusted_all((seqs,), "nn")[0]
     checked = SeqQuadruple(*seqs, "nn")
     for quad in (trusted, checked):
         assert not hasattr(quad, "__dict__")
@@ -408,30 +408,30 @@ def test_memoized_verifier_gives_the_verdicts_of_the_unmemoized_one():
     # twice over: the second pass reads every pair from the memo
     for _ in range(2):
         verdicts = [verify_quadruple(q) for q in quads]
-        assert verdicts == [seqcore._verify(q, seqcore._pair_lags) for q in quads]
+        assert verdicts == [_reference_verify(q) for q in quads]
     assert any(v.passed for v in verdicts) and any(not v.passed for v in verdicts)
     for malformed in (
         SeqQuadruple((1, 1, 1), (1, 1, 1), (1,), (1,), "nn"),
         parse_quad("+0;0-;+;-", "ts"),
     ):
-        for verify in (verify_quadruple, lambda q: seqcore._verify(q, seqcore._pair_lags)):
+        for verify in (verify_quadruple, _reference_verify):
             with pytest.raises(ShapeError):
                 verify(malformed)
     # one shared tuple of plain ints per pair, which no caller can change
-    cached = seqcore._memo_pair_lags(row.c, row.d)
+    cached = seqcore._negated_lags(row.c, row.d)
     assert type(cached) is tuple and {type(v) for v in cached} == {int}
-    assert cached == tuple(map(add, npaf_values(row.c)[1:], npaf_values(row.d)[1:]))
+    assert cached == negate(tuple(map(add, npaf_values(row.c)[1:], npaf_values(row.d)[1:])))
     with pytest.raises(TypeError):
         cached[0] = 0
     # lists and numpy ints verify, and share the entry of the equal plain pair
     loose = SeqQuadruple(list(row.a), np.array(row.b), list(row.c), np.array(row.d, dtype=np.int8),
                          row.kind)
     assert verify_quadruple(loose).passed
-    assert seqcore._memo_pair_lags(loose.c, loose.d) is cached
+    assert seqcore._negated_lags(loose.c, loose.d) is cached
 
 
 def _reference_verify(q):
-    """The per-position loops that seqcore._verify replaced, with lag sums
+    """The per-position loops that seqcore's verdict memos replaced, with lag sums
     from the defining double sum: the verdicts, failure texts and ShapeError
     texts the one verifier must keep."""
     if q.kind == "ts":
@@ -519,6 +519,10 @@ def _outcome(verify, q):
 @example(SeqQuadruple((1,), (-1,), (), (), "nn"))
 @example(SeqQuadruple((1,), (1,), (1,), (1,), "ns"))
 @example(SeqQuadruple((), (), (1,), (1,), "bs"))
+# failing at lag 1, below n, and at lag 2, beyond n - 1: the lowest lag is named
+@example(SeqQuadruple((1, 1, 1), (1, 1, 1), (1, 1), (1, 1), "bs"))
+# failing at position 2 and at lag 1: the position is named
+@example(SeqQuadruple((1, 1, 1), (1, 1, -1), (1, 1), (1, 1), "nn"))
 def test_verifier_gives_the_verdicts_and_texts_of_the_per_position_reference(q):
     # cold, then with q's pairs in the memos
     _clear_verdict_memos()
@@ -527,8 +531,37 @@ def test_verifier_gives_the_verdicts_and_texts_of_the_per_position_reference(q):
 
 
 def _clear_verdict_memos():
-    for memo in (seqcore._memo_pair_lags, seqcore._long_pair, seqcore._negated_lags):
+    for memo in (seqcore._long_pair, seqcore._negated_lags):
         memo.cache_clear()
+
+
+def test_a_verdict_evaluates_each_rule_once(monkeypatch):
+    calls = {}
+    for name in ("_shape_verdict", "_position_failure"):
+        def counted(*args, rule=getattr(seqcore, name), name=name):
+            calls[name] += 1
+            return rule(*args)
+        monkeypatch.setattr(seqcore, name, counted)
+    cases = [
+        # a support failure stops before the position rule
+        (parse_quad("++;00;0+;00", "ts"), 0,
+         "support at position 2: 2 nonzero entries, expected 1"),
+        (parse_record("nn 36 0764841234846532152 165154775335162126"), 1,
+         "near-normality violated at position 19"),
+        (parse_record("nn 36 0764841234846532153 165154775335162127"), 1,
+         "lag 2: autocorrelation sum = -4, expected 0"),
+        # n = 2, and (A, B) fails at lag 3 only
+        (SeqQuadruple((1, -1, 1, 1), (1, -1, 1, 1), (1, 1), (1, 1), "bs"), 1,
+         "lag 3: autocorrelation sum = 2, expected 0"),
+    ]
+    for q, positions, failure in cases:
+        _clear_verdict_memos()
+        for warm in (False, True):
+            calls.update(_shape_verdict=0, _position_failure=0)
+            assert verify_quadruple(q) == VerificationReport(False, failure)
+            # warm, the position rule's verdict comes from the memo
+            assert calls == {"_shape_verdict": 1, "_position_failure": 0 if warm else positions}
+        assert _outcome(_reference_verify, q) == (False, failure)
 
 
 def _with_entry_flipped(seq, i):
@@ -558,8 +591,6 @@ def test_a_memoized_pair_meets_a_failing_one_with_the_reference_verdict(member_f
         for _ in range(2):
             for q in order:
                 assert _outcome(verify_quadruple, q) == _outcome(_reference_verify, q)
-                assert _outcome(verify_quadruple, q) == _outcome(
-                    lambda q: seqcore._verify(q, seqcore._pair_lags), q)
         assert verify_quadruple(member).passed and not verify_quadruple(mixed).passed
 
 
