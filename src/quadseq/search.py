@@ -74,7 +74,6 @@ import numpy as np
 from .seqcore import (
     KIND_NEAR_NORMAL,
     KIND_NORMAL,
-    KIND_T,
     QuadseqError,
     SeqQuadruple,
     bit_lags,
@@ -816,67 +815,66 @@ def _group(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(table).astype(np.intp) - 1, np.sign(table).astype(np.int8)
 
 
-def _flat(q: SeqQuadruple) -> tuple[int, ...]:
-    return q.a + q.b + q.c + q.d
+def _orbit_rows(q: SeqQuadruple) -> np.ndarray:
+    """The orbit of a verified near-normal quadruple as its distinct int8
+    rows A||B||C||D, in byte order: within one order that is plaintext
+    order (+1 is 0x01, -1 is 0xff, and '+' sorts before '-'), so row 0 is
+    the canonical form.
 
-
-def _verified_orbit(q: SeqQuadruple) -> set[tuple[int, ...]]:
-    """Flat tuples of the orbit of a verified binary quadruple."""
-    if q.kind == KIND_T:
-        raise SearchError("equivalence orbits are defined for binary quadruples")
+    Other kinds are refused: the odd-interior generators keep only the
+    near-normal pattern (see _signed_maps), so their orbits hold non-members.
+    """
+    if q.kind != KIND_NEAR_NORMAL:
+        raise SearchError(f"equivalence orbits are defined for near-normal quadruples, not {q.kind}")
     verify_quadruple(q).require(SearchError, "orbit input fails verification")
     source, sign = _group(q.m, q.n)
-    # a product repeats members (1,024 rows for at most 512 near-normal ones):
-    # drop the repeats as row bytes, before the costlier tuple conversion
-    members = set(map(bytes, np.array(_flat(q), dtype=np.int8)[source] * sign))
-    table = np.frombuffer(b"".join(members), dtype=np.int8).reshape(len(members), source.shape[1])
-    return set(map(tuple, table.tolist()))
+    rows = np.array(q.a + q.b + q.c + q.d, dtype=np.int8)[source] * sign
+    # a product repeats members (1,024 rows for at most 512 near-normal ones)
+    distinct = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel())
+    return distinct.view(np.int8).reshape(len(distinct), rows.shape[1])
 
 
-def _quadruples(flats, like: SeqQuadruple, shared: dict) -> list[SeqQuadruple]:
-    """The quadruples of kind and shape `like` whose flat tuples are `flats`.
-
-    A sequence equal to one already in `shared` reuses that tuple, so the
-    members of an orbit, which have few distinct sequences, share them.
-    """
-    m, n = like.shape
-    share = shared.setdefault
+def _quadruples(rows: np.ndarray, n: int) -> list[SeqQuadruple]:
+    """The near-normal quadruples of order n whose A||B||C||D are `rows`, rows
+    of _orbit_rows.  Equal sequences share one tuple: an orbit's members have
+    few distinct sequences."""
+    m = n + 1
+    share = {}.setdefault
     quads = []
-    for flat in flats:
-        a, b, c, d = flat[:m], flat[m : 2 * m], flat[2 * m : 2 * m + n], flat[2 * m + n :]
+    for row in map(tuple, rows.tolist()):
+        a, b, c, d = row[:m], row[m : 2 * m], row[2 * m : 2 * m + n], row[2 * m + n :]
         quads.append((share(a, a), share(b, b), share(c, c), share(d, d)))
-    # each flat is a signed permutation of a verified binary quadruple's +-1
-    # entries (see _verified_orbit), cut at that quadruple's lengths: plain
-    # ints in the alphabet, A, B and C, D of equal lengths
-    return SeqQuadruple._trusted_all(quads, like.kind)
+    return SeqQuadruple._trusted_all(quads, KIND_NEAR_NORMAL)
 
 
 def nn_orbit(q: SeqQuadruple) -> set[SeqQuadruple]:
     """Closure of a verified near-normal quadruple under the equivalence group."""
-    return set(_quadruples(_verified_orbit(q), q, {}))
+    return set(_quadruples(_orbit_rows(q), q.n))
 
 
 def canonicalize(q: SeqQuadruple) -> SeqQuadruple:
-    """Lexicographically least plaintext member of the orbit; idempotent and
-    constant on orbits by construction.
-
-    Within one shape plaintext order is entry-by-entry order with '+'
-    before '-' (see _in_plaintext_order), so that member has the largest
-    flat tuple.
-    """
-    return _quadruples([max(_verified_orbit(q))], q, {})[0]
+    """Plaintext-least member of the orbit of a verified near-normal
+    quadruple; idempotent and constant on orbits by construction."""
+    return _quadruples(_orbit_rows(q)[:1], q.n)[0]
 
 
 def equivalence_classes(quads) -> list[SeqQuadruple]:
-    """Distinct canonical forms among `quads`, sorted by plaintext."""
+    """Distinct canonical forms among verified near-normal `quads`, sorted
+    by plaintext."""
     canonical = []
-    seen = set()
-    shared = {}
+    seen = set()  # row bytes; quadruples of different orders differ in length
+    codes = {}  # sequence -> its int8 bytes: an orbit's members share few sequences
+
+    def code(seq):
+        found = codes.get(seq)
+        if found is None:
+            found = codes[seq] = np.array(seq, dtype=np.int8).tobytes()
+        return found
+
     for q in quads:
-        kind_shape = (q.kind, q.shape)  # flat tuples of other kinds or shapes may coincide
-        if (kind_shape, _flat(q)) in seen:
+        if q.kind == KIND_NEAR_NORMAL and b"".join(map(code, q.seqs())) in seen:
             continue
-        orbit = _verified_orbit(q)
-        seen.update((kind_shape, flat) for flat in orbit)
-        canonical += _quadruples([max(orbit)], q, shared)
+        rows = _orbit_rows(q)  # refuses other kinds
+        seen.update(map(bytes, rows))
+        canonical += _quadruples(rows[:1], q.n)
     return sorted(canonical, key=SeqQuadruple.plaintext)

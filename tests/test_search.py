@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import re
 import signal
 from functools import cache
@@ -1533,11 +1534,21 @@ def test_orbits_partition(solutions):
 
 
 def test_orbit_rejects_non_members():
-    with pytest.raises(SearchError):
-        nn_orbit(parse_quad("+++;+--;++;++", "nn"))
-    # a T-sequence quadruple verifies, but its plaintext order is not the flat tuple order
-    with pytest.raises(SearchError, match="binary"):
-        nn_orbit(parse_quad("+0;00;0+;00", "ts"))
+    refusals = (
+        ("+++;+--;++;++", "nn", "fails verification"),
+        # the group keeps only the near-normal pattern: the ns solution's
+        # orbit holds +++;++-;++;++ and the bs quadruple's ---;++-;--;++,
+        # which fail verification
+        ("+++;++-;+-;+-", "ns", "near-normal quadruples, not ns"),
+        ("+-+;-++;++;++", "bs", "near-normal quadruples, not bs"),
+        ("+0;00;0+;00", "ts", "near-normal quadruples, not ts"),
+    )
+    for text, kind, match in refusals:
+        quad = parse_quad(text, kind)
+        assert verify_quadruple(quad).passed == (kind != "nn")
+        for refuses in (nn_orbit, canonicalize, lambda q: equivalence_classes([q])):
+            with pytest.raises(SearchError, match=match):
+                refuses(quad)
 
 
 def test_canonicalize_idempotent_and_orbit_constant(solutions):
@@ -1548,10 +1559,12 @@ def test_canonicalize_idempotent_and_orbit_constant(solutions):
         assert canonicalize(member) == canon
 
 
-def test_classes_of_different_shapes_stay_apart():
-    # both flat tuples A||B||C||D are (1, 1)
-    quads = [parse_quad("+;+;;", "bs"), parse_quad(";;+;+", "bs")]
-    assert equivalence_classes(quads) == quads
+def test_classes_of_different_orders_merge_in_plaintext_order(solutions):
+    orders = range(0, 7)
+    merged = [q for order in orders for q in equivalence_classes(solutions("nn", order))]
+    assert len({q.n for q in merged}) > 1
+    quads = [q for order in orders for q in solutions("nn", order)]
+    assert equivalence_classes(quads) == sorted(merged, key=SeqQuadruple.plaintext)
 
 
 def test_single_class_at_order_two(solutions):
@@ -1716,6 +1729,14 @@ def test_any_witness_orbit_member_has_the_same_orbit_and_canonical_form(index, p
     member = orbit[position]
     assert tuple(sorted(nn_orbit(member), key=SeqQuadruple.plaintext)) == orbit
     assert canonicalize(member) == orbit[0]
+
+
+def test_classes_of_the_shuffled_witness_orbits_are_their_canonical_forms():
+    members = [q for index in range(len(WITNESS_ORBIT_SHA256)) for q in _witness_orbit(index)]
+    assert len(members) == 3072
+    random.Random(5).shuffle(members)
+    canonical = [_witness_orbit(index)[0] for index in range(len(WITNESS_ORBIT_SHA256))]
+    assert equivalence_classes(members) == sorted(canonical, key=SeqQuadruple.plaintext)
 
 
 def test_canonical_form_is_the_plaintext_least_orbit_member(solutions):
