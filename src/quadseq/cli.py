@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=(KIND_NORMAL, KIND_NEAR_NORMAL), required=True)
     p.add_argument("--mode", choices=("all", "first", "count"), default="all")
     p.add_argument("--cases", type=_int_list, help="comma-separated case ids, e.g. 3,7")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads that share each batch's joins; the output does not depend on it")
     p.add_argument("--limit", type=int, help="node budget")
     p.add_argument("--checkpoint", help="checkpoint file to write")
     p.add_argument("--resume", help="checkpoint file to resume from")

@@ -27,9 +27,9 @@ merged in.  Only the survivors whose target has pairs are unpacked to +-1
 rows and become tuples, one group per A: A, B and the (C, D)
 pairs, both in the order the join found them, which a checkpoint keeps,
 and in plaintext order, ranked once per distinct target, from which the
-result is assembled.  The scan and the memo live in the calling process.  With
-workers > 1 the calling process and workers - 1 children, forked for the
-whole search (_JoinPool), each join one array chunk of a batch's new
+result is assembled.  The scan and the memo live in the calling thread.  With
+workers > 1 the calling thread and workers - 1 pool threads, started for
+the whole search (_JoinPool), each join one array chunk of a batch's new
 targets.
 
 The sum-of-squares prune is the only test before the join.  It only saves
@@ -313,106 +313,41 @@ def _scan_block(spec: SearchSpec, verdict: np.ndarray, bounds: tuple[int, int]):
 
 
 class _JoinPool:
-    """The profile join of one search over `workers` processes: the caller
-    and workers - 1 children, each child forked with one pipe to the caller.
+    """The profile join of one search over `workers` threads: the caller
+    and workers - 1 pool threads, which share the caller's profile index.
 
-    The children are forked after the caller has built the profile index,
-    so they inherit it rather than build their own; fork is named, because
-    it is no longer the default start method from Python 3.14.
-    multiprocessing is imported only here, so only a pooled search loads
-    it.  Leaving the `with` block closes every pipe, which is a child's EOF,
-    and joins every child; leaving it by an exception (an error, an
-    exhausted budget, Ctrl-C) first terminates them, as one may be in the
-    middle of a chunk."""
+    ProfileIndex.join is numpy array passes over a read-only index, which
+    release the GIL, so the threads join their chunks side by side.
+    concurrent.futures is imported only here, so only a pooled search loads
+    it.  Leaving the `with` block, however it is left, cancels the chunks
+    not yet started and waits for those still running."""
 
     def __init__(self, order: int, workers: int):
-        self.order = order
-        self.pipes, self.children = [], []
-        if workers == 1:
-            return
-        import multiprocessing
+        self.order, self.workers, self.threads = order, workers, None
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
 
-        context = multiprocessing.get_context("fork")
-        index = profile_index(order)
-        try:
-            for _ in range(workers - 1):
-                ours, theirs = context.Pipe()
-                self.pipes.append(ours)
-                # the child inherits the caller's ends of its own pipe and of
-                # its older siblings', and must close them, or no child sees
-                # EOF when the caller closes its ends
-                child = context.Process(target=_serve, args=(index, theirs, [*self.pipes]))
-                child.start()
-                self.children.append(child)
-                theirs.close()
-        except BaseException:
-            self.__exit__(BaseException)
-            raise
+            self.threads = ThreadPoolExecutor(workers - 1)
 
     def __enter__(self):
         return self
 
-    def __exit__(self, exc_type, *_exc):
-        for pipe in self.pipes:
-            pipe.close()
-        for child in self.children:
-            if exc_type is not None:
-                child.terminate()
-            child.join()
+    def __exit__(self, *_exc):
+        if self.threads is not None:
+            self.threads.shutdown(cancel_futures=True)
 
     def join(self, targets: np.ndarray) -> list[tuple[list, int]]:
-        """ProfileIndex.join(targets), in one array chunk per process: the
-        children are sent chunks 1, 2, ... and the caller joins chunk 0, then
-        takes their replies in chunk order.  A child that fails or ends
-        without a reply is a SearchError, never a wait."""
-        chunks = np.array_split(targets, min(len(self.pipes) + 1, len(targets)))
-        busy = list(zip(self.pipes, self.children, chunks[1:]))
-        for pipe, child, chunk in busy:
-            try:
-                pipe.send(chunk)
-            except OSError:  # the child is gone
-                raise self._lost(child) from None
-        joined = profile_index(self.order).join(chunks[0])
-        for pipe, child, _chunk in busy:
-            try:
-                failure, part = pipe.recv()
-            except (EOFError, OSError):
-                raise self._lost(child) from None
-            if failure is not None:
-                raise SearchError(f"join worker {child.pid} failed: {failure}")
-            joined += part
+        """ProfileIndex.join(targets), in one array chunk per thread: the
+        pool threads are given chunks 1, 2, ... and the caller joins chunk 0,
+        then appends their results in chunk order.  A join that raises in a
+        pool thread raises its own exception here."""
+        index = profile_index(self.order)  # built once, in the caller
+        chunks = np.array_split(targets, min(self.workers, len(targets)))
+        parts = [self.threads.submit(index.join, chunk) for chunk in chunks[1:]]
+        joined = index.join(chunks[0])
+        for part in parts:
+            joined += part.result()
         return joined
-
-    @staticmethod
-    def _lost(child) -> SearchError:
-        child.join(timeout=1)
-        return SearchError(f"join worker {child.pid} ended without a reply "
-                           f"(exit code {child.exitcode})")
-
-
-def _serve(index, pipe, inherited) -> None:
-    """A _JoinPool child: join each array of targets the caller sends and
-    send back (None, joins), or (failure, None) when the join raises, until
-    the caller closes its end of the pipe."""
-    import signal
-
-    for end in inherited:
-        end.close()
-    # Ctrl-C reaches the whole process group; the caller alone handles it
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        try:
-            targets = pipe.recv()
-        except EOFError:
-            return
-        try:
-            reply = None, index.join(targets)
-        except Exception as exc:  # reported to the caller, which raises it
-            reply = f"{type(exc).__name__}: {exc}", None
-        try:
-            pipe.send(reply)
-        except OSError:  # the caller has closed its end
-            return
 
 
 def _in_plaintext_order(quads) -> list:
@@ -549,7 +484,7 @@ def search(
     base_nodes = saved_nodes = state.nodes  # node_limit budgets the current run only
     # a first-mode run ends at its hit, which its checkpoint may already hold
     done = first and state.found
-    # after _resume_state, so that a refused checkpoint forks nothing
+    # after _resume_state, so that a refused checkpoint starts no thread
     with _JoinPool(spec.order, 1 if done else workers) as pool:
         blocks = () if done else _blocks(
             spec, passes, state.case_pos, state.lex_next, pool.join)
@@ -614,7 +549,7 @@ def _blocks(spec, passes, case_pos, lex_start, join):
     all the batches before it in the pass.  A batch is one
     _scan_block call, one np.unique of its targets and one `join` call on
     the new ones (a _JoinPool's, which splits them into one array chunk per
-    process), and is then cut at its block boundaries.
+    thread), and is then cut at its block boundaries.
 
     A pass joins each distinct target once, when a batch first holds it,
     and charges its probes to every surviving A that has it.  Its memo is

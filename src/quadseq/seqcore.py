@@ -3,7 +3,7 @@
 All sequences are tuples of machine integers over {+1,-1} (binary) or
 {-1,0,+1} (ternary).  Every function here except read_text and
 write_text_atomic is pure and every value immutable, so they are safe to
-share between worker processes.
+share between the threads of a pooled search.
 
 The autocorrelations of a sequence come from one numpy kernel, _npaf_array,
 exact for any integer sequence: int64 under an explicit bound, Python ints
@@ -282,7 +282,7 @@ class ProfileIndex:
     "compression" of Dokovic and Kotsireas).  The profiles are grouped by key
     vector and hashed by h(p) = p . multipliers mod 2^64, odd multipliers
     redrawn until every hash is distinct.  join() is the only reader of this
-    layout, and the forked workers of a pooled search inherit it.
+    layout, and the threads of a pooled search share one index.
     """
 
     def __init__(self, length: int):

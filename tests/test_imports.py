@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports and each private
 name it defines, no name the package exports hides one of its modules, and
-importing the command line loads no process machinery.
+importing the command line loads no process or thread pool machinery.
 
 `__init__.py` is exempt: it imports names only to re-export them.
 """
@@ -89,8 +89,8 @@ def test_no_package_attribute_shadows_a_submodule(module):
 
 
 def test_importing_the_cli_loads_no_process_machinery():
-    # only a search with workers > 1 imports multiprocessing (search._JoinPool):
-    # with concurrent.futures it would add ~15 ms to every command's start
+    # only a search with workers > 1 imports concurrent.futures (search._JoinPool):
+    # it would add about 8 ms to every command's start
     code = ("import sys, quadseq.cli; print(sorted(name for name in sys.modules"
             " if name.startswith(('multiprocessing', 'concurrent'))))")
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))

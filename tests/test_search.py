@@ -5,11 +5,11 @@ import hashlib
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import random
 import re
 import signal
+import threading
 from functools import cache
 
 import numpy as np
@@ -1240,7 +1240,7 @@ def test_each_distinct_target_is_joined_once_per_pass(tmp_path, monkeypatch):
     join = ProfileIndex.join
 
     def logged_join(index, rows):
-        with open(log, "a", encoding="utf-8") as fh:  # forked workers log too
+        with open(log, "a", encoding="utf-8") as fh:  # pool threads log too
             fh.writelines(["join\n"] + [f"{tuple(target)}\n" for target in rows.tolist()])
         return join(index, rows)
 
@@ -1502,7 +1502,7 @@ def test_batches_start_at_one_block_and_double_up_to_the_cap(tmp_path, monkeypat
     join = ProfileIndex.join
 
     def logged_join(index, rows):
-        with open(log, "a", encoding="utf-8") as fh:  # forked workers log too
+        with open(log, "a", encoding="utf-8") as fh:  # pool threads log too
             fh.write("join\n")
         return join(index, rows)
 
@@ -1770,35 +1770,58 @@ def test_search_stats_populated():
     assert result.stats.elapsed >= 0.0
 
 
-def test_pool_workers_inherit_the_parents_profile_index(tmp_path, monkeypatch):
-    # the parent builds the index before it forks, so no child builds its
-    # own, and every child joins with the one it inherits
-    log = tmp_path / "pids.log"
+def _hold_pool_chunks_for_the_caller(monkeypatch):
+    """Hold each pool thread's chunk until the caller starts on its own, which
+    it does once every chunk of the batch is handed out.  So no pool thread is
+    idle while chunks are handed out, and a batch of k chunks runs on k
+    threads however the host schedules them."""
+    caller, join, pool_join = threading.get_ident(), ProfileIndex.join, search_module._JoinPool.join
+    handed_out = threading.Event()
+
+    def batch(pool, targets):
+        handed_out.clear()
+        return pool_join(pool, targets)
+
+    def held(index, rows):
+        if threading.get_ident() == caller:
+            handed_out.set()
+        else:
+            handed_out.wait(60)
+        return join(index, rows)
+
+    monkeypatch.setattr(search_module._JoinPool, "join", batch)
+    monkeypatch.setattr(ProfileIndex, "join", held)
+
+
+def test_pool_threads_share_the_callers_profile_index(monkeypatch):
+    # the caller builds the index, once, and joins on `workers` threads with it
+    _hold_pool_chunks_for_the_caller(monkeypatch)
+    events = []
 
     def logged(event, method):
         def wrapper(index, *args):
-            with open(log, "a", encoding="utf-8") as fh:  # forked children log too
-                fh.write(f"{event} {os.getpid()}\n")
+            events.append((event, threading.get_ident(), id(index)))
             return method(index, *args)
         return wrapper
 
     monkeypatch.setattr(ProfileIndex, "__init__", logged("build", ProfileIndex.__init__))
     monkeypatch.setattr(ProfileIndex, "join", logged("join", ProfileIndex.join))
     for workers in (2, 3):
-        log.write_text("")
+        events.clear()
         profile_index.cache_clear()
         search(SearchSpec("nn", 6), workers=workers)
         info = profile_index.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
-        events = [line.split() for line in log.read_text().splitlines()]
-        assert [pid for event, pid in events if event == "build"] == [str(os.getpid())]
-        assert len({pid for event, pid in events if event == "join"}) == workers
+        assert [thread for event, thread, _index in events if event == "build"] == [
+            threading.get_ident()]
+        assert len({thread for event, thread, _index in events if event == "join"}) == workers
+        assert len({index for _event, _thread, index in events}) == 1
 
 
 @contextlib.contextmanager
 def _within(seconds):
     """Raise TimeoutError in the block once `seconds` have passed, so that a
-    pool that waits on a lost child fails the test instead of hanging it."""
+    pool that waits on a chunk for ever fails the test instead of hanging it."""
     def expire(_signum, _frame):
         raise TimeoutError(f"not done within {seconds} s")
 
@@ -1811,7 +1834,7 @@ def _within(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_a_refused_checkpoint_forks_no_join_worker(tmp_path, monkeypatch):
+def test_a_refused_checkpoint_starts_no_join_thread(tmp_path, monkeypatch):
     # the pool starts only once the checkpoint is accepted, and the refusal
     # keeps its text
     path = str(tmp_path / "run.ckpt")
@@ -1819,59 +1842,66 @@ def test_a_refused_checkpoint_forks_no_join_worker(tmp_path, monkeypatch):
     with pytest.raises(BudgetExhausted) as info:
         search(spec, checkpoint_path=path)
     checkpoint = info.value.checkpoint
-    forks = []
-    fork = os.fork
+    started = []
+    start = threading.Thread.start
 
-    def counted_fork():
-        forks.append(os.getpid())
-        return fork()
+    def counted_start(thread):
+        started.append(thread.name)
+        return start(thread)
 
-    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    _hold_pool_chunks_for_the_caller(monkeypatch)
     unbudgeted = dataclasses.replace(spec, node_limit=None)
     damaged = dataclasses.replace(checkpoint, lex_next=checkpoint.lex_next + 1)
-    with pytest.raises(SearchError, match=f"^checkpoint lex_next {damaged.lex_next} "
-                                          "is not a block boundary$"):
-        search(unbudgeted, workers=2, resume=damaged)
-    assert forks == []
-    search(unbudgeted, workers=2, resume=checkpoint)  # an accepted one forks its child
-    assert forks == [os.getpid()]
+    for workers in (2, 3):
+        with pytest.raises(SearchError, match=f"^checkpoint lex_next {damaged.lex_next} "
+                                              "is not a block boundary$"):
+            search(unbudgeted, workers=workers, resume=damaged)
+        assert started == []
+        search(unbudgeted, workers=workers, resume=checkpoint)  # an accepted one starts the pool
+        assert len(started) == workers - 1
+        started.clear()
 
 
-def test_a_failed_or_lost_join_worker_raises_and_no_run_leaves_a_process(tmp_path, monkeypatch):
-    parent, join = os.getpid(), ProfileIndex.join
+def test_a_failed_join_thread_raises_its_own_error_and_no_run_leaves_a_thread(
+        tmp_path, monkeypatch):
+    caller, join = threading.get_ident(), ProfileIndex.join
+    before = set(threading.enumerate())
 
-    def failing_in_a_child(index, rows):
-        if os.getpid() != parent:
-            raise ValueError("injected")
+    def failing(index, rows):
+        raise ValueError("injected")
+
+    def failing_in_a_pool_thread(index, rows):
+        if threading.get_ident() != caller:
+            failing(index, rows)
         return join(index, rows)
 
-    def dying_in_a_child(index, rows):
-        if os.getpid() != parent:
-            os._exit(3)
-        return join(index, rows)
-
-    def interrupted_in_the_parent(index, rows):
-        if os.getpid() == parent:
+    def interrupted_in_the_caller(index, rows):
+        if threading.get_ident() == caller:
             raise KeyboardInterrupt
         return join(index, rows)
 
+    # a pool thread's exception reaches the caller as it is, as on one worker
+    monkeypatch.setattr(ProfileIndex, "join", failing)
+    with pytest.raises(ValueError, match="^injected$"):
+        search(SearchSpec("nn", 10), workers=1)
     for stand_in, error, message in [
-        (failing_in_a_child, SearchError, r"^join worker \d+ failed: ValueError: injected$"),
-        (dying_in_a_child, SearchError, r"^join worker \d+ ended without a reply \(exit code 3\)$"),
-        (interrupted_in_the_parent, KeyboardInterrupt, None),
+        (failing_in_a_pool_thread, ValueError, "^injected$"),
+        (interrupted_in_the_caller, KeyboardInterrupt, None),
     ]:
         monkeypatch.setattr(ProfileIndex, "join", stand_in)
-        with _within(60), pytest.raises(error, match=message):
-            search(SearchSpec("nn", 10), workers=2)
-        assert multiprocessing.active_children() == [], stand_in.__name__
+        for workers in (2, 3):
+            with _within(60), pytest.raises(error, match=message):
+                search(SearchSpec("nn", 10), workers=workers)
+            assert set(threading.enumerate()) == before, (stand_in.__name__, workers)
     monkeypatch.setattr(ProfileIndex, "join", join)
     with _within(60):
         for workers in (2, 3):
             assert search(SearchSpec("nn", 10), workers=workers).count
-            assert multiprocessing.active_children() == []
+            assert set(threading.enumerate()) == before
             with pytest.raises(BudgetExhausted):
                 search(SearchSpec("nn", 10, node_limit=20_000), workers=workers,
                        checkpoint_path=str(tmp_path / "run.ckpt"))
-            assert multiprocessing.active_children() == []
+            assert set(threading.enumerate()) == before
             assert search(SearchSpec("nn", 10, mode="first"), workers=workers).count == 1
-            assert multiprocessing.active_children() == []
+            assert set(threading.enumerate()) == before
