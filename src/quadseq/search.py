@@ -56,18 +56,25 @@ resume check all read it.
 
 A run's only state is one Checkpoint, which one loop in search() advances
 block by block and saves as one JSON document tagged with CHECKPOINT_FORMAT.
+A save makes the texts of the solutions found since the last from one
+"A;B;" text per group and the "C;D" texts of each pair list (_solution_texts).
 load_checkpoint refuses a file that is not UTF-8, one of another format, a
 truncated one or one whose fields are missing or mistyped; every other
 refusal is made when the run starts, for a loaded checkpoint and one held
-in memory alike, so a damaged checkpoint is refused, never misread.
+in memory alike, so a damaged checkpoint is refused, never misread.  That
+check (_resume_state) runs in array passes over the solutions' int8 rows,
+at the cost of their distinct sequences and pairs, and hands the resumed
+solutions to the run in plaintext order, so the final sort merges two
+sorted runs.
 """
 
 import json
 import time
 from dataclasses import dataclass, fields, replace
 from functools import cache
-from itertools import chain, islice, product
+from itertools import chain, compress, islice, product
 from math import isqrt
+from operator import add
 
 import numpy as np
 
@@ -78,7 +85,7 @@ from .seqcore import (
     SeqQuadruple,
     bit_lags,
     bit_rows,
-    join_quad,
+    first_failing,
     parse_seq,
     parsed_quadruple,
     profile_index,
@@ -374,10 +381,64 @@ def _check_counters(checkpoint: Checkpoint) -> None:
                           f"{len(checkpoint.solutions)} solutions in {checkpoint.mode} mode")
 
 
+def _solution_rows(texts: list[str], order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int8 rows A||B||C||D of checkpoint solution texts of the run's
+    order, +1 for '+' and -1 for '-', and a mask of the texts read.
+
+    A well-formed text is "A;B;C;D" over +-, with the run's lengths: 4 *
+    order + 5 characters, with ';' at three fixed columns.  Those are read
+    with one np.frombuffer of their joined bytes; every other text (another
+    length or character, whitespace, non-ASCII) is left out, its row 0."""
+    m, width = order + 1, 4 * order + 5
+    fits = np.fromiter(map(len, texts), np.intp, len(texts)) == width
+    # a non-ASCII character becomes one '?', so each text keeps its width
+    data = "".join(compress(texts, fits.tolist())).encode("ascii", "replace")
+    values = 44 - np.frombuffer(data, np.int8).reshape(-1, width)  # '+' 1, '-' -1, ';' -15
+    separators = [m, 2 * m + 1, 3 * m + 1]
+    signs = np.delete(values, separators, axis=1)
+    good = (np.abs(signs) == 1).all(axis=1) & (values[:, separators] == -15).all(axis=1)
+    if good.all() and len(signs) == len(texts):
+        return signs, good
+    read = np.zeros(len(texts), bool)
+    read[np.flatnonzero(fits)[good]] = True
+    rows = np.zeros((len(texts), 4 * order + 2), np.int8)
+    rows[read] = signs[good]
+    return rows, read
+
+
+def _shared_pairs(x_rows: np.ndarray, y_rows: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct pairs (X, Y) of two blocks of int8 +-1 rows, as tuples
+    in plaintext order, each distinct sequence one tuple; and each row's
+    pair number.
+
+    A sequence's key is its bits in big-endian uint64 words, a set bit for
+    -1 and its last entry the lowest bit: within one word, the lex index
+    that the scan keys an A by."""
+    both = np.concatenate([x_rows, y_rows])
+    words = max(-(-both.shape[1] // 64), 1)
+    bits = np.zeros((len(both), 64 * words), bool)
+    bits[:, bits.shape[1] - both.shape[1] :] = both < 0
+    keys = np.packbits(bits.ravel()).view(">u8").reshape(len(both), words).astype(np.uint64)
+    numbers = np.zeros(len(both), np.intp)
+    for j, column in enumerate(keys.T):  # each number stays below len(both)
+        values, inverse = np.unique(column, return_inverse=True)
+        numbers = inverse if j == 0 else np.unique(numbers * len(values) + inverse,
+                                                   return_inverse=True)[1]
+    seq_row = np.empty(numbers.max(initial=-1) + 1, np.intp)
+    seq_row[numbers] = np.arange(len(both))
+    seqs = list(map(tuple, both[seq_row].tolist()))
+    x, y = numbers[: len(x_rows)], numbers[len(x_rows) :]
+    pair_keys, pair_numbers = np.unique(x * len(seqs) + y, return_inverse=True)
+    pairs = list(zip(map(seqs.__getitem__, (pair_keys // len(seqs)).tolist()),
+                     map(seqs.__getitem__, (pair_keys % len(seqs)).tolist())))
+    return pairs, pair_numbers
+
+
 def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None):
     """The run's state, a copy of `resume` or a fresh Checkpoint, the raw
-    (A, B, C, D) tuples of its solutions, which the run returns as its own,
-    and the running sha256 of their texts (see _solutions_digest).
+    (A, B, C, D) tuples of its solutions in plaintext order, which the run
+    returns as its own, and the running sha256 of their texts (see
+    _solutions_digest).
 
     Every refusal beyond load_checkpoint's checks of the document is made
     here, so a checkpoint loaded from a file and one held in memory
@@ -386,13 +447,21 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
     that fails to parse or verify, is repeated, or lies where the run has yet
     to scan, and last solutions that do not match their sha256, such as a
     consistent deletion (a solution removed and `found` lowered to match).
-    Each distinct sequence is parsed once, by an unbounded memo, so equal
-    ones share a tuple as in a search's results, and the quadruple of a
-    solution with paired lengths is built without the constructor's checks
-    (see parsed_quadruple); each distinct sums vector and A is placed once,
-    and the verifier's memos work each distinct (A, B) and (C, D) pair out
-    once, so a resume costs about its distinct sequences and pairs plus a
-    few lookups per solution.
+    The refusal names the solution of lowest index with a fault; at one
+    index a parse, verification or order fault comes before a repeat, and a
+    repeat before an unreached solution.
+
+    The solutions are checked in array passes, at about the cost of their
+    distinct sequences and pairs: the well-formed texts are read as one
+    int8 array (see _solution_rows), and only the others go through
+    parse_seq and verify_quadruple one by one.  Each distinct (A, B) and
+    (C, D) pair is numbered by its bits and becomes tuples once, so equal
+    sequences share a tuple as in a search's results (_shared_pairs);
+    seqcore.first_failing decides every solution off the verifier's memos,
+    one lookup per distinct pair, and verify_quadruple words a failure.  One
+    stable sort of the pair numbers finds repeats and gives plaintext order;
+    each distinct sums vector is placed in its pass, and each distinct A at
+    its lex index, once, as Python ints.
     """
     if resume is None:
         digest = _solutions_digest([])
@@ -410,24 +479,18 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
     if not 0 <= resume.lex_next <= lex_limit or (
             resume.lex_next % _block_size(spec.order) and resume.lex_next != lex_limit):
         raise SearchError(f"checkpoint lex_next {resume.lex_next} is not a block boundary")
-    # a solution is reached when its pass comes before case_pos, or is
-    # case_pos and its A lies below lex_next (without cases all share pass
-    # 0); a representatives run scans only A's that start and end with +
-    case_of = _case_of(spec.kind, spec.order)
-    pass_of = {case: pos for pos, case in enumerate(spec.cases or ())}
-    unlisted = 0 if spec.cases is None else len(passes)
-    # a solution's pass, from its four sums, and its A's lex index (bit m-1
-    # is entry 0), each worked out once per distinct argument
-    pass_of_sums = cache(lambda *sums: pass_of.get(case_of[_sums_rep(*sums)], unlisted))
-    to_bits = str.maketrans("+-", "01")
-    lex_index = cache(lambda a: int(seq_str(a).translate(to_bits), 2))
-    parse = cache(parse_seq)
-    quads = {}  # in checkpoint order
-    for text in resume.solutions:
+    texts, m = resume.solutions, spec.order + 1
+    rows, read = _solution_rows(texts, spec.order)
+    # the faults found so far, as (index, what); no two share an index, as
+    # a repeat's earlier copy has any fault the repeat has
+    faults = []
+    for i in np.flatnonzero(~read).tolist():
+        text = texts[i]
         try:
-            quad = split_quad(text, parse)
+            quad = split_quad(text, parse_seq)
         except QuadseqError as exc:
-            raise SearchError(f"checkpoint solution {text} does not parse: {exc}") from None
+            faults.append((i, f"does not parse: {exc}"))
+            break
         try:
             failure = verify_quadruple(parsed_quadruple(*quad, spec.kind)).failure
         except QuadseqError as exc:
@@ -435,20 +498,62 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
         if failure is None and len(quad[2]) != spec.order:
             failure = f"order {len(quad[2])}, expected {spec.order}"
         if failure is not None:
-            raise SearchError(f"checkpoint solution {text} fails verification: {failure}")
-        if quad in quads:
-            raise SearchError(f"checkpoint solution {text} is repeated")
-        a = quad[0]
-        position = (pass_of_sums(*map(sum, quad)), lex_index(a))
-        if position >= (resume.case_pos, resume.lex_next) or (
-                spec.representatives and not a[0] == a[-1] == 1):
-            raise SearchError(f"checkpoint solution {text} lies where the run has yet to scan")
-        quads[quad] = None
+            faults.append((i, f"fails verification: {failure}"))
+            break
+        rows[i] = quad[0] + quad[1] + quad[2] + quad[3]
+    # no solution at or past a fault can name an earlier one
+    rows = rows[: faults[0][0] if faults else len(texts)]
+    longs, long_ids = _shared_pairs(rows[:, :m], rows[:, m : 2 * m])
+    shorts, short_ids = _shared_pairs(rows[:, 2 * m : 3 * m - 1], rows[:, 3 * m - 1 :])
+    failing = first_failing(spec.kind, longs, shorts, long_ids, short_ids)
+    if failing is not None:
+        quad = parsed_quadruple(*longs[long_ids[failing]], *shorts[short_ids[failing]], spec.kind)
+        faults = [(failing, f"fails verification: {verify_quadruple(quad).failure}")]
+        long_ids, short_ids = long_ids[:failing], short_ids[:failing]
+    # a solution's number: in plaintext order, and below len(texts) ** 2
+    keys = long_ids * len(shorts) + short_ids
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]  # later copies
+    if len(repeats):
+        faults.append((int(repeats.min()), "is repeated"))
+    # a solution is reached when its pass comes before case_pos, or is
+    # case_pos and its A lies below lex_next (without cases all share pass
+    # 0); a representatives run scans only A's that start and end with +
+    case_of = _case_of(spec.kind, spec.order)
+    pass_of = {case: pos for pos, case in enumerate(spec.cases or ())}
+    unlisted = 0 if spec.cases is None else len(passes)
+    # a solution's sums vector is its (A, B) pair's sums and its (C, D)
+    # pair's: each pair's are numbered, and each distinct vector placed once
+    long_sums, short_sums = {}, {}
+    long_at = np.array([long_sums.setdefault((sum(a), sum(b)), len(long_sums))
+                        for a, b in longs], np.intp)
+    short_at = np.array([short_sums.setdefault((sum(c), sum(d)), len(short_sums))
+                         for c, d in shorts], np.intp)
+    long_sums, short_sums = [*long_sums], [*short_sums]
+    vectors, inverse = np.unique(long_at[long_ids] * len(short_sums) + short_at[short_ids],
+                                 return_inverse=True)
+    pass_at = np.array([pass_of.get(case_of[_sums_rep(*long_sums[v // len(short_sums)],
+                                                      *short_sums[v % len(short_sums)])], unlisted)
+                        for v in vectors.tolist()], np.intp)[inverse]
+    to_bits = str.maketrans("+-", "01")
+    below = np.array([int(seq_str(a).translate(to_bits), 2) < resume.lex_next
+                      for a, _b in longs], bool)[long_ids]
+    unreached = (pass_at > resume.case_pos) | (pass_at == resume.case_pos) & ~below
+    if spec.representatives:
+        unreached |= ~np.array([a[0] == a[-1] == 1 for a, _b in longs], bool)[long_ids]
+    late = np.flatnonzero(unreached)
+    if len(late):
+        faults.append((int(late[0]), "lies where the run has yet to scan"))
+    if faults:
+        at, what = min(faults)
+        raise SearchError(f"checkpoint solution {texts[at]} {what}")
     digest = _solutions_digest(resume.solutions)
     if resume.solutions_sha256 != digest.hexdigest():
         raise SearchError("damaged checkpoint: its solutions do not match their sha256")
     state = replace(resume, prunes=dict(resume.prunes), solutions=list(resume.solutions))
-    return state, [*quads], digest
+    quads = list(map(add, map(longs.__getitem__, long_ids[order].tolist()),
+                     map(shorts.__getitem__, short_ids[order].tolist())))
+    return state, quads, digest
 
 
 def search(
@@ -506,8 +611,7 @@ def search(
                 # only the solutions found since the last save become text, in
                 # found order, and are hashed, after the "\n" that joins them
                 # to the rest
-                new = [join_quad((a, b, c, d))
-                       for a, b, pairs, _ranked in groups[saved_groups:] for c, d in pairs]
+                new = _solution_texts(groups[saved_groups:])
                 if new:
                     digest.update(("\n" * bool(state.solutions) + "\n".join(new)).encode())
                     state.solutions.extend(new)
@@ -520,17 +624,33 @@ def search(
             if hit:
                 break
     # each group's pairs are in plaintext order already, so the groups in
-    # (A, B) order are sorted runs; the resumed solutions are in found order
+    # (A, B) order are one sorted run, and the resumed solutions another
     quads += [(a, b, c, d) for a, b, _pairs, ranked in sorted(
         groups, key=lambda group: group[:2], reverse=True) for c, d in ranked]
     # every raw tuple here is already a tuple of plain +-1 ints, with A, B and
-    # C, D of equal lengths: scan rows, and C and D from ProfileIndex.join,
-    # come from int8 .tolist(), and resumed solutions were parsed by
-    # parse_seq and verified in _resume_state
+    # C, D of equal lengths: scan rows, C and D from ProfileIndex.join, and
+    # resumed solutions, verified in _resume_state, come from int8 .tolist()
     kept = _in_plaintext_order(quads)[: {"all": None, "first": 1, "count": 0}[spec.mode]]
     solutions = SeqQuadruple._trusted_all(kept, spec.kind)
     stats = SearchStats(state.nodes, dict(state.prunes), time.perf_counter() - started)
     return SearchResult(solutions, state.found, stats)
+
+
+def _solution_texts(groups) -> list[str]:
+    """The "A;B;C;D" texts of the solutions of (A, B, pairs, _ranked)
+    groups, in found order: join_quad's texts, from an "A;B;" text made once
+    per group and "C;D" texts made once per pair list, which groups of one
+    target share.  The groups hold their lists while this runs, so no id()
+    is reused."""
+    cd_texts = {}  # id(pairs) -> its "C;D" texts
+    texts = []
+    for a, b, pairs, _ranked in groups:
+        tails = cd_texts.get(id(pairs))
+        if tails is None:
+            tails = cd_texts[id(pairs)] = [f"{seq_str(c)};{seq_str(d)}" for c, d in pairs]
+        head = f"{seq_str(a)};{seq_str(b)};"
+        texts += [head + tail for tail in tails]
+    return texts
 
 
 def _blocks(spec, passes, case_pos, lex_start, join):

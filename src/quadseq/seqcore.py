@@ -19,8 +19,11 @@ power-spectral-density screen and joins the others by exact integer keys
 verify_quadruple is the one verifier for every kind, a Golay pair included
 (as the base quadruple BS(g, 0)), and the one code that decides and words a
 verdict: after the shape rule it reads pass or the first failing rule off
-two memos of the quadruple's pairs.  VerificationReport.require turns a
-failing verdict into the error "<context>: <failure>".
+two memos of the quadruple's pairs.  first_failing decides many
+quadruples of one shape off the same memos, once per distinct pair, and
+leaves the wording of a failure to verify_quadruple.
+VerificationReport.require turns a failing verdict into the error
+"<context>: <failure>".
 """
 
 import os
@@ -604,6 +607,29 @@ def verify_quadruple(q: SeqQuadruple) -> VerificationReport:
         return _PASS if beyond is None else beyond
     return next(_lag_failure(j, x - y) for j, (x, y) in enumerate(zip(lags, negated), start=1)
                 if x != y)
+
+
+def first_failing(kind: str, long_pairs, short_pairs, long_ids: np.ndarray,
+                  short_ids: np.ndarray) -> int | None:
+    """The index i of the first quadruple long_pairs[long_ids[i]] +
+    short_pairs[short_ids[i]] that verify_quadruple fails, or None when all
+    pass: for quadruples of one shape that fits the binary kind `kind`, with
+    (A, B) at least as long as (C, D), so that their shape rule passes.
+
+    It decides off verify_quadruple's two memos, each read once per distinct
+    pair: a long pair with a position failure or a failure beyond lag n - 1
+    fails with every short pair, and any other passes with exactly the short
+    pairs whose negated lags equal its lags, so one array comparison of lag
+    tuple ids decides every quadruple.  It words no verdict: verify_quadruple
+    words the failure of the quadruple at the index returned."""
+    n = len(short_pairs[0][0]) if short_pairs else 0
+    codes = {}  # each passing long pair's lag tuple -> its id
+    long_codes = [codes.setdefault(lags, len(codes)) if position is None and beyond is None else -1
+                  for position, lags, beyond in (_long_pair(a, b, kind, n) for a, b in long_pairs)]
+    short_codes = [codes.get(_negated_lags(c, d), -2) for c, d in short_pairs]
+    passed = np.array(long_codes, np.intp)[long_ids] == np.array(short_codes, np.intp)[short_ids]
+    failed = np.flatnonzero(~passed)
+    return int(failed[0]) if len(failed) else None
 
 
 def _shape_verdict(q: SeqQuadruple) -> VerificationReport | None:

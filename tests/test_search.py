@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import dataclasses
@@ -36,15 +37,19 @@ from quadseq.search import (
 from quadseq import seqcore
 from quadseq.construct import golay_search
 from quadseq.seqcore import (
+    QuadseqError,
     alternate,
     int_to_seq,
     negate,
     npaf_values,
     parse_quad,
+    parse_seq,
+    parsed_quadruple,
     ProfileIndex,
     SeqQuadruple,
     profile_index,
     reverse,
+    split_quad,
     sum_of_squares_check,
     verify_quadruple,
 )
@@ -1048,20 +1053,222 @@ def test_resume_from_memory_refuses_a_solution_that_fails_verification():
         search(SearchSpec("nn", 4), resume=checkpoint)
 
 
-def test_a_resumed_run_verifies_each_checkpoint_solution_once(tmp_path, monkeypatch):
-    spec = SearchSpec("nn", 4, node_limit=25)
-    path = _budgeted_checkpoint_file(tmp_path, spec)
-    verified = []
+def _reference_resume(spec, checkpoint):
+    """The per-solution resume check of `checkpoint`'s solutions for the
+    unbudgeted `spec`: each solution parsed, verified, checked for a repeat
+    and placed one at a time, in order, and the sha256 checked last.
+    Returns the refusal text, or None and the raw tuples in checkpoint order."""
+    case_of = search_module._case_of(spec.kind, spec.order)
+    pass_of = {case: pos for pos, case in enumerate(spec.cases or ())}
+    unlisted = 0 if spec.cases is None else len(spec.cases)
+    quads = {}
+    for text in checkpoint.solutions:
+        try:
+            quad = split_quad(text, parse_seq)
+        except QuadseqError as exc:
+            return f"checkpoint solution {text} does not parse: {exc}", None
+        try:
+            failure = verify_quadruple(parsed_quadruple(*quad, spec.kind)).failure
+        except QuadseqError as exc:
+            failure = str(exc)
+        if failure is None and len(quad[2]) != spec.order:
+            failure = f"order {len(quad[2])}, expected {spec.order}"
+        if failure is not None:
+            return f"checkpoint solution {text} fails verification: {failure}", None
+        if quad in quads:
+            return f"checkpoint solution {text} is repeated", None
+        a = quad[0]
+        lex = int("".join("0" if v == 1 else "1" for v in a), 2)
+        position = (pass_of.get(case_of[search_module._sums_rep(*map(sum, quad))], unlisted), lex)
+        if position >= (checkpoint.case_pos, checkpoint.lex_next) or (
+                spec.representatives and not a[0] == a[-1] == 1):
+            return f"checkpoint solution {text} lies where the run has yet to scan", None
+        quads[quad] = None
+    if hashlib.sha256("\n".join(checkpoint.solutions).encode()).hexdigest() != (
+            checkpoint.solutions_sha256):
+        return "damaged checkpoint: its solutions do not match their sha256", None
+    return None, list(quads)
 
-    def counting_verifier(quad):
-        verified.append(quad)
-        return verify_quadruple(quad)
 
-    monkeypatch.setattr(search_module, "verify_quadruple", counting_verifier)
+@cache
+def _first_leg(spec):
+    """The checkpoint of the first leg of the budgeted run `spec`."""
+    try:
+        search(spec)
+    except BudgetExhausted as exc:
+        return exc.checkpoint
+    pytest.fail(f"{spec} did not exhaust its budget")
+
+
+def _resumed_state(spec, checkpoint):
+    """The refusal text of resuming `checkpoint` for `spec`, or None and the
+    raw tuples the resume returns."""
+    passes = list(spec.cases) if spec.cases is not None else [0]
+    try:
+        _state, quads, _digest = search_module._resume_state(spec, passes, checkpoint)
+    except SearchError as exc:
+        return str(exc), None
+    return None, quads
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([
+    SearchSpec("nn", 4, node_limit=25),
+    SearchSpec("nn", 6, node_limit=40),
+    SearchSpec("nn", 6, cases=(5, 2), node_limit=300),
+    SearchSpec("nn", 8, node_limit=6000),
+    SearchSpec("nn", 8, cases=(3, 1, 2), node_limit=6000),
+    SearchSpec("nn", 8, representatives=True, node_limit=600),
+    SearchSpec("nn", 10, node_limit=20_000),
+    SearchSpec("ns", 8, node_limit=3000),
+]), st.data())
+def test_a_checkpoint_with_a_flipped_sign_is_decided_as_the_per_solution_check_decides(
+        spec, data):
+    # the array passes of _resume_state must accept and refuse exactly what
+    # the per-solution loop does, with its words, also when a solution with
+    # whitespace inside takes the per-text path
+    checkpoint = _first_leg(spec)
+    texts = list(checkpoint.solutions)
+    assert texts
+    i = data.draw(st.integers(0, len(texts) - 1), label="solution")
+    j = data.draw(st.sampled_from([j for j, ch in enumerate(texts[i]) if ch in "+-"]),
+                  label="entry")
+    texts[i] = texts[i][:j] + {"+": "-", "-": "+"}[texts[i][j]] + texts[i][j + 1 :]
+    if data.draw(st.booleans(), label="a space inside a solution"):  # read one by one
+        k = data.draw(st.integers(0, len(texts) - 1), label="spaced solution")
+        texts[k] = texts[k][:1] + " " + texts[k][1:]
+    digest = checkpoint.solutions_sha256
+    if data.draw(st.booleans(), label="sha256 recomputed"):
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    damaged = dataclasses.replace(checkpoint, solutions=texts, solutions_sha256=digest)
+    unbudgeted = dataclasses.replace(spec, node_limit=None)
+    refusal, quads = _reference_resume(unbudgeted, damaged)
+    assert refusal is not None or digest != checkpoint.solutions_sha256
+    got_refusal, got_quads = _resumed_state(unbudgeted, damaged)
+    assert got_refusal == refusal
+    if refusal is None:  # in plaintext order
+        assert got_quads == sorted(quads, reverse=True)
+
+
+@pytest.mark.parametrize("spec", [
+    SearchSpec("nn", 4, node_limit=25),
+    SearchSpec("nn", 8, cases=(3, 1, 2), node_limit=6000),
+    SearchSpec("nn", 8, representatives=True, node_limit=600),
+], ids=["nn 4", "nn 8 cases", "nn 8 representatives"])
+def test_an_accepted_checkpoint_resumes_to_the_reference_tuples_in_plaintext_order(spec):
+    checkpoint = _first_leg(spec)
+    unbudgeted = dataclasses.replace(spec, node_limit=None)
+    refusal, quads = _reference_resume(unbudgeted, checkpoint)
+    assert refusal is None and quads
+    assert _resumed_state(unbudgeted, checkpoint) == (None, sorted(quads, reverse=True))
+
+
+@pytest.mark.parametrize("length", [0, 1, 13, 64, 65, 130])
+def test_shared_pairs_are_the_distinct_pairs_in_plaintext_order(length):
+    # sequences longer than 64 entries take more than one uint64 key word
+    rng = random.Random(length)
+    seqs = [tuple(rng.choice((1, -1)) for _ in range(length)) for _ in range(5)]
+    rows = [(rng.choice(seqs), rng.choice(seqs)) for _ in range(40)]
+    x, y = (np.array([row[i] for row in rows], np.int8).reshape(len(rows), length) for i in (0, 1))
+    pairs, numbers = search_module._shared_pairs(x, y)
+    assert pairs == sorted(set(rows), reverse=True)
+    assert [pairs[i] for i in numbers.tolist()] == rows
+    distinct = {seq for pair in pairs for seq in pair}
+    assert len({id(seq) for pair in pairs for seq in pair}) == len(distinct)
+
+
+def test_a_resume_works_out_each_distinct_pair_once(tmp_path, monkeypatch):
+    # resuming nn 12's leg checkpoint (5,024 solutions over 102 (A, B) and
+    # 1,296 (C, D) pairs) reads each verdict memo once per distinct pair and
+    # computes no pair's lag sums twice
+    path = str(tmp_path / "run12.ckpt")
+    spec = SearchSpec("nn", 12, node_limit=1_000_000)
+    with pytest.raises(BudgetExhausted):
+        search(spec, checkpoint_path=path)
     checkpoint = load_checkpoint(path)
-    resumed = search(dataclasses.replace(spec, node_limit=None), resume=checkpoint)
-    assert len(verified) == len(checkpoint.solutions) > 0
-    assert resumed.solutions == search(SearchSpec("nn", 4)).solutions
+    seqcore._long_pair.cache_clear()
+    seqcore._negated_lags.cache_clear()
+    calls = collections.Counter()
+
+    def counted(name):
+        inner = getattr(seqcore, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(seqcore, name, call)
+
+    for name in ("_pair_lags", "_long_pair", "_negated_lags", "verify_quadruple"):
+        counted(name)
+    monkeypatch.setattr(search_module, "verify_quadruple", seqcore.verify_quadruple)
+    result = search(dataclasses.replace(spec, node_limit=None), resume=checkpoint)
+    monkeypatch.undo()
+    quads = search_module._resume_state(SearchSpec("nn", 12), [0], checkpoint)[1]
+    assert len(quads) == len(checkpoint.solutions) == 5024
+    assert len({q[:2] for q in quads}) == 102 and len({q[2:] for q in quads}) == 1296
+    assert calls == {"_pair_lags": 102 + 1296, "_long_pair": 102, "_negated_lags": 1296}
+    assert plaintexts(result) == plaintexts(search(SearchSpec("nn", 12)))
+
+
+def _fault_texts(everything, checkpoint):
+    """A solution text with each kind of fault for `checkpoint`, and the
+    ending of its refusal."""
+    unscanned = [text for text in everything if text not in checkpoint.solutions]
+    first = checkpoint.solutions[0]
+    failing = {"+": "-", "-": "+"}[first[0]] + first[1:]
+    return {
+        "unparsable": ("+++;+++;+x;++", "does not parse: bad sequence character 'x'"),
+        "failing": (failing, "fails verification: "
+                    + verify_quadruple(parse_quad(failing, "nn")).failure),
+        "repeated": (first, "is repeated"),
+        "unreached": (unscanned[-1], "lies where the run has yet to scan"),
+    }
+
+
+@pytest.mark.parametrize("first,second", [
+    ("unreached", "unparsable"), ("unparsable", "unreached"),
+    ("repeated", "failing"), ("failing", "repeated"),
+    ("unreached", "repeated"), ("repeated", "unreached"),
+])
+@pytest.mark.parametrize("at", [(3, 7), (2, 5)])
+def test_a_checkpoint_with_two_faults_is_refused_naming_the_earlier(tmp_path, solutions, first,
+                                                                    second, at):
+    # the refusal names the solution of lowest index with any fault,
+    # whichever kinds the two faults are
+    spec = SearchSpec("nn", 8, node_limit=6000)
+    checkpoint = _first_leg(spec)
+    faults = _fault_texts([q.plaintext() for q in solutions("nn", 8)], checkpoint)
+    texts = list(checkpoint.solutions)
+    for kind, i in zip((first, second), at):
+        texts[i] = faults[kind][0]
+    text, ending = faults[first]
+    _refused_from_file_and_from_memory(
+        tmp_path, spec, lambda _: {"solutions": texts},
+        "^" + re.escape(f"checkpoint solution {text} {ending}") + "$")
+
+
+def test_a_solution_with_whitespace_inside_resumes_and_its_variant_repeats(tmp_path):
+    # parse_seq ignores whitespace, so such a solution is read by the
+    # per-text path and joins the others; a variant of an earlier one with
+    # whitespace inside is that solution again
+    spec = SearchSpec("nn", 4, node_limit=25)
+    checkpoint = _first_leg(spec)
+    texts = list(checkpoint.solutions)
+    texts[5] = texts[5][:2] + " " + texts[5][2:7] + "\t" + texts[5][7:]
+    spaced = dataclasses.replace(checkpoint, solutions=texts, solutions_sha256=hashlib.sha256(
+        "\n".join(texts).encode()).hexdigest())
+    path = str(tmp_path / "spaced.ckpt")
+    save_checkpoint(spaced, path)
+    full = plaintexts(search(SearchSpec("nn", 4)))
+    for resume in (spaced, load_checkpoint(path)):
+        assert plaintexts(search(SearchSpec("nn", 4), resume=resume)) == full
+    variant = texts[1][:3] + " " + texts[1][3:]
+
+    def repeated(checkpoint):
+        return {"solutions": checkpoint.solutions[:4] + [variant] + checkpoint.solutions[5:]}
+
+    _refused_from_file_and_from_memory(
+        tmp_path, spec, repeated, "^" + re.escape(f"checkpoint solution {variant} is repeated") + "$")
 
 
 @pytest.mark.parametrize("bad,refusal", [
@@ -1072,6 +1279,9 @@ def test_a_resumed_run_verifies_each_checkpoint_solution_once(tmp_path, monkeypa
     ("+++++;+++++;++++;++++", "fails verification: near-normality violated at position 2"),
     ("+++0+;+++++;++++;++++", "does not parse: binary entry must be +1 or -1, got 0"),
     ("+++;+--;+-;+-", "fails verification: order 2, expected 4"),
+    ("++\uff0b++;+++++;++++;++++", "does not parse: bad sequence character '\uff0b'"),
+    ("+++++;+++++;++++;++-\u00e9", "does not parse: bad sequence character '\u00e9'"),
+    ("+++++;+++++;+++;+++++", "fails verification: C and D must have equal length"),
 ])
 def test_refusal_of_a_checkpoint_solution_names_it_and_its_fault(tmp_path, bad, refusal):
     # the whole message, from a file and from memory: a solution of the
