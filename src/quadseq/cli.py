@@ -2,8 +2,9 @@
 
 Exit codes: 0 = success / verified / nonempty result, 1 = verified-false or
 empty result, 2 = usage or input error (including "could not check" outcomes
-such as an exhausted node budget or an Unknown catalog status).  Identical
-invocations produce byte-identical stdout; timings and progress go to stderr.
+such as an exhausted node budget, a size this machine cannot hold or an
+Unknown catalog status).  Identical invocations produce byte-identical
+stdout; timings and progress go to stderr.
 """
 
 import argparse
@@ -233,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("all", "first", "count"), default="all")
     p.add_argument("--cases", type=_int_list, help="comma-separated case ids, e.g. 3,7")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads that share each batch's joins; the output does not depend on it")
+                   help="threads that share each batch's joins: the caller and at most "
+                        "min(32, CPUs + 4) pool threads; the output does not depend on it")
     p.add_argument("--limit", type=int, help="node budget")
     p.add_argument("--checkpoint", help="checkpoint file to write")
     p.add_argument("--resume", help="checkpoint file to resume from")
@@ -285,6 +287,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (QuadseqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:  # a size this machine cannot hold
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -28,9 +28,10 @@ rows and become tuples, one group per A: A, B and the (C, D)
 pairs, both in the order the join found them, which a checkpoint keeps,
 and in plaintext order, ranked once per distinct target, from which the
 result is assembled.  The scan and the memo live in the calling thread.  With
-workers > 1 the calling thread and workers - 1 pool threads, started for
-the whole search (_JoinPool), each join one array chunk of a batch's new
-targets.
+workers > 1 the calling thread and workers - 1 pool threads, at most
+MAX_POOL_THREADS, started for the whole search (_JoinPool), each join one
+array chunk of a batch's new targets.  Lex indices are int64, so no order
+above MAX_ORDER is searched.
 
 The sum-of-squares prune is the only test before the join.  It only saves
 work: the join's sum index finds no (C, D) for an A it rejects.  Inside the
@@ -60,19 +61,21 @@ A save makes the texts of the solutions found since the last from one
 "A;B;" text per group and the "C;D" texts of each pair list (_solution_texts).
 load_checkpoint refuses a file that is not UTF-8, one of another format, a
 truncated one or one whose fields are missing or mistyped; every other
-refusal is made when the run starts, for a loaded checkpoint and one held
-in memory alike, so a damaged checkpoint is refused, never misread.  That
-check (_resume_state) runs in array passes over the solutions' int8 rows,
-at the cost of their distinct sequences and pairs, and hands the resumed
-solutions to the run in plaintext order, so the final sort merges two
-sorted runs.
+refusal, counters included, is made when the run starts (_resume_state),
+for a loaded checkpoint and one held in memory alike, so a damaged
+checkpoint is refused, never misread.  That check reads every solution
+text into int8 rows in one array pass, keys each distinct sequence by one
+uint64 word (for A, its lex index), places each A with the scan's own
+tests, and hands the resumed solutions to the run in plaintext order, so
+the final sort merges two sorted runs.
 """
 
 import json
+import os
 import time
 from dataclasses import dataclass, fields, replace
 from functools import cache
-from itertools import chain, compress, islice, product
+from itertools import chain, islice, product
 from math import isqrt
 from operator import add
 
@@ -97,9 +100,14 @@ from .seqcore import (
 )
 
 MAX_ORDER_WITHOUT_OVERRIDE = 20
+MAX_ORDER = 62  # the lex indices of longer A's do not fit the scan's int64
 NUM_CASES = 12
 CHECKPOINT_EVERY = 250_000  # nodes between periodic checkpoint writes
 SCAN_ROWS = 1 << 15  # A's in one batch of whole search blocks at most
+# the most pool threads a search starts, concurrent.futures' default cap;
+# a pool is given exactly workers - 1, since one with spare room starts a
+# thread for a chunk submitted before the last chunk's thread marks itself idle
+MAX_POOL_THREADS = min(32, (os.cpu_count() or 1) + 4)
 
 PRUNE_SUM = "sum_of_squares"
 PRUNE_CASE = "case"
@@ -201,6 +209,9 @@ def _validate_spec(spec: SearchSpec) -> None:
             f"order {spec.order} above the default bound "
             f"{MAX_ORDER_WITHOUT_OVERRIDE}; set allow_large (--allow-large) to proceed"
         )
+    if spec.order > MAX_ORDER:
+        raise SearchError(f"order {spec.order} above {MAX_ORDER}: the lex indices of its "
+                          "long sequences do not fit int64")
     if spec.node_limit is not None and spec.node_limit < 1:
         raise SearchError(f"node limit must be at least 1, got {spec.node_limit}")
     if spec.mode not in ("all", "first", "count"):
@@ -274,6 +285,13 @@ def _block_size(order: int) -> int:
     return isqrt(1 << (order + 1))
 
 
+def _scanned(lex: np.ndarray, m: int) -> np.ndarray:
+    """Which long sequences of lex indices `lex` and length m a
+    representatives run scans: those whose entries 0 and m-1, bits m-1 and
+    0 (see _scan_block), are +1."""
+    return (lex & 1 | lex >> (m - 1) & 1) == 0
+
+
 def _scan_block(spec: SearchSpec, verdict: np.ndarray, bounds: tuple[int, int]):
     """Scan the long sequences of lex indices lo <= k < hi under a pass's
     verdict table, in blocks of _block_size A's from lo.
@@ -290,8 +308,7 @@ def _scan_block(spec: SearchSpec, verdict: np.ndarray, bounds: tuple[int, int]):
     lo, hi = bounds
     ks = np.arange(lo, hi, dtype=np.int64)
     if spec.representatives:
-        # entries 0 and m-1 are bits m-1 and 0: the test is order-free
-        ks = ks[(ks & 1 | ks >> (m - 1) & 1) == 0]
+        ks = ks[_scanned(ks, m)]
     free_b = n == 0 and not spec.representatives  # no lag at all, so B is free
     if free_b:  # each A twice: with its derived B, then with B = A
         ks = ks.repeat(2)
@@ -320,8 +337,9 @@ def _scan_block(spec: SearchSpec, verdict: np.ndarray, bounds: tuple[int, int]):
 
 
 class _JoinPool:
-    """The profile join of one search over `workers` threads: the caller
-    and workers - 1 pool threads, which share the caller's profile index.
+    """The profile join of one search over `workers` threads, at most
+    MAX_POOL_THREADS + 1: the caller and the pool threads, which share the
+    caller's profile index.
 
     ProfileIndex.join is numpy array passes over a read-only index, which
     release the GIL, so the threads join their chunks side by side.
@@ -330,11 +348,12 @@ class _JoinPool:
     not yet started and waits for those still running."""
 
     def __init__(self, order: int, workers: int):
-        self.order, self.workers, self.threads = order, workers, None
-        if workers > 1:
+        self.order, self.threads = order, None
+        self.workers = min(workers, MAX_POOL_THREADS + 1)
+        if self.workers > 1:
             from concurrent.futures import ThreadPoolExecutor
 
-            self.threads = ThreadPoolExecutor(workers - 1)
+            self.threads = ThreadPoolExecutor(self.workers - 1)
 
     def __enter__(self):
         return self
@@ -381,57 +400,63 @@ def _check_counters(checkpoint: Checkpoint) -> None:
                           f"{len(checkpoint.solutions)} solutions in {checkpoint.mode} mode")
 
 
-def _solution_rows(texts: list[str], order: int) -> tuple[np.ndarray, np.ndarray]:
+def _solution_rows(texts: list[str], order: int) -> tuple[np.ndarray, int | None]:
     """The int8 rows A||B||C||D of checkpoint solution texts of the run's
-    order, +1 for '+' and -1 for '-', and a mask of the texts read.
+    order, +1 for '+' and -1 for '-', up to the first text it cannot read,
+    and that text's index (None when it reads them all).
 
-    A well-formed text is "A;B;C;D" over +-, with the run's lengths: 4 *
-    order + 5 characters, with ';' at three fixed columns.  Those are read
-    with one np.frombuffer of their joined bytes; every other text (another
-    length or character, whitespace, non-ASCII) is left out, its row 0."""
+    A text is read as parse_seq reads a sequence, without its whitespace:
+    "A;B;C;D" over +- with the run's lengths, 4 * order + 5 characters with
+    ';' at three fixed columns, by one np.frombuffer of the texts' joined
+    bytes.  Without whitespace, a solution of the run's order is exactly
+    such a text, so a text it cannot read has a fault (see _text_fault)."""
     m, width = order + 1, 4 * order + 5
-    fits = np.fromiter(map(len, texts), np.intp, len(texts)) == width
+    texts = [text if len(text) == width else "".join(text.split()) for text in texts]
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    stop = np.append(np.flatnonzero(lengths != width), len(texts))[0]
     # a non-ASCII character becomes one '?', so each text keeps its width
-    data = "".join(compress(texts, fits.tolist())).encode("ascii", "replace")
+    data = "".join(texts[:stop]).encode("ascii", "replace")
     values = 44 - np.frombuffer(data, np.int8).reshape(-1, width)  # '+' 1, '-' -1, ';' -15
     separators = [m, 2 * m + 1, 3 * m + 1]
     signs = np.delete(values, separators, axis=1)
     good = (np.abs(signs) == 1).all(axis=1) & (values[:, separators] == -15).all(axis=1)
-    if good.all() and len(signs) == len(texts):
-        return signs, good
-    read = np.zeros(len(texts), bool)
-    read[np.flatnonzero(fits)[good]] = True
-    rows = np.zeros((len(texts), 4 * order + 2), np.int8)
-    rows[read] = signs[good]
-    return rows, read
+    stop = int(np.append(np.flatnonzero(~good), stop)[0])
+    return signs[:stop], None if stop == len(texts) else stop
 
 
-def _shared_pairs(x_rows: np.ndarray, y_rows: np.ndarray) -> tuple[list, np.ndarray]:
-    """The distinct pairs (X, Y) of two blocks of int8 +-1 rows, as tuples
-    in plaintext order, each distinct sequence one tuple; and each row's
-    pair number.
+def _text_fault(text: str, spec: SearchSpec) -> str:
+    """The fault of a checkpoint solution text that _solution_rows cannot
+    read: parse_seq's, verify_quadruple's or the order's."""
+    try:
+        quad = split_quad(text, parse_seq)
+    except QuadseqError as exc:
+        return f"does not parse: {exc}"
+    try:
+        failure = verify_quadruple(parsed_quadruple(*quad, spec.kind)).failure
+    except QuadseqError as exc:
+        failure = str(exc)
+    return f"fails verification: {failure or f'order {len(quad[2])}, expected {spec.order}'}"
 
-    A sequence's key is its bits in big-endian uint64 words, a set bit for
-    -1 and its last entry the lowest bit: within one word, the lex index
-    that the scan keys an A by."""
+
+def _shared_pairs(x_rows: np.ndarray, y_rows: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """The distinct pairs (X, Y) of two blocks of int8 +-1 rows of at most 64
+    entries, as tuples in plaintext order, each distinct sequence one tuple;
+    each row's pair number; and each pair's X key.
+
+    A sequence's key is its bits as one big-endian uint64 word, a set bit
+    for -1 and its last entry the lowest bit: the lex index that the scan
+    keys an A by."""
     both = np.concatenate([x_rows, y_rows])
-    words = max(-(-both.shape[1] // 64), 1)
-    bits = np.zeros((len(both), 64 * words), bool)
-    bits[:, bits.shape[1] - both.shape[1] :] = both < 0
-    keys = np.packbits(bits.ravel()).view(">u8").reshape(len(both), words).astype(np.uint64)
-    numbers = np.zeros(len(both), np.intp)
-    for j, column in enumerate(keys.T):  # each number stays below len(both)
-        values, inverse = np.unique(column, return_inverse=True)
-        numbers = inverse if j == 0 else np.unique(numbers * len(values) + inverse,
-                                                   return_inverse=True)[1]
-    seq_row = np.empty(numbers.max(initial=-1) + 1, np.intp)
-    seq_row[numbers] = np.arange(len(both))
+    bits = np.zeros((len(both), 64), bool)
+    bits[:, 64 - both.shape[1] :] = both < 0
+    keys = np.packbits(bits, axis=1).view(">u8").ravel().astype(np.uint64)
+    seq_keys, seq_row, numbers = np.unique(keys, return_index=True, return_inverse=True)
     seqs = list(map(tuple, both[seq_row].tolist()))
     x, y = numbers[: len(x_rows)], numbers[len(x_rows) :]
     pair_keys, pair_numbers = np.unique(x * len(seqs) + y, return_inverse=True)
-    pairs = list(zip(map(seqs.__getitem__, (pair_keys // len(seqs)).tolist()),
-                     map(seqs.__getitem__, (pair_keys % len(seqs)).tolist())))
-    return pairs, pair_numbers
+    x_of, y_of = (pair_keys // len(seqs)).tolist(), (pair_keys % len(seqs)).tolist()
+    pairs = list(zip(map(seqs.__getitem__, x_of), map(seqs.__getitem__, y_of)))
+    return pairs, pair_numbers, seq_keys[x_of]
 
 
 def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None):
@@ -452,16 +477,16 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
     repeat before an unreached solution.
 
     The solutions are checked in array passes, at about the cost of their
-    distinct sequences and pairs: the well-formed texts are read as one
-    int8 array (see _solution_rows), and only the others go through
-    parse_seq and verify_quadruple one by one.  Each distinct (A, B) and
-    (C, D) pair is numbered by its bits and becomes tuples once, so equal
-    sequences share a tuple as in a search's results (_shared_pairs);
+    distinct sequences and pairs.  One read makes every text an int8 row
+    (see _solution_rows) up to the first it cannot read, whose fault
+    _text_fault words.  Each distinct (A, B) and (C, D) pair is numbered by
+    its sequences' one-word keys and becomes tuples once, so equal sequences
+    share a tuple as in a search's results (_shared_pairs);
     seqcore.first_failing decides every solution off the verifier's memos,
     one lookup per distinct pair, and verify_quadruple words a failure.  One
     stable sort of the pair numbers finds repeats and gives plaintext order;
-    each distinct sums vector is placed in its pass, and each distinct A at
-    its lex index, once, as Python ints.
+    each distinct sums vector is placed in its pass once, and each distinct
+    A by its key, which is the scan's lex index, with the scan's own tests.
     """
     if resume is None:
         digest = _solutions_digest([])
@@ -480,36 +505,19 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
             resume.lex_next % _block_size(spec.order) and resume.lex_next != lex_limit):
         raise SearchError(f"checkpoint lex_next {resume.lex_next} is not a block boundary")
     texts, m = resume.solutions, spec.order + 1
-    rows, read = _solution_rows(texts, spec.order)
-    # the faults found so far, as (index, what); no two share an index, as
-    # a repeat's earlier copy has any fault the repeat has
-    faults = []
-    for i in np.flatnonzero(~read).tolist():
-        text = texts[i]
-        try:
-            quad = split_quad(text, parse_seq)
-        except QuadseqError as exc:
-            faults.append((i, f"does not parse: {exc}"))
-            break
-        try:
-            failure = verify_quadruple(parsed_quadruple(*quad, spec.kind)).failure
-        except QuadseqError as exc:
-            failure = str(exc)
-        if failure is None and len(quad[2]) != spec.order:
-            failure = f"order {len(quad[2])}, expected {spec.order}"
-        if failure is not None:
-            faults.append((i, f"fails verification: {failure}"))
-            break
-        rows[i] = quad[0] + quad[1] + quad[2] + quad[3]
-    # no solution at or past a fault can name an earlier one
-    rows = rows[: faults[0][0] if faults else len(texts)]
-    longs, long_ids = _shared_pairs(rows[:, :m], rows[:, m : 2 * m])
-    shorts, short_ids = _shared_pairs(rows[:, 2 * m : 3 * m - 1], rows[:, 3 * m - 1 :])
+    rows, unread = _solution_rows(texts, spec.order)
+    longs, long_ids, lex = _shared_pairs(rows[:, :m], rows[:, m : 2 * m])
+    shorts, short_ids, _keys = _shared_pairs(rows[:, 2 * m : 3 * m - 1], rows[:, 3 * m - 1 :])
+    # the faults found, as (index, what); no two share an index, as a
+    # repeat's earlier copy has any fault the repeat has, and no solution at
+    # or past the first that fails can name an earlier one
     failing = first_failing(spec.kind, longs, shorts, long_ids, short_ids)
     if failing is not None:
         quad = parsed_quadruple(*longs[long_ids[failing]], *shorts[short_ids[failing]], spec.kind)
         faults = [(failing, f"fails verification: {verify_quadruple(quad).failure}")]
         long_ids, short_ids = long_ids[:failing], short_ids[:failing]
+    else:
+        faults = [] if unread is None else [(unread, _text_fault(texts[unread], spec))]
     # a solution's number: in plaintext order, and below len(texts) ** 2
     keys = long_ids * len(shorts) + short_ids
     order = np.argsort(keys, kind="stable")
@@ -518,29 +526,21 @@ def _resume_state(spec: SearchSpec, passes: list[int], resume: Checkpoint | None
         faults.append((int(repeats.min()), "is repeated"))
     # a solution is reached when its pass comes before case_pos, or is
     # case_pos and its A lies below lex_next (without cases all share pass
-    # 0); a representatives run scans only A's that start and end with +
+    # 0), and in a representatives run only if the scan keeps its A.  Its
+    # pass is its sums vector's, worked out once per distinct vector
+    cuts = (0, m, 2 * m, 3 * m - 1, 4 * m - 2)
+    sums = np.stack([rows[: len(keys), lo:hi].sum(axis=1) for lo, hi in zip(cuts, cuts[1:])], 1)
+    _codes, first, inverse = np.unique((sums + m) @ (2 * m + 1) ** np.arange(4),
+                                       return_index=True, return_inverse=True)
     case_of = _case_of(spec.kind, spec.order)
     pass_of = {case: pos for pos, case in enumerate(spec.cases or ())}
     unlisted = 0 if spec.cases is None else len(passes)
-    # a solution's sums vector is its (A, B) pair's sums and its (C, D)
-    # pair's: each pair's are numbered, and each distinct vector placed once
-    long_sums, short_sums = {}, {}
-    long_at = np.array([long_sums.setdefault((sum(a), sum(b)), len(long_sums))
-                        for a, b in longs], np.intp)
-    short_at = np.array([short_sums.setdefault((sum(c), sum(d)), len(short_sums))
-                         for c, d in shorts], np.intp)
-    long_sums, short_sums = [*long_sums], [*short_sums]
-    vectors, inverse = np.unique(long_at[long_ids] * len(short_sums) + short_at[short_ids],
-                                 return_inverse=True)
-    pass_at = np.array([pass_of.get(case_of[_sums_rep(*long_sums[v // len(short_sums)],
-                                                      *short_sums[v % len(short_sums)])], unlisted)
-                        for v in vectors.tolist()], np.intp)[inverse]
-    to_bits = str.maketrans("+-", "01")
-    below = np.array([int(seq_str(a).translate(to_bits), 2) < resume.lex_next
-                      for a, _b in longs], bool)[long_ids]
-    unreached = (pass_at > resume.case_pos) | (pass_at == resume.case_pos) & ~below
+    pass_at = np.array([pass_of.get(case_of[_sums_rep(*vector)], unlisted)
+                        for vector in sums[first].tolist()], np.intp)[inverse]
+    unreached = (pass_at > resume.case_pos) | (pass_at == resume.case_pos) & (
+        lex >= resume.lex_next)[long_ids]
     if spec.representatives:
-        unreached |= ~np.array([a[0] == a[-1] == 1 for a, _b in longs], bool)[long_ids]
+        unreached |= ~_scanned(lex, m)[long_ids]
     late = np.flatnonzero(unreached)
     if len(late):
         faults.append((int(late[0]), "lies where the run has yet to scan"))
@@ -759,10 +759,7 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
 
 
 _CHECKPOINT_KEYS = {"format"} | {field.name for field in fields(Checkpoint)}
-_SCALAR_TYPES = {
-    "kind": str, "order": int, "mode": str, "representatives": bool,
-    "case_pos": int, "lex_next": int, "nodes": int, "found": int, "solutions_sha256": str,
-}
+_SCALAR_TYPES = {f.name: f.type for f in fields(Checkpoint) if f.type in (str, int, bool)}
 
 
 def _all_of(values, expected: type) -> bool:
@@ -794,9 +791,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise SearchError("checkpoint has a field of the wrong type")
     if cases is not None:
         data["cases"] = tuple(cases)
-    checkpoint = Checkpoint(**data)
-    _check_counters(checkpoint)
-    return checkpoint
+    return Checkpoint(**data)
 
 
 # --- equivalence machinery ---------------------------------------------------

@@ -291,7 +291,10 @@ class ProfileIndex:
     def __init__(self, length: int):
         self.length = length
         width = max(length - 1, 0)
-        lags = np.empty((1 << length, width), dtype=np.int8)  # row b: int_to_seq(b)'s profile
+        try:
+            lags = np.empty((1 << length, width), dtype=np.int8)  # row b: int_to_seq(b)'s profile
+        except ValueError as exc:  # from length 58 on, numpy cannot even shape the table
+            raise MemoryError(f"no table of 2^{length} profiles: {exc}") from None
         for lo in range(0, len(lags), _BUILD_ROWS):
             bits = np.arange(lo, min(lo + _BUILD_ROWS, len(lags)))
             lags[lo : lo + _BUILD_ROWS] = bit_lags(bits, length, width)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from quadseq import construct
+from quadseq import cli, construct
 from quadseq.catalog import witness_records
 from quadseq.cli import main
 from quadseq.codec import parse_record
@@ -474,6 +474,33 @@ def test_over_bound_refusals_name_the_flag(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "--allow-large" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--kind", "ns", "--order", "63", "--allow-large"],
+    ["construct", "golay", "--length", "63", "--allow-large"],
+])
+def test_a_size_refused_before_any_allocation_exits_2(capsys, argv):
+    # ns 63's lex indices do not fit int64, and numpy cannot shape golay
+    # 63's lag table: each is refused before anything is allocated, with one
+    # error line rather than a traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_a_size_this_machine_cannot_hold_exits_2(capsys, monkeypatch):
+    def short_of_memory(message):
+        def raiser(*_args, **_kwargs):
+            raise MemoryError(*message)
+        return raiser
+
+    monkeypatch.setattr(cli, "run_search", short_of_memory(["Unable to allocate 39.0 TiB"]))
+    assert run(capsys, "search", "--kind", "nn", "--order", "40", "--allow-large") == (
+        2, "", "error: out of memory: Unable to allocate 39.0 TiB\n")
+    monkeypatch.setattr(construct, "golay_search", short_of_memory([]))
+    assert run(capsys, "construct", "golay", "--length", "40", "--allow-large") == (
+        2, "", "error: out of memory\n")
 
 
 def test_help_exits_zero(capsys):

@@ -176,6 +176,16 @@ def test_order_bound_refusal():
         search(SearchSpec("nn", 4, cases=(0,)))
 
 
+def test_an_order_whose_lex_indices_do_not_fit_int64_is_refused_even_when_large():
+    # the scan numbers the long sequences of order n by int64 lex indices
+    # below 2^(n+1), so order 62 is the last whose indices fit
+    for kind in ("nn", "ns"):
+        with pytest.raises(SearchError, match="^order 63 above 62: the lex indices of its long "
+                                              "sequences do not fit int64$"):
+            search(SearchSpec(kind, 63, allow_large=True))
+        search_module._validate_spec(SearchSpec(kind, 62, allow_large=True))  # never searched
+
+
 @pytest.mark.parametrize("spec,workers,message", [
     (SearchSpec("nn", 4, cases=(3, 3)), 1, "must not repeat"),
     (SearchSpec("nn", 4, cases=(3, 4, 3)), 1, "must not repeat"),
@@ -977,11 +987,12 @@ def test_checkpoint_that_resumed_to_a_wrong_result_is_refused(tmp_path, solution
     SearchSpec("nn", 6, node_limit=1),
     SearchSpec("nn", 6, cases=(5, 2), node_limit=1),  # case 4 holds 48 more
     SearchSpec("nn", 6, representatives=True, node_limit=1),
-], ids=["one pass", "cases", "representatives"])
+    SearchSpec("nn", 4, node_limit=1),  # two A's, of lex indices 5 and 15, start blocks
+], ids=["one pass", "cases", "representatives", "an A at lex_next"])
 def test_a_checkpoint_may_hold_only_the_solutions_its_run_has_reached(spec, solutions):
-    # at every block boundary, each nn 6 solution the checkpoint does not
-    # hold is one the run has yet to scan, or never scans: adding it is refused
-    everything = [q.plaintext() for q in solutions("nn", 6)]
+    # at every block boundary, each solution the checkpoint does not hold is
+    # one the run has yet to scan, or never scans: adding it is refused
+    everything = [q.plaintext() for q in solutions(spec.kind, spec.order)]
     unbudgeted = dataclasses.replace(spec, node_limit=None)
     checkpoint, refused = None, 0
     while True:
@@ -1125,8 +1136,8 @@ def _resumed_state(spec, checkpoint):
 def test_a_checkpoint_with_a_flipped_sign_is_decided_as_the_per_solution_check_decides(
         spec, data):
     # the array passes of _resume_state must accept and refuse exactly what
-    # the per-solution loop does, with its words, also when a solution with
-    # whitespace inside takes the per-text path
+    # the per-solution loop does, with its words, also when a solution has
+    # whitespace inside
     checkpoint = _first_leg(spec)
     texts = list(checkpoint.solutions)
     assert texts
@@ -1134,9 +1145,10 @@ def test_a_checkpoint_with_a_flipped_sign_is_decided_as_the_per_solution_check_d
     j = data.draw(st.sampled_from([j for j, ch in enumerate(texts[i]) if ch in "+-"]),
                   label="entry")
     texts[i] = texts[i][:j] + {"+": "-", "-": "+"}[texts[i][j]] + texts[i][j + 1 :]
-    if data.draw(st.booleans(), label="a space inside a solution"):  # read one by one
+    if data.draw(st.booleans(), label="whitespace inside a solution"):
         k = data.draw(st.integers(0, len(texts) - 1), label="spaced solution")
-        texts[k] = texts[k][:1] + " " + texts[k][1:]
+        space = data.draw(st.sampled_from([" ", "\t", "\u3000"]), label="whitespace")
+        texts[k] = texts[k][:1] + space + texts[k][1:]
     digest = checkpoint.solutions_sha256
     if data.draw(st.booleans(), label="sha256 recomputed"):
         digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
@@ -1163,16 +1175,26 @@ def test_an_accepted_checkpoint_resumes_to_the_reference_tuples_in_plaintext_ord
     assert _resumed_state(unbudgeted, checkpoint) == (None, sorted(quads, reverse=True))
 
 
-@pytest.mark.parametrize("length", [0, 1, 13, 64, 65, 130])
+@pytest.mark.parametrize("length", [0, 1, 13, 64])
 def test_shared_pairs_are_the_distinct_pairs_in_plaintext_order(length):
-    # sequences longer than 64 entries take more than one uint64 key word
+    # a sequence of up to 64 entries is keyed by one uint64 word: an X's key
+    # is the lex index the scan gives it
     rng = random.Random(length)
     seqs = [tuple(rng.choice((1, -1)) for _ in range(length)) for _ in range(5)]
     rows = [(rng.choice(seqs), rng.choice(seqs)) for _ in range(40)]
     x, y = (np.array([row[i] for row in rows], np.int8).reshape(len(rows), length) for i in (0, 1))
-    pairs, numbers = search_module._shared_pairs(x, y)
+    pairs, numbers, keys = search_module._shared_pairs(x, y)
     assert pairs == sorted(set(rows), reverse=True)
     assert [pairs[i] for i in numbers.tolist()] == rows
+    assert keys.tolist() == [int("0" + "".join("0" if v == 1 else "1" for v in a), 2)
+                             for a, _b in pairs]
+    if 1 < length <= 13:  # the scan's rows of those lex indices are the X's
+        (a_bits, *_rest), lex, _tallies = search_module._scan_block(
+            SearchSpec("nn", length - 1), np.zeros((length + 1,) * 2, np.int8),
+            (0, 1 << length))
+        assert (lex[keys] == keys).all()
+        assert seqcore.bit_rows(a_bits[keys], length)[:, ::-1].tolist() == [
+            list(a) for a, _b in pairs]
     distinct = {seq for pair in pairs for seq in pair}
     assert len({id(seq) for pair in pairs for seq in pair}) == len(distinct)
 
@@ -1282,11 +1304,16 @@ def test_a_solution_with_whitespace_inside_resumes_and_its_variant_repeats(tmp_p
     ("++\uff0b++;+++++;++++;++++", "does not parse: bad sequence character '\uff0b'"),
     ("+++++;+++++;++++;++-\u00e9", "does not parse: bad sequence character '\u00e9'"),
     ("+++++;+++++;+++;+++++", "fails verification: C and D must have equal length"),
+    *[(f"+++++;++{space}+++;++++;++++", "fails verification: near-normality violated at position 2")
+      for space in (" ", "\t", "\u3000")],
+    ("+++++;++ ++;++++;++++", "fails verification: A and B must have equal length"),
 ])
 def test_refusal_of_a_checkpoint_solution_names_it_and_its_fault(tmp_path, bad, refusal):
     # the whole message, from a file and from memory: a solution of the
     # run's shape skips the constructor's checks, any other is refused in
-    # the constructor's words
+    # the constructor's words.  Whitespace is read as parse_seq reads it, so
+    # a space in place of a sign leaves a text of the run's width one entry
+    # short
     def replaced(checkpoint):
         assert checkpoint.solutions
         return {"solutions": [bad] + checkpoint.solutions[1:]}
@@ -2026,6 +2053,36 @@ def test_pool_threads_share_the_callers_profile_index(monkeypatch):
             threading.get_ident()]
         assert len({thread for event, thread, _index in events if event == "join"}) == workers
         assert len({index for _event, _thread, index in events}) == 1
+
+
+def test_a_pool_starts_at_most_the_thread_pool_cap(monkeypatch):
+    # --workers beyond the cap joins on the caller and at most
+    # MAX_POOL_THREADS pool threads, with the result of one worker
+    join, start = ProfileIndex.join, threading.Thread.start
+    joined, started = set(), []
+
+    def logged_join(index, rows):
+        joined.add(threading.get_ident())
+        return join(index, rows)
+
+    def logged_start(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(ProfileIndex, "join", logged_join)
+    monkeypatch.setattr(threading.Thread, "start", logged_start)
+    result = search(SearchSpec("nn", 10), workers=search_module.MAX_POOL_THREADS + 3)
+    monkeypatch.undo()
+    assert 1 < len(joined) <= search_module.MAX_POOL_THREADS + 1
+    assert len(started) <= search_module.MAX_POOL_THREADS
+    assert plaintexts(result) == plaintexts(search(SearchSpec("nn", 10)))
+
+
+def test_a_profile_table_numpy_cannot_shape_is_out_of_memory():
+    # from length 58 on, numpy refuses the 2^length-row lag table with a
+    # ValueError before it allocates anything
+    with pytest.raises(MemoryError, match=r"^no table of 2\^63 profiles: "):
+        ProfileIndex(63)
 
 
 @contextlib.contextmanager
