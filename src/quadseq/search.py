@@ -31,7 +31,9 @@ result is assembled.  The scan and the memo live in the calling thread.  With
 workers > 1 the calling thread and workers - 1 pool threads, at most
 MAX_POOL_THREADS, started for the whole search (_JoinPool), each join one
 array chunk of a batch's new targets.  Lex indices are int64, so no order
-above MAX_ORDER is searched.
+above MAX_ORDER is searched, and a run builds the profile index before its
+first scan, so an order whose index cannot be held fails before a block's
+lex indices are asked for.
 
 The sum-of-squares prune is the only test before the join.  It only saves
 work: the join's sum index finds no (C, D) for an A it rejects.  Inside the
@@ -57,8 +59,11 @@ resume check all read it.
 
 A run's only state is one Checkpoint, which one loop in search() advances
 block by block and saves as one JSON document tagged with CHECKPOINT_FORMAT.
-A save makes the texts of the solutions found since the last from one
-"A;B;" text per group and the "C;D" texts of each pair list (_solution_texts).
+A save makes text only of the solutions found since the last, from one
+"A;B;" text per group and the "C;D" texts of each pair list, made once per
+run (_solution_texts), and writes the file from the JSON items of the saved
+solutions, encoded once per run and extended by each save's new texts
+(_write_checkpoint), so its Python-level work follows the new solutions.
 load_checkpoint refuses a file that is not UTF-8, one of another format, a
 truncated one or one whose fields are missing or mistyped; every other
 refusal, counters included, is made when the run starts (_resume_state),
@@ -589,6 +594,13 @@ def search(
     base_nodes = saved_nodes = state.nodes  # node_limit budgets the current run only
     # a first-mode run ends at its hit, which its checkpoint may already hold
     done = first and state.found
+    if not done:  # the join's index, before the first scan: a size it cannot hold fails here
+        profile_index(spec.order)
+    # the file's solutions array items, encoded with json once per run, as a
+    # resumed text may hold whitespace that JSON escapes; a save adds its new
+    # texts, which hold only '+', '-' and ';', in quotes
+    items = json.dumps(state.solutions)[1:-1] if checkpoint_path else ""
+    cd_texts = {}  # the run's "C;D" texts (see _solution_texts)
     # after _resume_state, so that a refused checkpoint starts no thread
     with _JoinPool(spec.order, 1 if done else workers) as pool:
         blocks = () if done else _blocks(
@@ -611,13 +623,15 @@ def search(
                 # only the solutions found since the last save become text, in
                 # found order, and are hashed, after the "\n" that joins them
                 # to the rest
-                new = _solution_texts(groups[saved_groups:])
+                new = _solution_texts(groups[saved_groups:], cd_texts)
                 if new:
                     digest.update(("\n" * bool(state.solutions) + "\n".join(new)).encode())
                     state.solutions.extend(new)
+                    if checkpoint_path:
+                        items += ", " * bool(items) + '"' + '", "'.join(new) + '"'
                 state.solutions_sha256 = digest.hexdigest()
                 if checkpoint_path:
-                    save_checkpoint(state, checkpoint_path)
+                    _write_checkpoint(state, items, checkpoint_path)
                 saved_nodes, saved_groups = state.nodes, len(groups)
             if exhausted:
                 raise BudgetExhausted(state)
@@ -636,20 +650,19 @@ def search(
     return SearchResult(solutions, state.found, stats)
 
 
-def _solution_texts(groups) -> list[str]:
+def _solution_texts(groups, cd_texts: dict) -> list[str]:
     """The "A;B;C;D" texts of the solutions of (A, B, pairs, _ranked)
     groups, in found order: join_quad's texts, from an "A;B;" text made once
-    per group and "C;D" texts made once per pair list, which groups of one
-    target share.  The groups hold their lists while this runs, so no id()
-    is reused."""
-    cd_texts = {}  # id(pairs) -> its "C;D" texts
+    per group and "C;D" texts made once per pair list in a run, which groups
+    of one target share.  cd_texts, the run's memo, maps id(pairs) to the
+    list and its texts: holding the list, it keeps the id from reuse."""
     texts = []
     for a, b, pairs, _ranked in groups:
-        tails = cd_texts.get(id(pairs))
-        if tails is None:
-            tails = cd_texts[id(pairs)] = [f"{seq_str(c)};{seq_str(d)}" for c, d in pairs]
+        known = cd_texts.get(id(pairs))
+        if known is None:
+            known = cd_texts[id(pairs)] = pairs, [f"{seq_str(c)};{seq_str(d)}" for c, d in pairs]
         head = f"{seq_str(a)};{seq_str(b)};"
-        texts += [head + tail for tail in tails]
+        texts += [head + tail for tail in known[1]]
     return texts
 
 
@@ -753,9 +766,21 @@ def _blocks(spec, passes, case_pos, lex_start, join):
         lex_start = 0
 
 
-def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
+def _write_checkpoint(checkpoint: Checkpoint, items: str, path: str) -> None:
+    """Write the checkpoint to `path` as json.dumps({"format":
+    CHECKPOINT_FORMAT, **vars(checkpoint)}) writes it, byte for byte, from
+    `items`, json.dumps(checkpoint.solutions)[1:-1] made in advance.  Every
+    save comes here: save_checkpoint's and each of a run's."""
+    document = {"format": CHECKPOINT_FORMAT, **vars(checkpoint)}
+    sha256 = document.pop("solutions_sha256")
+    del document["solutions"]  # these two are the dataclass's last fields
     # no trailing newline: every proper prefix of the file fails to parse
-    write_text_atomic(path, json.dumps({"format": CHECKPOINT_FORMAT, **vars(checkpoint)}))
+    write_text_atomic(path, f'{json.dumps(document)[:-1]}, "solutions": [{items}], '
+                            f'"solutions_sha256": {json.dumps(sha256)}}}')
+
+
+def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
+    _write_checkpoint(checkpoint, json.dumps(checkpoint.solutions)[1:-1], path)
 
 
 _CHECKPOINT_KEYS = {"format"} | {field.name for field in fields(Checkpoint)}

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from quadseq import cli, construct
+from quadseq import cli, construct, search as search_module
 from quadseq.catalog import witness_records
 from quadseq.cli import main
 from quadseq.codec import parse_record
@@ -501,6 +501,22 @@ def test_a_size_this_machine_cannot_hold_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(construct, "golay_search", short_of_memory([]))
     assert run(capsys, "construct", "golay", "--length", "40", "--allow-large") == (
         2, "", "error: out of memory\n")
+
+
+def test_an_order_whose_index_cannot_be_held_exits_2_before_a_scan(capsys, monkeypatch):
+    # the run builds the join's profile index before its first block, so
+    # order 62's index fails before the block's 22.6 GiB of lex indices are
+    # asked for; a node budget does not change that, and nothing here allocates
+    def no_scan(*_args):
+        pytest.fail("scanned before the profile index was built")
+
+    def no_index(length):
+        raise MemoryError(f"no table of 2^{length} profiles")
+
+    monkeypatch.setattr(search_module, "_scan_block", no_scan)
+    monkeypatch.setattr(search_module, "profile_index", no_index)
+    assert run(capsys, "search", "--kind", "nn", "--order", "62", "--allow-large",
+               "--limit", "1") == (2, "", "error: out of memory: no table of 2^62 profiles\n")
 
 
 def test_help_exits_zero(capsys):

@@ -1388,8 +1388,8 @@ def test_each_save_hashes_only_the_solutions_added_since_the_last(tmp_path, monk
 
     monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 1)
     monkeypatch.setattr(hashlib, "sha256", CountingSha256)
-    monkeypatch.setattr(search_module, "save_checkpoint",
-                        lambda checkpoint, path: saved.append(copy.deepcopy(checkpoint)))
+    monkeypatch.setattr(search_module, "_write_checkpoint",
+                        lambda checkpoint, _items, _path: saved.append(copy.deepcopy(checkpoint)))
     result = search(SearchSpec("nn", 8), checkpoint_path=str(tmp_path / "run.ckpt"))
     monkeypatch.undo()
     assert len(saved) > 20 and sorted(saved[-1].solutions) == plaintexts(result)
@@ -1397,6 +1397,43 @@ def test_each_save_hashes_only_the_solutions_added_since_the_last(tmp_path, monk
         text = "\n".join(checkpoint.solutions).encode()
         assert checkpoint.solutions_sha256 == hashlib.sha256(text).hexdigest()
     assert sum(hashed) == len(text)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_save_writes_what_json_dumps_writes_of_the_state(workers, tmp_path, monkeypatch):
+    # a run encodes its resumed solutions once and each save adds only its
+    # new texts, so at every save the file must still be json.dumps of the
+    # whole state: in each mode, on a case run and after a resume whose
+    # texts hold whitespace that JSON escapes
+    path = str(tmp_path / "run.ckpt")
+    write, saves = search_module._write_checkpoint, []
+
+    def checked_write(checkpoint, items, path):
+        write(checkpoint, items, path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text == json.dumps({"format": CHECKPOINT_FORMAT, **vars(checkpoint)})
+        saves.append(text)
+
+    monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 1)
+    monkeypatch.setattr(search_module, "_write_checkpoint", checked_write)
+    for spec in (SearchSpec("nn", 8), SearchSpec("nn", 8, mode="first"),
+                 SearchSpec("nn", 8, mode="count"), SearchSpec("nn", 10, cases=(7, 3, 11))):
+        saves.clear()
+        nodes = search(spec, workers=workers).stats.nodes
+        result, legs = _resumed(dataclasses.replace(spec, node_limit=nodes // 4), workers, path)
+        assert legs > 1 and len(saves) >= legs
+        assert json.loads(saves[-1])["found"] == result.count > 0
+
+    leg = _first_leg(SearchSpec("nn", 8, node_limit=5000))
+    texts = [text[:3] + " \t　" + text[3:] if i % 3 == 0 else text
+             for i, text in enumerate(leg.solutions)]
+    spaced = dataclasses.replace(leg, solutions=texts, solutions_sha256=hashlib.sha256(
+        "\n".join(texts).encode()).hexdigest())
+    saves.clear()
+    result = search(SearchSpec("nn", 8), workers=workers, resume=spaced, checkpoint_path=path)
+    assert plaintexts(result) == plaintexts(search(SearchSpec("nn", 8)))
+    assert len(saves) > 1 and all(r' \t\u3000' in text for text in saves)
 
 
 def test_resume_from_memory_refuses_an_unparsable_solution_before_searching():
@@ -1547,7 +1584,7 @@ def test_a_budgeted_case_run_keeps_found_order_and_ranks_each_pass(monkeypatch):
     spec = SearchSpec("nn", 10, cases=(7, 3, 11))
     monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 1)
     saved = {}
-    monkeypatch.setattr(search_module, "save_checkpoint", lambda checkpoint, _path:
+    monkeypatch.setattr(search_module, "_write_checkpoint", lambda checkpoint, _items, _path:
                         saved.setdefault((checkpoint.case_pos, checkpoint.lex_next),
                                          list(checkpoint.solutions)))
     full = search(spec, checkpoint_path="unused")
