@@ -122,8 +122,7 @@ def _cmd_construct(args) -> int:
             print(pair.plaintext())
         return EXIT_OK if pairs else EXIT_FALSE
     if args.target == "ns":
-        seeds = construct.load_golay_seeds(args.seeds) if args.seeds else None
-        quad = construct.golay_to_ns(construct.golay_pair(args.length, seeds))
+        quad = construct.golay_to_ns(construct.golay_pair(args.length))
         print(codec.format_record(quad))
         return EXIT_OK
 
@@ -256,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--allow-large", action="store_true")
     p = targets.add_parser("ns", help="normal quadruple from a Golay pair")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--seeds", help="Golay seed pair file")
+    p.add_argument("--length", type=int, required=True,
+                   help="2^a, 10*2^a or 26*2^a")
 
     p = sub.add_parser("catalog", help="embedded records, statuses, case tables")
     p.set_defaults(func=_cmd_catalog)

@@ -1,9 +1,10 @@
 """Composition pipeline: quadruples to T-sequences to orthogonal designs to
-Hadamard matrices, plus Golay-pair machinery.
+Hadamard matrices, plus Golay pairs: an exhaustive search up to length 12,
+and pairs of length 2^a, 10*2^a and 26*2^a doubled from a bundled seed table.
 
 Each construction is a standard recipe paired with an unconditional verifier;
-the verifier is the contract, so a sign-convention slip in a recipe is caught
-immediately instead of propagating.
+the verifier is the contract, so a sign-convention slip in a recipe, or a
+corrupted seed, is caught immediately instead of propagating.
 """
 
 import operator
@@ -21,7 +22,6 @@ from .seqcore import (
     as_binary,
     parse_seq,
     profile_index,
-    read_text,
     seq_str,
     verify_quadruple,
 )
@@ -114,12 +114,24 @@ def is_golay_number(n: int) -> bool:
     return rest == 1 and twos >= fives + thirteens
 
 
-def golay_pair(g: int, seeds: list[GolayPair] | None = None) -> GolayPair:
-    """A complementary pair of length g via seed pairs and doubling.
+# Seed pairs by length, as "E;F" lines (see parse_golay_pair).  Each is
+# verified every time it is used, so a corrupted entry cannot go unnoticed.
+# The length-10 entry is golay_search(10)[0]; the length-26 entry is the
+# first hit of a two-ended backtracking search that takes over a minute
+# (method in CHANGES.md), so it is bundled rather than searched per call.
+GOLAY_SEEDS = {
+    1: "+;+",
+    10: "+--+-+++++;-+-+++--++",
+    26: "++++-++--+-+-+--+-+++--+++;++++-++--+-+++++-+---++---",
+}
 
-    Seeds of length 1 and 10 are built in; a length-26 seed must be supplied
-    (naive search at 26 is far over budget).  Lengths needing a product of
-    two nontrivial seeds (e.g. 100, 520) are refused.
+
+def golay_pair(g: int) -> GolayPair:
+    """A complementary pair of length g: a GOLAY_SEEDS pair of length 1,
+    10 or 26, verified, then doubled up to g.
+
+    Every length 2^a, 10*2^a and 26*2^a is built.  Lengths needing a product
+    of two nontrivial seeds (e.g. 100, 520) are refused.
     """
     if not is_golay_number(g):
         raise ConstructionError(f"{g} is not of the form 2^a*10^b*26^c")
@@ -128,45 +140,14 @@ def golay_pair(g: int, seeds: list[GolayPair] | None = None) -> GolayPair:
         raise ConstructionError(
             f"length {g} needs a pair product; only doubling from seeds is supported"
         )
-    if fives == 1:
-        pair, seed_len = _seed_of_length(10, seeds), 10
-    elif thirteens == 1:
-        pair, seed_len = _seed_of_length(26, seeds), 26
-    else:
-        pair, seed_len = GolayPair((1,), (1,)), 1
+    seed_len = 10 if fives else 26 if thirteens else 1
+    pair = parse_golay_pair(GOLAY_SEEDS[seed_len])
+    pair.report().require(
+        ConstructionError, f"length-{seed_len} seed pair's autocorrelations do not cancel")
     while seed_len < g:
         pair = golay_double(pair)
         seed_len *= 2
     return pair
-
-
-def _seed_of_length(length: int, seeds: list[GolayPair] | None) -> GolayPair:
-    for pair in seeds or ():
-        if pair.length == length:
-            pair.report().require(
-                ConstructionError, f"length-{length} seed pair's autocorrelations do not cancel")
-            return pair
-    if length == 10:
-        # cheap enough to derive on demand; avoids trusting a transcribed pair
-        return golay_search(10)[0]
-    raise ConstructionError(f"no seed pair of length {length} available")
-
-
-def load_golay_seeds(path: str) -> list[GolayPair]:
-    """Read "E;F" pair lines (see parse_golay_pair), verifying each on load;
-    every error names its line, and a file that is not UTF-8 is refused."""
-    pairs = []
-    for lineno, raw in enumerate(read_text(path, ConstructionError).split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            pair = parse_golay_pair(line)
-            pair.report().require(ConstructionError, "autocorrelations do not cancel")
-        except QuadseqError as exc:
-            raise ConstructionError(f"line {lineno}: {exc}") from None
-        pairs.append(pair)
-    return pairs
 
 
 def golay_to_ns(pair: GolayPair) -> SeqQuadruple:

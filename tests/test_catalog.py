@@ -19,6 +19,7 @@ from quadseq.catalog import (
     witness_records,
 )
 from quadseq.codec import format_record
+from quadseq.construct import ConstructionError, golay_pair, golay_to_ns, is_golay_number
 from quadseq.search import SearchSpec, search
 from quadseq.seqcore import SeqQuadruple, parse_quad, verify_quadruple
 
@@ -57,6 +58,21 @@ def test_status_examples():
         status("ts", 4)
     with pytest.raises(CatalogError):
         status("ns", -1)
+
+
+def test_every_golay_order_the_status_table_claims_for_ns_is_built():
+    # doubling a seed of length 1, 10 or 26 reaches 2^a, 10*2^a and 26*2^a;
+    # every other Golay number needs a pair product, which golay_pair refuses
+    doubled = sorted(s << a for s in (1, 10, 26) for a in range(10) if s << a <= 1000)
+    products = [n for n in range(1, 1001) if is_golay_number(n) and n not in doubled]
+    assert products == [100, 200, 260, 400, 520, 676, 800, 1000]
+    for n in doubled:
+        assert verify_quadruple(golay_to_ns(golay_pair(n))).passed, n
+        assert status("ns", n).status == NON_EMPTY, n
+    for n in products:
+        message = f"length {n} needs a pair product; only doubling from seeds is supported"
+        with pytest.raises(ConstructionError, match=f"^{message}$"):
+            golay_pair(n)
 
 
 def test_status_provenance_strings_present():

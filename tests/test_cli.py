@@ -259,6 +259,8 @@ def test_construct_and_catalog_lines_parse_back_to_their_quadruples(capsys):
     # the empty base quadruple gives length-0 T-sequences, which give no design
     ["construct", "od", "--from-record", "bs ;;;"],
     ["construct", "hadamard", "--from-record", "bs ;;;"],
+    # a Golay length that only a product of two seed pairs reaches
+    ["construct", "ns", "--length", "100"],
 ])
 def test_bad_arguments_exit_2_with_an_error_and_no_output(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -288,7 +290,7 @@ OPTIONS = {
     ("construct", "od"): {"--from-record", "--out"},
     ("construct", "hadamard"): {"--from-record", "--out", "--values"},
     ("construct", "golay"): {"--length", "--allow-large"},
-    ("construct", "ns"): {"--length", "--seeds"},
+    ("construct", "ns"): {"--length"},
     ("catalog",): set(),
     ("catalog", "records"): {"--out"},
     ("catalog", "status"): {"--kind", "--order", "--format"},
@@ -360,6 +362,34 @@ def test_construct_ns_from_pair(capsys):
     quad = parse_record(out.strip())
     assert quad.kind == "ns" and quad.shape == (11, 10)
     assert verify_quadruple(quad).passed
+
+
+# sha256 of the stdout of each construct command; ns at 10, 20, 40 and 160
+# doubles the seed table's length-10 pair, which is golay_search(10)[0]
+CONSTRUCT_STDOUT_SHA256 = {
+    "ns --length 1": "d32890531c1430bcf6b375375791caaebb95dc3779e22016b14648bae309a667",
+    "ns --length 2": "92a93a0be1846d3b7d6b72204c78201c75c6ca20b089082cbb3f6a608204a7ad",
+    "ns --length 10": "34929e8034021bfa6398c7666fc855cb2e7100a1d4cbdc1fb452928c598f0d2f",
+    "ns --length 20": "80af1e73a52e1a3c3f306fe0614f7825d8cd67ee69d67ce38aa2fd359ed2d55b",
+    "ns --length 40": "00ea2b94d2050731160933a90f3899883ea229f9699de7a92ca5efa228520053",
+    "ns --length 160": "b09f7fdb6ab5129ec82a2010e67be4c29bf8e9184584c392e059fbbbae045576",
+    "golay --length 10": "0cc0c60fca860cdbee58558457530a0d906aa78ecbedf6b1c3c6a96dd583fe6a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONSTRUCT_STDOUT_SHA256))
+def test_construct_stdout_is_pinned(capsys, command):
+    code, out, _ = run(capsys, "construct", *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("length", [26, 52])
+def test_construct_ns_from_the_bundled_length_26_seed(capsys, length):
+    code, out, _ = run(capsys, "construct", "ns", "--length", str(length))
+    assert code == 0
+    assert run(capsys, "verify", "--record", out.strip()) == (0, "pass\n", "")
+    assert parse_record(out.strip()).shape == (length + 1, length)
 
 
 def test_catalog_records_and_verify_input(tmp_path, capsys):
@@ -455,7 +485,6 @@ def test_catalog_cases_are_pinned(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--input"],
-    ["construct", "ns", "--length", "20", "--seeds"],
     ["search", "--kind", "nn", "--order", "4", "--resume"],
 ])
 def test_an_input_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from quadseq.codec import parse_record
 from quadseq.construct import (
+    GOLAY_SEEDS,
     ConstructionError,
     GolayPair,
     SymbolicMatrix,
@@ -19,7 +20,6 @@ from quadseq.construct import (
     golay_search,
     golay_to_ns,
     is_golay_number,
-    load_golay_seeds,
     matrix_from_text,
     matrix_to_text,
     od_substitute,
@@ -431,70 +431,39 @@ def test_is_golay_number():
 
 
 def test_golay_pair_via_doubling():
-    for g in (1, 2, 4, 8, 16, 10, 20, 40):
+    for g in (1, 2, 4, 8, 16, 10, 20, 40, 26, 52, 104, 208):
         pair = golay_pair(g)
         assert pair.length == g
         assert pair.is_valid()
     with pytest.raises(ConstructionError):
         golay_pair(3)
     with pytest.raises(ConstructionError):
-        golay_pair(26)  # needs an external seed
-    with pytest.raises(ConstructionError):
         golay_pair(100)  # needs a pair product
 
 
-def test_golay_pair_prefers_supplied_seed():
-    seed = golay_search(10)[3]
-    pair = golay_pair(20, seeds=[seed])
-    assert pair.is_valid()
-    assert pair.a[:10] == seed.a  # doubling concatenates the supplied seed
-    # a supplied seed of the right length is verified before use
-    fake = GolayPair((1,) * 10, (1,) * 10)
-    with pytest.raises(ConstructionError):
-        golay_pair(20, seeds=[fake])
-    # seeds of other lengths are simply not consulted
-    assert golay_pair(20, seeds=[GolayPair((1, 1), (1, 1))]).is_valid()
-
-
-def test_golay_seed_file(tmp_path):
-    path = tmp_path / "seeds.txt"
-    path.write_text("# a doubled pair\n++;+-\n")
-    [pair] = load_golay_seeds(str(path))
-    assert pair == GolayPair((1, 1), (1, -1))
-    bad = tmp_path / "bad.txt"
-    bad.write_text("++;++\n")
-    with pytest.raises(ConstructionError):
-        load_golay_seeds(str(bad))
-
-
-@pytest.mark.parametrize("line,message", [
-    ("++;+x", "line 2: bad sequence character 'x'"),
-    ("++;+-;+", "line 2: expected two ';'-separated sequences"),
-    ("++;+", "line 2: pair sequences must have equal length"),
-    ("++;++", "line 2: autocorrelations do not cancel: lag 1: autocorrelation sum = 2, expected 0"),
-])
-def test_every_seed_file_error_names_its_line(tmp_path, line, message):
-    path = tmp_path / "seeds.txt"
-    path.write_text(f"# one bad pair\n{line}\n")
-    with pytest.raises(ConstructionError, match=re.escape(message)):
-        load_golay_seeds(str(path))
-
-
-def test_a_seed_file_that_is_not_utf8_is_refused(tmp_path):
-    path = tmp_path / "seeds.txt"
-    path.write_bytes(b"\xff\xfe\x00garbage\n")
-    with pytest.raises(ConstructionError, match=re.escape(f"{path} is not UTF-8 text")):
-        load_golay_seeds(str(path))
+def test_golay_seed_table():
+    assert sorted(GOLAY_SEEDS) == [1, 10, 26]
+    for length, line in GOLAY_SEEDS.items():
+        pair = parse_golay_pair(line)
+        assert pair.length == length
+        # the brute-force definition, independent of the verifier
+        totals = [x + y for x, y in zip(npaf_double_sum(pair.a), npaf_double_sum(pair.b))]
+        assert totals[1:] == [0] * (length - 1)
+    # so that every construct ns output at 10*2^a is what the search gave
+    assert parse_golay_pair(GOLAY_SEEDS[10]) == golay_search(10)[0]
 
 
 @pytest.mark.parametrize("refuse,pair,context", [
     (golay_double, GolayPair((1, 1), (1, 1)), "input pair's autocorrelations do not cancel"),
     (golay_to_ns, GolayPair((1, 1), (1, 1)), "input pair's autocorrelations do not cancel"),
-    (lambda seed: golay_pair(20, [seed]), GolayPair((1,) * 10, (1,) * 10),
+    (lambda seed: golay_pair(20), GolayPair((1,) * 10, (1,) * 10),
      "length-10 seed pair's autocorrelations do not cancel"),
 ])
-def test_golay_refusals_name_the_failing_lag(refuse, pair, context):
-    # through VerificationReport.require, on the pair's BS(g, 0) verdict
+def test_golay_refusals_name_the_failing_lag(monkeypatch, refuse, pair, context):
+    # the seed table's entry of the pair's length is the pair, which only
+    # golay_pair reads; each refusal goes through VerificationReport.require,
+    # on the pair's BS(g, 0) verdict
+    monkeypatch.setitem(GOLAY_SEEDS, pair.length, pair.plaintext())
     with pytest.raises(ConstructionError) as info:
         refuse(pair)
     assert pair.report().failure.startswith("lag 1: ")
