@@ -485,6 +485,7 @@ def test_catalog_cases_are_pinned(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--input"],
+    ["verify", "--format", "json", "--input"],  # the refusal stays one plain line
     ["search", "--kind", "nn", "--order", "4", "--resume"],
 ])
 def test_an_input_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv):
